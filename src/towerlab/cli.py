@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import math
 import os
 import sys
 
@@ -21,7 +20,7 @@ from towerlab import periodic as per
 from towerlab.transfer.basis import CylinderBasis
 from towerlab.transfer.towerop import TowerGrid, laplace_series, \
     map_correlation_operator
-from towerlab.transfer.operators import lasota_yorke_check, resolvent_scan
+from towerlab.transfer.operators import resolvent_scan
 from towerlab.transfer.renewal import renewal_build, \
     tower_operator_decomposition
 from towerlab.transfer import rates
@@ -466,9 +465,12 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
+    except ArithmeticError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 4
     return 0
 
 

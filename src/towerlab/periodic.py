@@ -13,7 +13,7 @@ operator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -47,10 +47,6 @@ class FiniteSubsystem:
         for j in self.symbols:
             if not (0 <= j < self.ind.J):
                 raise ValueError(f"cell {j} not represented")
-
-    @property
-    def max_return(self) -> int:
-        return int(self.ind.r[list(self.symbols)].max())
 
 
 @dataclass(frozen=True)
@@ -147,7 +143,7 @@ def verify_triple(sub: FiniteSubsystem, t: PeriodicTriple,
     d2 = 0
     tau2 = 0.0
     y = t.point
-    for sym in t.word:
+    for _ in range(len(t.word)):
         j = int(ind.cell_of(np.array([y]))[0])
         d2 += int(ind.r[j])
         cur = y
@@ -155,7 +151,6 @@ def verify_triple(sub: FiniteSubsystem, t: PeriodicTriple,
             tau2 += float(roof(np.array([cur]))[0]) if roof is not None else 1.0
             cur = float(ind.model.apply(np.array([cur]))[0])
         y = cur
-        _ = sym
     return abs(d2 - t.d), abs(tau2 - t.tau)
 
 
@@ -345,30 +340,31 @@ def approx_eigenfunction_search(sub: FiniteSubsystem, roof: RoofFunction,
             for _ in range(n):
                 Wn = Wn * w1[sh]
                 sh = shift[sh]
-            best = (math.inf, 0.0, np.ones(n_states, dtype=complex))
+            best = (math.inf, 0.0, False)
             for start in range(3):
                 if start == 0:
                     u = np.ones(n_states, dtype=complex)
                 else:
                     u = np.exp(2j * np.pi * rng.random(n_states))
+                stopped = False
                 for _ in range(iters):
                     v = Wn * u[sh]
                     phi = np.angle(np.sum(v * np.conj(u)))
                     u2 = v * np.exp(-1j * phi)
                     u2 /= np.abs(u2)
-                    if np.max(np.abs(u2 - u)) < 1e-14:
-                        u = u2
-                        break
+                    stopped = np.max(np.abs(u2 - u)) < 1e-14
                     u = u2
+                    if stopped:
+                        break
                 v = Wn * u[sh]
                 phi = np.angle(np.sum(v * np.conj(u)))
                 res = float(np.max(np.abs(v - np.exp(1j * phi) * u)))
                 if res < best[0]:
-                    best = (res, phi, u)
-            res, phi, _ = best
+                    best = (res, phi, stopped)
+            res, phi, stopped = best
             rows.append(EigenfunctionRow(
                 b=float(b), omega=float(om), phi=float(phi % TWO_PI),
                 residual=res, scaled=res * abs(b) ** alpha,
-                converged=True))
+                converged=bool(stopped)))
     return EigenfunctionReport(rows=rows, alpha=alpha, beta0=beta0,
                                depth=depth)

@@ -125,7 +125,6 @@ class Observable:
     def norm_surrogate(self, model: "SuspensionModel", n_grid: int = 400,
                        seed: int = 7) -> float:
         """Sampled sup of |v| and its flow derivatives up to ``smoothness``."""
-        rng = np.random.default_rng(seed)
         st = sample_stationary(model, n_grid, seed=seed)
         h = model.roof(st.pos)
         tot = float(np.max(np.abs(self(st.pos, st.u, h))))
@@ -138,7 +137,6 @@ class Observable:
             val = sum(c * self(st.pos, base + o * dt, h)
                       for c, o in zip(coef, offs))
             tot = max(tot, float(np.max(np.abs(val / dt ** k))))
-        _ = rng
         return tot
 
 
@@ -241,9 +239,6 @@ class SuspensionModel:
     @property
     def ind(self) -> InducedMap:
         return self.tower.ind
-
-    def heights_of(self, cols) -> np.ndarray:
-        return self.tower.heights[cols]
 
 
 @dataclass

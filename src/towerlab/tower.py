@@ -10,7 +10,6 @@ truncated mean height to the return-time tail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,8 +31,7 @@ class Tower:
 
     Cell (j, l), 0 <= l < r(j), carries invariant measure mu_Y(Y_j)/rbar,
     where rbar is the mean return time over represented cells.  Tail mass
-    beyond the branch cutoff is excluded from the normalisation and reported
-    via ``tail_mass_estimate``.
+    beyond the branch cutoff is excluded from the normalisation.
     """
 
     def __init__(self, ind: InducedMap, theta: float | None = None) -> None:
@@ -51,12 +49,6 @@ class Tower:
     @property
     def total_mass(self) -> float:
         return float(np.sum(self.heights * self.column_mass))
-
-    @property
-    def tail_mass_estimate(self) -> float:
-        """Estimated tower mass of the unrepresented columns."""
-        t = self.ind.mean_return_tail
-        return t / (self.rbar + t)
 
     def project(self, j, level, y) -> np.ndarray:
         """Ambient position of tower points: T^level applied to base coords."""
@@ -124,10 +116,6 @@ class TruncatedTower(Tower):
         self.n_cells = int(self.heights.sum())
         self.tall = ind.r >= N        # columns forming the tall part of Delta
         self.short = ~self.tall
-
-    @property
-    def rbar_untruncated(self) -> float:
-        return self.parent.rbar
 
     def tall_part_mass(self) -> float:
         """mu_Delta of the tall-column part of the untruncated tower."""

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from towerlab.maps import InducedMap
+from towerlab.transfer.diameters import GroupDiameters
 
 BIG = -2  # aggregated deep-continuation symbol (cells >= refine_symbols)
 
@@ -33,7 +34,7 @@ class CylinderBasis:
     """Finite cylinder partition of the base with collocation structure."""
 
     def __init__(self, ind: InducedMap, depth: int = 2,
-                 refine_symbols: int = 50, n_directions: int = 256) -> None:
+                 refine_symbols: int = 50) -> None:
         if depth < 1:
             raise ValueError("depth must be >= 1")
         self.ind = ind
@@ -96,8 +97,7 @@ class CylinderBasis:
                 key = w[:d]
                 gid[i] = seen.setdefault(key, len(seen))
             self._groups.append(gid)
-        phis = np.linspace(0.0, np.pi, n_directions, endpoint=False)
-        self._dirs = np.exp(-1j * phis)
+        self._diameters = GroupDiameters(dict(enumerate(self._groups)))
         self._assemble()
 
     # -- geometry ------------------------------------------------------------
@@ -140,10 +140,6 @@ class CylinderBasis:
         pos = np.clip(pos, 0, self.n - 1)
         return self._sorted_idx[pos]
 
-    def sample(self, func) -> np.ndarray:
-        """Collocation values of a scalar function of the base coordinate."""
-        return np.asarray(func(self.mid), dtype=float)
-
     # -- transfer matrix -------------------------------------------------------
 
     def _assemble(self) -> None:
@@ -175,7 +171,7 @@ class CylinderBasis:
         rho = np.full(n, 1.0)
         m = self.width / self.width.sum()
         lam = 1.0
-        for _ in range(1500):
+        for it in range(1, 1501):
             nr = M @ rho
             nm = m @ M
             lam = float(nr @ rho / (rho @ rho))
@@ -191,6 +187,8 @@ class CylinderBasis:
         resid = max(resid, np.max(np.abs(m @ M - lam * m)) / np.max(m))
         if resid > 1e-12:
             raise ArithmeticError(f"Perron pair not converged: {resid:.2e}")
+        self.perron_residual = float(resid)
+        self.perron_iterations = it
         self.Mhat = M * rho[None, :] / (lam * rho[:, None])
         mu = m * rho
         self.mu = mu / mu.sum()
@@ -203,28 +201,10 @@ class CylinderBasis:
     def theta_seminorm(self, v: np.ndarray, theta: float) -> float:
         """|v|_theta = sup |v(x)-v(y)| / theta^(separation of x, y).
 
-        Group diameters are exact for real data; complex diameters use a
-        directional sweep (lower bound within 0.01 percent).
+        Exact for real and complex v: the largest prefix-group diameter
+        max |v_i - v_j|, weighted by theta^-depth.
         """
-        v = np.asarray(v)
-        if np.iscomplexobj(v):
-            proj = np.real(np.outer(v, self._dirs))
-        else:
-            proj = np.asarray(v, dtype=float)
-        best = 0.0
-        for d in range(self.depth):
-            dia = self._group_range(proj, self._groups[d])
-            best = max(best, dia / theta ** d)
-        return best
-
-    @staticmethod
-    def _group_range(x: np.ndarray, gid: np.ndarray) -> float:
-        """Largest within-group range; x may carry extra trailing axes.
-        Group labels must be contiguous runs (true in tree order)."""
-        starts = np.flatnonzero(np.diff(gid, prepend=gid[0] - 1))
-        mx = np.maximum.reduceat(x, starts, axis=0)
-        mn = np.minimum.reduceat(x, starts, axis=0)
-        return float(np.max(mx - mn))
+        return self._diameters.value(v, theta)
 
     def norm_b(self, v: np.ndarray, b: float, C6: float, theta: float) -> float:
         """max(sup norm, theta seminorm / (2 C6 |b|))."""

@@ -71,17 +71,6 @@ class OperatorMatrix:
             worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-30))
         return worst
 
-    def pointwise_defect(self, func, n_points: int = 64, seed: int = 1) -> float:
-        """max over sample points of |matrix action - inverse-branch sum|
-        for a smooth function sampled at collocation midpoints."""
-        rng = np.random.default_rng(seed)
-        x = rng.uniform(self.basis.ind.Y[0], self.basis.ind.Y[1], n_points)
-        direct = self.pointwise_apply(func, x)
-        v = np.asarray(func(self.basis.mid), dtype=complex)
-        mv = self.mat @ v
-        at = mv[self.basis.leaf_of_point(x)]
-        return float(np.max(np.abs(direct - at)))
-
     def pointwise_apply(self, func, x: np.ndarray) -> np.ndarray:
         """(R_{s,z} v)(x) by direct summation over inverse branches."""
         basis = self.basis

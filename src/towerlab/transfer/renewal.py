@@ -11,12 +11,10 @@ series does not converge.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from towerlab.transfer.basis import CylinderBasis
 from towerlab.transfer.towerop import TowerGrid
 
 __all__ = ["RenewalData", "renewal_build", "tower_operator_decomposition"]
@@ -45,12 +43,6 @@ class RenewalData:
     @property
     def max_residual(self) -> float:
         return float(np.max(self.residuals))
-
-    @property
-    def fourier_tail_ok(self) -> bool:
-        """Whether the raw coefficient tail decayed below 1e-10, i.e. the
-        plain truncated Fourier sum is itself accurate at the horizon."""
-        return self.raw_tail <= 1e-10
 
 
 def renewal_build(grid: TowerGrid, s: complex, horizon: int = 96,
@@ -116,10 +108,9 @@ def renewal_build(grid: TowerGrid, s: complex, horizon: int = 96,
     raw_residuals = np.empty(n_z)
     eye = np.eye(basis.n, dtype=complex)
     for m, z in enumerate(zs):
-        w = np.exp(z)
         diag = np.exp(s * grid.H_col + z * grid.heights)
         A = eye - basis.Mhat * diag[None, :]
-        # horizon tail: Q = sum_k R_{s,k} w^k sum_{n=H-k+1..H} w^n t_n
+        # horizon tail, w = e^z: Q = sum_k R_{s,k} w^k sum_{n=H-k+1..H} w^n t_n
         Q = np.zeros((basis.n, n_probes), dtype=complex)
         suffix = np.zeros((basis.n, n_probes), dtype=complex)
         for k in range(1, N + 1):

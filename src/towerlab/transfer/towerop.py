@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from towerlab.suspension import Observable, RoofFunction
 from towerlab.transfer.basis import CylinderBasis
+from towerlab.transfer.diameters import GroupDiameters
 
 __all__ = ["TowerGrid", "map_correlation_operator", "laplace_series"]
 
@@ -136,26 +138,22 @@ class TowerGrid:
     def sup_norm(self, V: list) -> float:
         return max(float(np.max(np.abs(v))) if len(v) else 0.0 for v in V)
 
-    def l1_norm(self, V: list) -> float:
-        return float(sum(m @ np.abs(v) for m, v in zip(self.mu_at, V))
-                     / self.rbar)
+    @cached_property
+    def _diameters(self) -> GroupDiameters:
+        """Seminorm groups of the flattened tower vector: one level and one
+        depth-d column prefix, d >= 1."""
+        basis = self.basis
+        act = np.concatenate(self.active)
+        level = np.repeat(np.arange(self.max_h),
+                          [len(a) for a in self.active])
+        return GroupDiameters({d: level * basis.n + basis._groups[d][act]
+                               for d in range(1, basis.depth)})
 
     def theta_seminorm(self, V: list, theta: float) -> float:
         """Symbolic seminorm of a tower function: pairs separate unless they
-        sit on the same level with a common column prefix."""
-        best = 0.0
-        for ell, v in enumerate(V):
-            if len(v) < 2:
-                continue
-            if np.iscomplexobj(v):
-                proj = np.real(np.outer(v, self.basis._dirs))
-            else:
-                proj = np.asarray(v, dtype=float)
-            for d in range(1, self.basis.depth):
-                gid = self.basis._groups[d][self.active[ell]]
-                dia = self.basis._group_range(proj, gid)
-                best = max(best, dia / theta ** d)
-        return best
+        sit on the same level with a common column prefix.  Exact for real
+        and complex V, all levels in one pass."""
+        return self._diameters.value(np.concatenate(V), theta)
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,18 @@ def test_missing_config_is_config_error(tmp_path):
                 "--out", str(tmp_path)]) == 3
 
 
+def test_numerical_failure_is_not_config_error(tmp_path, pm_config,
+                                              monkeypatch, capsys):
+    def diverge(cfg, args):
+        raise ArithmeticError("Perron pair not converged")
+
+    monkeypatch.setitem(cli.HANDLERS, "induce", diverge)
+    assert run(["induce", "--config", pm_config,
+                "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "numerical error" in err and "config error" not in err
+
+
 def test_missing_seed_is_config_error(tmp_path, pm_config):
     text = open(pm_config).read().replace("seed = 99", "")
     bad = tmp_path / "noseed.ini"

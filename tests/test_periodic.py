@@ -112,6 +112,17 @@ def test_eigenfunction_constant_roof_unimodular(doubling_sub):
         assert min(abs(r.phi), abs(r.phi - 2 * math.pi)) <= 1e-6
 
 
+def test_eigenfunction_reports_convergence(doubling_sub):
+    # an exact eigenfunction stops at once; one power step on a generic
+    # roof cannot reach the 1e-14 stop
+    exact = per.approx_eigenfunction_search(
+        doubling_sub, sp.constant_roof(1.0), [2 * math.pi], [0.0])
+    assert all(r.converged for r in exact.rows)
+    short = per.approx_eigenfunction_search(
+        doubling_sub, sp.cosine_roof(), [17.0, 37.0], [0.0], iters=1)
+    assert not any(r.converged for r in short.rows)
+
+
 def test_eigenfunction_constant_roof_all_b_degenerate(doubling_sub):
     # constant roof: tau proportional to d makes every frequency align
     rep = per.approx_eigenfunction_search(doubling_sub,
