@@ -465,12 +465,12 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
-    except ArithmeticError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 4
     return 0
 
 

@@ -17,9 +17,8 @@ __all__ = ["GroupDiameters"]
 # A set's diameter is at most its widest projection onto the directions
 # 0, 45, 90 and 135 degrees over cos(pi/8); the margin absorbs rounding.
 _WIDTH_BOUND = (1.0 + 1e-12) / math.cos(math.pi / 8.0)
-_PAIRWISE_MAX = 64       # sets up to this size: all pairs
+_PAIRWISE_MAX = 64       # sets up to this size: all pairs, no filter
 _PAIR_BLOCK = 1 << 14    # pair differences per block: bounds temporaries
-_COLLINEAR = 1e-8        # relative spread below which a set is a segment
 
 
 def _projections(z: np.ndarray) -> np.ndarray:
@@ -29,21 +28,16 @@ def _projections(z: np.ndarray) -> np.ndarray:
     return np.stack([re, (re + im) * h, im, (im - re) * h])
 
 
-def _convex_diameter(z: np.ndarray) -> float:
+def _diameter(z: np.ndarray) -> float:
     """Exact diameter of a set of complex points.
 
     Points strictly inside the octagon of the extremes in four directions
-    cannot end a diameter and are dropped (Akl-Toussaint).  The rest is
-    sorted by angle about its mean and reflex vertices are peeled off
-    until the polygon is the convex hull; the diameter is the longest
-    antipodal pair, found for all hull edges at once by rotating calipers.
+    cannot end a diameter and are dropped (Akl-Toussaint); the rest are
+    compared by all pairs, in blocks of bounded size.
     """
     proj = _projections(z)
-    hi, lo = np.argmax(proj, axis=1), np.argmin(proj, axis=1)
-    ext = z[np.r_[hi, lo]]   # extremes at 0, 45, ..., 315 degrees: in turn
-    k = int(np.argmax(proj[range(4), hi] - proj[range(4), lo]))
-    a, u = ext[k], ext[k + 4] - ext[k]  # the widest projection's ends
-    octo = ext[ext != np.roll(ext, 1)]
+    ext = z[np.r_[np.argmax(proj, axis=1), np.argmin(proj, axis=1)]]
+    octo = ext[ext != np.roll(ext, 1)]  # extremes at 0, 45, ..., 315 degrees
     if len(octo) >= 3:
         # strictly inside: cross(edge, z - vertex) > 0 for every edge, by a
         # margin far above rounding, so that the octagon's vertices stay
@@ -52,32 +46,12 @@ def _convex_diameter(z: np.ndarray) -> float:
         offset = edge.real * octo.imag - edge.imag * octo.real + margin
         cross = z.imag[:, None] * edge.real - z.real[:, None] * edge.imag
         z = z[~np.all(cross > offset, axis=1)]
-        if len(z) <= _PAIRWISE_MAX:
-            d = z[:, None] - z[None, :]
-            return float(np.sqrt(np.max(d.real ** 2 + d.imag ** 2)))
-    rel = z - a
-    if np.max(np.abs(u.real * rel.imag - u.imag * rel.real)) \
-            <= _COLLINEAR * abs(u) ** 2:
-        # nearly a segment, with no interior point to sort about: the
-        # farthest point from a, then the farthest from that, is exact up
-        # to a relative (spread / length)^2
-        far = z[np.argmax(np.abs(rel))]
-        return float(np.max(np.abs(z - far)))
-    w = z - z.mean()
-    hull = z[np.lexsort((np.abs(w), np.angle(w)))]
-    hull = hull[np.r_[True, hull[1:] != hull[:-1]]]  # repeats are adjacent
-    while True:
-        d1, d2 = hull - np.roll(hull, 1), np.roll(hull, -1) - hull
-        left = d1.real * d2.imag - d1.imag * d2.real > 0
-        if left.all():
-            break
-        hull = hull[left]
-    ang = np.unwrap(np.angle(np.roll(hull, -1) - hull))
-    j = np.searchsorted(np.r_[ang, ang + 2.0 * np.pi], ang + np.pi)
-    # each edge's antipode, +-1 against rounding in the edge angles
-    far = hull[np.stack([j - 1, j, j + 1]) % len(hull)]
-    d = np.concatenate([far - hull, far - np.roll(hull, -1)])
-    return float(np.sqrt(np.max(d.real ** 2 + d.imag ** 2)))
+    best = 0.0
+    step = max(1, _PAIR_BLOCK // len(z))
+    for k in range(0, len(z), step):
+        d = z[k:k + step, None] - z[None, k:]
+        best = max(best, float(np.max(d.real ** 2 + d.imag ** 2)))
+    return math.sqrt(best)
 
 
 class GroupDiameters:
@@ -92,7 +66,7 @@ class GroupDiameters:
     data: every group is first bounded by its widths in four directions;
     only groups whose bound can reach the best width are measured exactly,
     small ones by all pairs (vectorised over equal-sized groups), large ones
-    through the convex hull.
+    by all pairs of the points that can end a diameter.
     """
 
     def __init__(self, labels: dict[int, np.ndarray]) -> None:
@@ -127,14 +101,14 @@ class GroupDiameters:
         if not complex_:
             return best                         # a real range is exact
         cand = np.flatnonzero(width * _WIDTH_BOUND >= best)
-        # ascending sizes: the hull groups come last and are skipped when
+        # ascending sizes: the large groups come last and are skipped when
         # their bound falls below the best diameter found so far
         for s in sorted(set(self._size[cand].tolist())):
             g = cand[self._size[cand] == s]
             if s > _PAIRWISE_MAX:
                 for gi in g[width[g] * _WIDTH_BOUND >= best]:
                     z = v[self._lo[gi]:self._lo[gi] + s]
-                    best = max(best, weight[gi] * _convex_diameter(z))
+                    best = max(best, weight[gi] * _diameter(z))
                 continue
             i, j = self._pairs[s]
             step = max(1, _PAIR_BLOCK // len(i))

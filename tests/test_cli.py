@@ -1,6 +1,7 @@
 import os
 import textwrap
 
+import numpy as np
 import pytest
 
 from towerlab import cli
@@ -95,6 +96,19 @@ def test_numerical_failure_is_not_config_error(tmp_path, pm_config,
         raise ArithmeticError("Perron pair not converged")
 
     monkeypatch.setitem(cli.HANDLERS, "induce", diverge)
+    assert run(["induce", "--config", pm_config,
+                "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "numerical error" in err and "config error" not in err
+
+
+def test_singular_solve_is_not_config_error(tmp_path, pm_config,
+                                            monkeypatch, capsys):
+    # LinAlgError subclasses ValueError, which is a config error
+    def singular(cfg, args):
+        np.linalg.solve(np.zeros((2, 2)), np.ones(2))
+
+    monkeypatch.setitem(cli.HANDLERS, "induce", singular)
     assert run(["induce", "--config", pm_config,
                 "--out", str(tmp_path)]) == 4
     err = capsys.readouterr().err

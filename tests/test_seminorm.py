@@ -23,8 +23,8 @@ SWEEP = np.exp(-1j * np.linspace(0.0, np.pi, 256, endpoint=False))
 
 @pytest.fixture(scope="module")
 def bases():
-    # doubling: groups of 128 (convex hull) down to pairs; pm: one group
-    # of 456 (convex hull) and columns of 17
+    # doubling: groups of 128 (octagon filter) down to pairs; pm: one
+    # group of 456 (octagon filter) and columns of 17
     return [CylinderBasis(systems.doubling_full(), depth=7, refine_symbols=2),
             CylinderBasis(systems.pm_induced(0.5, branch_cutoff=200),
                           depth=2, refine_symbols=16)]
@@ -32,8 +32,8 @@ def bases():
 
 @pytest.fixture(scope="module")
 def grid():
-    # depth-1 groups are whole columns of 73 leaves (convex hull), depth-2
-    # groups have up to 9
+    # depth-1 groups are whole columns of 73 leaves (octagon filter),
+    # depth-2 groups have up to 9
     basis = CylinderBasis(systems.pm_induced(0.5, branch_cutoff=60),
                           depth=3, refine_symbols=8)
     return TowerGrid(basis, sp.cosine_roof(), 8)
@@ -148,7 +148,7 @@ def test_tower_seminorm_is_exact(grid, kind, seed):
 @given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2 ** 32 - 1),
        m=st.integers(2, 1000))
 def test_single_group_diameter_is_exact(kind, seed, m):
-    # one group of m points: all pairs up to 64, the convex hull above
+    # one group of m points: all pairs up to 64, octagon filter above
     z = vector(kind, m, np.linspace(0.0, 1.0, m), np.random.default_rng(seed))
     got = GroupDiameters({0: np.zeros(m)}).value(z, THETA)
     want = float(np.abs(z[:, None] - z[None, :]).max())
@@ -165,7 +165,7 @@ def test_singletons_and_constants_vanish(bases, grid):
 
 
 def test_circle_group_hits_the_antipodal_pair(bases):
-    # every point of the depth-0 group (n even) is a hull vertex, and
+    # no point of the depth-0 group (n even) is inside the octagon, and
     # opposite points are exactly antipodal; with theta = 1 no deeper
     # group can exceed the diameter 2
     basis = bases[1]
