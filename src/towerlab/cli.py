@@ -465,6 +465,7 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 2
+    # LinAlgError subclasses ValueError, so it is caught first
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4

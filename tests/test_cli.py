@@ -90,25 +90,19 @@ def test_missing_config_is_config_error(tmp_path):
                 "--out", str(tmp_path)]) == 3
 
 
-def test_numerical_failure_is_not_config_error(tmp_path, pm_config,
+def _not_converged():
+    raise ArithmeticError("Perron pair not converged")
+
+
+def _singular_solve():
+    # LinAlgError subclasses ValueError but is not a config error
+    np.linalg.solve(np.zeros((2, 2)), np.ones(2))
+
+
+@pytest.mark.parametrize("fail", [_not_converged, _singular_solve])
+def test_numerical_failure_is_not_config_error(tmp_path, pm_config, fail,
                                               monkeypatch, capsys):
-    def diverge(cfg, args):
-        raise ArithmeticError("Perron pair not converged")
-
-    monkeypatch.setitem(cli.HANDLERS, "induce", diverge)
-    assert run(["induce", "--config", pm_config,
-                "--out", str(tmp_path)]) == 4
-    err = capsys.readouterr().err
-    assert "numerical error" in err and "config error" not in err
-
-
-def test_singular_solve_is_not_config_error(tmp_path, pm_config,
-                                            monkeypatch, capsys):
-    # LinAlgError subclasses ValueError, which is a config error
-    def singular(cfg, args):
-        np.linalg.solve(np.zeros((2, 2)), np.ones(2))
-
-    monkeypatch.setitem(cli.HANDLERS, "induce", singular)
+    monkeypatch.setitem(cli.HANDLERS, "induce", lambda cfg, args: fail())
     assert run(["induce", "--config", pm_config,
                 "--out", str(tmp_path)]) == 4
     err = capsys.readouterr().err
