@@ -266,7 +266,8 @@ def cmd_roof_trunc(cfg, args) -> None:
                      f"{r.bound:.17g},{r2.measured:.17g},{r2.bound:.17g}\n")
     print(f"roof-trunc: fitted C {out['fitted_C']:.4f} "
           f"stable {out['stable_within']:.2f}; second-cut C "
-          f"{out['second_fitted_C']:.4f} -> {path}")
+          f"{out['second_fitted_C']:.4f} stable "
+          f"{out['second_stable_within']:.2f} -> {path}")
     if out["stable_within"] > 3.0:
         raise CheckFailure("fitted constant unstable beyond factor 3")
 

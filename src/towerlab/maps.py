@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 __all__ = [
     "Branch",
     "MapModel",
+    "climb_order",
     "PomeauManneville",
     "pomeau_manneville",
     "doubling_map",
@@ -49,6 +51,15 @@ class Branch:
     inv: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
     indifferent_left: bool = False  # neutral fixed point at the left endpoint
+
+
+def climb_order(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Order putting the largest step counts first, and for each l below
+    the largest count the number of entries with more than l steps: the
+    prefix of that order that still climbs at step l."""
+    order = np.argsort(-steps, kind="stable")
+    top = int(steps.max(initial=0))
+    return order, np.searchsorted(-steps[order], -np.arange(top), side="left")
 
 
 @dataclass(frozen=True)
@@ -111,6 +122,19 @@ class MapModel:
             if np.any(m):
                 out[m] = b.deriv(x[m])
         return out
+
+    def advance(self, x, steps) -> np.ndarray:
+        """T^steps(x), point by point.  The points are sorted by step count
+        once; each application of T acts on the prefix still climbing."""
+        x = np.asarray(x, dtype=float)
+        steps = np.broadcast_to(np.asarray(steps, dtype=int), x.shape).ravel()
+        order, active = climb_order(steps)
+        cur = x.ravel()[order]
+        for n in active:
+            cur[:n] = self.apply(cur[:n])
+        out = np.empty_like(cur)
+        out[order] = cur
+        return out.reshape(x.shape)
 
     def iterate(self, x, n: int) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -332,15 +356,7 @@ class InducedMap:
 
     def F(self, j, y) -> np.ndarray:
         """Forward return map on cell(s) j, by iterating the base map."""
-        y = np.asarray(y, dtype=float)
-        j = np.broadcast_to(np.asarray(j, dtype=int), y.shape)
-        out = y.copy()
-        steps = self.r[j].copy()
-        while steps.max(initial=0) > 0:
-            act = steps > 0
-            out[act] = self.model.apply(out[act])
-            steps[act] -= 1
-        return out
+        return self.model.advance(y, self.r[np.asarray(j, dtype=int)])
 
     def F_deriv(self, j: int, y) -> np.ndarray:
         """Derivative of F = T^{r(j)} along the forward orbit of y in Y_j."""
@@ -404,6 +420,18 @@ class InducedMap:
         w = self._mu0_r_width
         s = float(w[min(n, len(w)):].sum()) + self._mu0_remainder
         return s / (self.Y[1] - self.Y[0])
+
+    @cached_property
+    def tail_ge(self) -> np.ndarray:
+        """tail_ge[n] = mu_Y(r >= n) over represented cells, n = 0 .. max r + 1
+        (the last entry is 0)."""
+        return np.array([self.muY[self.r >= n].sum()
+                         for n in range(int(self.r.max()) + 2)])
+
+    def tail_sums(self, N: int) -> tuple[float, float]:
+        """(mu_Y(r >= N), sum_{n>N} mu_Y(r >= n)) from ``tail_ge``."""
+        tail = self.tail_ge
+        return float(tail[min(N, len(tail) - 1)]), math.fsum(tail[N + 1:])
 
     def muY_tail_represented(self, n: int) -> float:
         """Sum of invariant cell masses with r > n, represented cells only."""

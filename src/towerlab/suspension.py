@@ -217,23 +217,24 @@ class SuspensionModel:
         self.offsets = np.concatenate([[0], np.cumsum(heights)])
         n_cells = int(self.offsets[-1])
         self.cell_col = np.repeat(np.arange(ind.J), heights)
-        self.cell_level = np.concatenate(
-            [np.arange(h) for h in heights]).astype(int)
+        self.cell_level = np.arange(n_cells) - self.offsets[self.cell_col]
         self.cell_mass = tower.column_mass[self.cell_col]
-        hbar_cell = np.empty(n_cells)
-        hmax_cell = np.empty(n_cells)
-        for j in range(ind.J):
-            nodes = ind.lo[j] + (0.5 + 0.5 * _GAUSS_NODES) * (ind.hi[j] - ind.lo[j])
-            nodes = np.append(nodes, [ind.lo[j], ind.hi[j] - 1e-15 * ind.hi[j]])
-            pos = tower.column_positions(j, nodes)
+        # per column: the 8 Gauss nodes, then both cell ends
+        nodes = np.column_stack([
+            ind.lo[:, None] + (0.5 + 0.5 * _GAUSS_NODES) * ind.widths[:, None],
+            ind.lo, ind.hi - 1e-15 * ind.hi])
+
+        def mean_and_envelope(pos):
+            # summed term by term, so a cell's mean is the same in any batch
             hv = roof(pos)
-            sl = slice(self.offsets[j], self.offsets[j + 1])
-            hbar_cell[sl] = 0.5 * (hv[:, :8] @ _GAUSS_WEIGHTS)
-            hmax_cell[sl] = hv.max(axis=1) * 1.05
-        self.hbar_cell = hbar_cell
-        self.hmax_cell = hmax_cell
-        self.hbar = float(np.sum(self.cell_mass * hbar_cell))
-        w = self.cell_mass * hbar_cell
+            mean = 0.5 * sum(wk * hv[:, k]
+                             for k, wk in enumerate(_GAUSS_WEIGHTS))
+            return np.column_stack([mean, hv.max(axis=1) * 1.05])
+
+        self.hbar_cell, self.hmax_cell = \
+            tower.column_positions(nodes, mean_and_envelope).T.copy()
+        w = self.cell_mass * self.hbar_cell
+        self.hbar = float(np.sum(w))
         self.flow_cdf = np.cumsum(w / w.sum())
 
     @property
@@ -284,7 +285,7 @@ def sample_stationary(model: SuspensionModel, n: int, seed: int) -> FlowState:
     todo = np.arange(n)
     for _ in range(200):
         cand = lo[todo] + rng.random(len(todo)) * wid[todo]
-        cpos = _project(model, col[todo], level[todo], cand)
+        cpos = model.tower.project(col[todo], level[todo], cand)
         ok = rng.random(len(todo)) * env[todo] <= model.roof(cpos)
         y[todo[ok]] = cand[ok]
         pos[todo[ok]] = cpos[ok]
@@ -295,16 +296,6 @@ def sample_stationary(model: SuspensionModel, n: int, seed: int) -> FlowState:
         raise ArithmeticError("rejection sampling failed to terminate")
     u = rng.random(n) * model.roof(pos)
     return FlowState(col=col, level=level, y=y, pos=pos, u=u)
-
-
-def _project(model: SuspensionModel, col, level, y) -> np.ndarray:
-    out = np.asarray(y, dtype=float).copy()
-    steps = np.asarray(level, dtype=int).copy()
-    while steps.max(initial=0) > 0:
-        act = steps > 0
-        out[act] = model.ind.model.apply(out[act])
-        steps[act] -= 1
-    return out
 
 
 def flow(model: SuspensionModel, st: FlowState, t: float,
@@ -410,20 +401,26 @@ def correlation_mc(model: SuspensionModel, v: Observable, w: Observable,
         raise ValueError("fewer than 100 samples makes the estimator "
                          "meaningless; refuse")
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
-    st0 = sample_stationary(model, n_samples, seed)
-    vvals = v.eval_state(model, st0)
-    rho = np.empty(len(t_grid))
-    err = np.empty(len(t_grid))
-    st = st0.copy()
-    prev_t = 0.0
-    for i, t in enumerate(t_grid):
-        st = flow(model, st, t - prev_t, inplace=True)
-        prev_t = t
-        wvals = w.eval_state(model, st)
-        rho[i], err[i] = _batched_cov(vvals, wvals)
+    st = sample_stationary(model, n_samples, seed)
+    series, oob = _flow_series(model, st, v.eval_state(model, st), w, t_grid)
+    rho, err = np.array(series).reshape(-1, 2).T
     return CorrelationSeries(t=t_grid, rho=rho, stderr=err,
                              n_samples=n_samples, seed=seed,
-                             meta={"roof": model.roof.name})
+                             meta={"roof": model.roof.name, "oob": oob})
+
+
+def _flow_series(model: SuspensionModel, st: FlowState, v0: np.ndarray,
+                 w: Observable, ts: np.ndarray
+                 ) -> tuple[list[tuple[float, float]], int]:
+    """(rho, stderr) of v0 against w along the flow of st (in place), at
+    each time of the sorted ``ts``, and the count of landings it parked."""
+    prev = 0.0
+    series = []
+    for t in ts:
+        st = flow(model, st, t - prev, inplace=True)
+        prev = t
+        series.append(_batched_cov(v0, w.eval_state(model, st)))
+    return series, st.oob
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +451,7 @@ class TruncationTable:
     fitted_C: float
     stable_within: float
     kept_fraction: float
+    oob: dict[str, int]   # parked landings: "full" flow, "truncated" flows
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -491,35 +489,26 @@ def truncation_error_experiment(ind: InducedMap, roof: RoofFunction,
     model = SuspensionModel(base_tower, roof)
     st0 = sample_stationary(model, n_samples, seed)
     v0 = v.eval_state(model, st0)
+    ts = np.sort(np.asarray(t_grid, dtype=float))
+    full, oob_full = _flow_series(model, st0.copy(), v0, w, ts)
     rows: list[TruncationRow] = []
     kept_min = 1.0
+    oob = {"full": oob_full, "truncated": 0}
     for N in sorted(N_list):
         tt = truncate(base_tower, int(N))
-        model_t = SuspensionModel(tt, roof)
         keep = st0.level < tt.heights[st0.col]
         kept_min = min(kept_min, float(keep.mean()))
-        stt = _restrict(st0, keep)
-        vt = v0[keep]
-        full = st0.copy()
-        prev = 0.0
-        for t in np.sort(np.asarray(t_grid, dtype=float)):
-            full = flow(model, full, t - prev, inplace=True)
-            stt = flow(model_t, stt, t - prev, inplace=True)
-            prev = t
-            w_full = w.eval_state(model, full)
-            w_trunc = w.eval_state(model_t, stt)
-            rho_f, e_f = _batched_cov(v0, w_full)
-            rho_t, e_t = _batched_cov(vt, w_trunc)
-            measured = abs(rho_f - rho_t)
-            stderr = math.hypot(e_f, e_t)
-            tail_gt = math.fsum(ind.muY[ind.r >= n].sum()
-                                for n in range(int(N) + 1, int(ind.r.max()) + 1))
-            tail_ge = float(ind.muY[ind.r >= N].sum())
-            bound = tail_gt + (N + t) * tail_ge
-            rows.append(TruncationRow(int(N), float(t), measured, stderr, bound))
+        cut, parked = _flow_series(SuspensionModel(tt, roof),
+                                   _restrict(st0, keep), v0[keep], w, ts)
+        oob["truncated"] += parked
+        tail_ge, tail_gt = ind.tail_sums(int(N))
+        for t, (rho_f, e_f), (rho_t, e_t) in zip(ts, full, cut):
+            rows.append(TruncationRow(int(N), float(t), abs(rho_f - rho_t),
+                                      math.hypot(e_f, e_t),
+                                      tail_gt + (N + t) * tail_ge))
     fitted, spread, _ = _ratio_stability(rows)
     return TruncationTable(rows=rows, fitted_C=fitted, stable_within=spread,
-                           kept_fraction=kept_min)
+                           kept_fraction=kept_min, oob=oob)
 
 
 def roof_truncation_experiment(ind: InducedMap, roof: RoofFunction,
@@ -543,45 +532,42 @@ def roof_truncation_experiment(ind: InducedMap, roof: RoofFunction,
     model = SuspensionModel(base_tower, roof)
     st0 = sample_stationary(model, n_samples, seed)
     v0 = v.eval_state(model, st0)
+    ts = np.sort(np.asarray(t_grid, dtype=float))
+    full, oob_full = _flow_series(model, st0.copy(), v0, w, ts)
     rows: list[TruncationRow] = []
     second: list[TruncationRow] = []
+    oob = {"full": oob_full, "truncated": 0, "second": 0}
     for N in sorted(N_list):
         roof_t = roof.truncated(float(N))
-        model_t = SuspensionModel(base_tower, roof_t)
         keep = st0.u < roof_t(st0.pos)
-        stt = _restrict(st0, keep)
-        vt = v0[keep]
-        # second truncation: also cap tower columns at q ln N
-        if q_log_trunc is not None:
-            L = max(1, int(q_log_trunc * math.log(N)))
-            tt2 = truncate(base_tower, L)
-            model_2 = SuspensionModel(tt2, roof_t)
-            keep2 = keep & (st0.level < tt2.heights[st0.col])
-            st2 = _restrict(st0, keep2)
-            v2 = v0[keep2]
-        full = st0.copy()
-        prev = 0.0
-        for t in np.sort(np.asarray(t_grid, dtype=float)):
-            full = flow(model, full, t - prev, inplace=True)
-            stt = flow(model_t, stt, t - prev, inplace=True)
-            rho_f, e_f = _batched_cov(v0, w.eval_state(model, full))
-            rho_t, e_t = _batched_cov(vt, w.eval_state(model_t, stt))
+        cut, parked = _flow_series(SuspensionModel(base_tower, roof_t),
+                                   _restrict(st0, keep), v0[keep], w, ts)
+        oob["truncated"] += parked
+        for t, (rho_f, e_f), (rho_t, e_t) in zip(ts, full, cut):
             rows.append(TruncationRow(int(N), float(t),
                                       abs(rho_f - rho_t), math.hypot(e_f, e_t),
                                       N ** (-beta) + t * N ** (-(beta + 1.0))))
-            if q_log_trunc is not None:
-                st2 = flow(model_2, st2, t - prev, inplace=True)
-                rho_2, e_2 = _batched_cov(v2, w.eval_state(model_2, st2))
-                second.append(TruncationRow(
-                    int(N), float(t), abs(rho_t - rho_2), math.hypot(e_t, e_2),
-                    t * float(N) ** (-(_exp_rate(ind) * q_log_trunc - 1.0))))
-            prev = t
+        if q_log_trunc is None:
+            continue
+        # second truncation: also cap tower columns at q ln N
+        tt2 = truncate(base_tower, max(1, int(q_log_trunc * math.log(N))))
+        keep2 = keep & (st0.level < tt2.heights[st0.col])
+        cut2, parked = _flow_series(SuspensionModel(tt2, roof_t),
+                                    _restrict(st0, keep2), v0[keep2], w, ts)
+        oob["second"] += parked
+        rate = _exp_rate(ind)
+        for t, (rho_t, e_t), (rho_2, e_2) in zip(ts, cut, cut2):
+            second.append(TruncationRow(
+                int(N), float(t), abs(rho_t - rho_2), math.hypot(e_t, e_2),
+                t * float(N) ** (-(rate * q_log_trunc - 1.0))))
     fitted, spread, _ = _ratio_stability(rows)
-    out = {"rows": rows, "fitted_C": fitted, "stable_within": spread}
+    out = {"rows": rows, "fitted_C": fitted, "stable_within": spread,
+           "oob": oob}
     if q_log_trunc is not None:
         f2, s2, _ = _ratio_stability(second)
         out["second_rows"] = second
         out["second_fitted_C"] = f2
+        out["second_stable_within"] = s2
     return out
 
 
@@ -619,22 +605,12 @@ def flow_visit_measure(model: SuspensionModel, N: float, k: float,
     qn, qw = leggauss(nodes_per_cell)
     wts = 0.5 * qw  # weights of the normalised within-cell average
     # flat ensemble: every tower cell carries its quadrature nodes
-    cols, levels, poss, bases, weights = [], [], [], [], []
-    for j in range(ind.J):
-        x = ind.lo[j] + (0.5 + 0.5 * qn) * (ind.hi[j] - ind.lo[j])
-        stack = tower.column_positions(j, x)  # (r_j, nodes)
-        r_j = stack.shape[0]
-        cols.append(np.full(r_j * len(x), j))
-        levels.append(np.repeat(np.arange(r_j), len(x)))
-        poss.append(stack.reshape(-1))
-        bases.append(np.tile(x, r_j))
-        weights.append(np.full(r_j, tower.column_mass[j])[:, None]
-                       * wts[None, :])
-    col = np.concatenate(cols)
-    level = np.concatenate(levels)
-    pos = np.concatenate(poss)
-    ybase = np.concatenate(bases)
-    w = np.concatenate([a.reshape(-1) for a in weights])
+    x = ind.lo[:, None] + (0.5 + 0.5 * qn) * ind.widths[:, None]
+    pos = tower.column_positions(x).reshape(-1)
+    col = np.repeat(model.cell_col, len(qn))
+    level = np.repeat(model.cell_level, len(qn))
+    ybase = x[model.cell_col].reshape(-1)
+    w = (model.cell_mass[:, None] * wts).reshape(-1)
     h0 = np.asarray(model.roof(pos), dtype=float)
     hcur = h0.copy()
     entry = np.where(h0 > N, 0.0, np.inf)
@@ -760,8 +736,7 @@ def buffer_modify(v: Observable, model: SuspensionModel,
     buf_norm = _buffered_norm_surrogate(buffered, model)
     report = {
         "strip_mass_tower": strip_mass,
-        "strip_mass_matches_tail": float(tower.ind.muY[tower.ind.r >= tower.N].sum()
-                                         / tower.rbar),
+        "strip_mass_matches_tail": tower.ind.tail_sums(tower.N)[0] / tower.rbar,
         "modified_fraction_of_strip": blend_fraction,
         "norm_ratio": buf_norm / base_norm if base_norm > 0 else 1.0,
     }

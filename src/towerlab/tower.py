@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from towerlab.maps import InducedMap
+from towerlab.maps import InducedMap, climb_order
 
 __all__ = [
     "Tower",
@@ -52,24 +52,26 @@ class Tower:
 
     def project(self, j, level, y) -> np.ndarray:
         """Ambient position of tower points: T^level applied to base coords."""
-        y = np.asarray(y, dtype=float)
-        level = np.broadcast_to(np.asarray(level, dtype=int), y.shape)
-        out = y.copy()
-        steps = level.copy()
-        while steps.max(initial=0) > 0:
-            act = steps > 0
-            out[act] = self.ind.model.apply(out[act])
-            steps[act] -= 1
-        return out
+        return self.ind.model.advance(y, level)
 
-    def column_positions(self, j: int, y_nodes: np.ndarray) -> np.ndarray:
-        """Ambient positions T^l(y_nodes) for all levels l of column j,
-        shape (r(j), len(y_nodes))."""
-        out = np.empty((int(self.heights[j]), len(y_nodes)))
-        cur = np.asarray(y_nodes, dtype=float).copy()
-        for ell in range(int(self.heights[j])):
-            out[ell] = cur
-            cur = self.ind.model.apply(cur)
+    def column_positions(self, y_nodes: np.ndarray, reduce=None) -> np.ndarray:
+        """Positions T^l(y_nodes[j]) of every cell (j, l), y_nodes of shape
+        (J, m), as rows in flat cell order (row heights[:j].sum() + l).
+
+        All columns climb together, T applied once per level to the columns
+        still taller.  ``reduce``, if given, maps each level's positions to
+        one row per column; its rows are returned instead."""
+        order, active = climb_order(self.heights)
+        start = np.cumsum(self.heights) - self.heights
+        cur = np.asarray(y_nodes, dtype=float)[order]
+        out = None
+        for ell, n in enumerate(active):
+            if ell:
+                cur = self.ind.model.apply(cur[:n])
+            vals = cur if reduce is None else reduce(cur)
+            if out is None:
+                out = np.empty((self.n_cells,) + vals.shape[1:])
+            out[start[order[:n]] + ell] = vals
         return out
 
     def step(self, j, level, y):
@@ -88,15 +90,15 @@ class Tower:
 
     def to_csv(self, path) -> None:
         ind = self.ind
+        ends = iter(self.column_positions(np.column_stack([ind.lo, ind.hi])))
         with open(path, "w") as fh:
             fh.write("j,level,measure,r,r_trunc,lo_proj,hi_proj\n")
             for j in range(ind.J):
-                ends = np.array([ind.lo[j], ind.hi[j]])
                 for ell in range(int(self.heights[j])):
+                    lo, hi = next(ends)
                     fh.write(f"{j},{ell},{self.column_mass[j]:.17g},"
                              f"{ind.r[j]},{self.heights[j]},"
-                             f"{ends[0]:.17g},{ends[1]:.17g}\n")
-                    ends = ind.model.apply(ends)
+                             f"{lo:.17g},{hi:.17g}\n")
 
 
 class TruncatedTower(Tower):
@@ -126,16 +128,12 @@ class TruncatedTower(Tower):
     def identity_mean_defect(self) -> tuple[float, float]:
         """(rbar - rbar', sum_{n>N} mu_Y(r >= n)); equal up to roundoff."""
         lhs = math.fsum((self.ind.r - self.heights) * self.ind.muY)
-        rhs = math.fsum(self.ind.muY[self.ind.r >= n].sum()
-                        for n in range(self.N + 1, int(self.ind.r.max()) + 1))
-        return lhs, rhs
+        return lhs, self.ind.tail_sums(self.N)[1]
 
     def identity_tall_mass(self) -> tuple[float, float]:
         """mu_Delta(tall part) against (N mu_Y(r>=N) + sum_{n>N} mu_Y(r>=n))/rbar."""
         lhs = self.tall_part_mass()
-        tail_ge_N = float(self.ind.muY[self.ind.r >= self.N].sum())
-        s = math.fsum(self.ind.muY[self.ind.r >= n].sum()
-                      for n in range(self.N + 1, int(self.ind.r.max()) + 1))
+        tail_ge_N, s = self.ind.tail_sums(self.N)
         rhs = (self.N * tail_ge_N + s) / self.parent.rbar
         return lhs, rhs
 
@@ -191,9 +189,7 @@ def visit_measure(tower: Tower, N: int, k: int) -> tuple[float, float]:
         if budgets:
             acc = float(P[j] @ v[budgets].sum(axis=0))
             measured += acc * tower.column_mass[j]
-    tail_ge = float(ind.muY[r >= N].sum())
-    s = math.fsum(ind.muY[r >= n].sum()
-                  for n in range(N + 1, int(r.max()) + 1))
+    tail_ge, s = ind.tail_sums(N)
     bound = (s + (N + k) * tail_ge) / tower.rbar
     return measured, bound
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy import stats
 
 from towerlab import systems, suspension as sp, tower as tw
@@ -298,3 +299,145 @@ def test_buffer_strip_mass_matches_tail(truncated_model):
     want = float(tower.ind.muY[tower.ind.r >= tower.N].sum()) / tower.rbar
     assert report["strip_mass_matches_tail"] == pytest.approx(want)
     assert report["strip_mass_tower"] == pytest.approx(want, abs=1e-12)
+
+
+# -- the level-wise table build and the truncation experiments ---------------
+
+def _small_pm():
+    """pm(0.5) with few cells: flows park landings past the last cell."""
+    return systems.pm_induced(0.5, branch_cutoff=60, tail_horizon=2000)
+
+
+def _tables_by_column(tower, roof):
+    """hbar_cell and hmax_cell built one column at a time."""
+    ind = tower.ind
+    gn, gw = leggauss(8)
+    hbar, hmax = [], []
+    for j in range(ind.J):
+        cur = ind.lo[j] + (0.5 + 0.5 * gn) * (ind.hi[j] - ind.lo[j])
+        cur = np.append(cur, [ind.lo[j], ind.hi[j] - 1e-15 * ind.hi[j]])
+        for _ in range(int(tower.heights[j])):
+            hv = roof(cur)
+            hbar.append(0.5 * sum(wk * hv[k] for k, wk in enumerate(gw)))
+            hmax.append(hv.max() * 1.05)
+            cur = ind.model.apply(cur)
+    return np.array(hbar), np.array(hmax)
+
+
+@pytest.mark.parametrize("system", ["pm", "doubling"])
+@pytest.mark.parametrize("cut", ["none", "tower", "roof"])
+def test_model_tables_match_column_climb(system, cut):
+    if system == "pm":
+        ind, roof = _small_pm(), sp.cosine_roof()
+    else:
+        ind, roof = systems.doubling_induced(), sp.power_singularity_roof(1.0)
+    tower = tw.build_tower(ind)
+    if cut == "tower":
+        tower = tw.truncate(tower, 7)
+    if cut == "roof":
+        roof = roof.truncated(2.5)
+    model = sp.SuspensionModel(tower, roof)
+    hbar, hmax = _tables_by_column(tower, roof)
+    assert np.array_equal(model.hbar_cell, hbar)
+    assert np.array_equal(model.hmax_cell, hmax)
+    assert np.array_equal(model.cell_level,
+                          np.concatenate([np.arange(h) for h in tower.heights]))
+
+
+def _reflow_experiment(ind, roof, N_list, ts, n, seed, q_log=None):
+    """Rows and parked counts of a truncation experiment in which the full
+    ensemble is flowed again from time 0 for every N.  A bounded roof cuts
+    the tower at N; an unbounded one cuts the roof at N and, with q_log,
+    the tower at q ln N as well."""
+    v = sp.coordinate_observable()
+    base = tw.build_tower(ind)
+    model = sp.SuspensionModel(base, roof)
+    st0 = sp.sample_stationary(model, n, seed)
+    v0 = v.eval_state(model, st0)
+    rmax = int(ind.r.max())
+    rows, second = [], []
+    oob = {"full": 0, "truncated": 0, "second": 0}
+
+    def run(m, keep):
+        return m, sp._restrict(st0, keep), v0[keep]
+
+    for N in N_list:
+        if roof.bounded:
+            cut = sp.SuspensionModel(tw.truncate(base, N), roof)
+            flows = [run(cut, st0.level < cut.tower.heights[st0.col])]
+        else:
+            cut = sp.SuspensionModel(base, roof.truncated(float(N)))
+            keep = st0.u < cut.roof(st0.pos)
+            flows = [run(cut, keep)]
+            if q_log is not None:
+                tt = tw.truncate(base, max(1, int(q_log * math.log(N))))
+                flows.append(run(sp.SuspensionModel(tt, cut.roof),
+                                 keep & (st0.level < tt.heights[st0.col])))
+        full = st0.copy()
+        prev = 0.0
+        for t in ts:
+            full = sp.flow(model, full, t - prev, inplace=True)
+            covs = [sp._batched_cov(v0, v.eval_state(model, full))]
+            for i, (m, st, vk) in enumerate(flows):
+                flows[i] = (m, sp.flow(m, st, t - prev, inplace=True), vk)
+                covs.append(sp._batched_cov(vk, v.eval_state(m, flows[i][1])))
+            prev = t
+            (rf, ef), (rt, et) = covs[:2]
+            if roof.bounded:
+                tail = math.fsum(ind.muY[ind.r >= k].sum()
+                                 for k in range(N + 1, rmax + 1))
+                bound = tail + (N + t) * float(ind.muY[ind.r >= N].sum())
+            else:
+                beta = roof.tail_exponent - 1.0
+                bound = N ** (-beta) + t * N ** (-(beta + 1.0))
+            rows.append((N, t, abs(rf - rt), math.hypot(ef, et), bound))
+            if len(covs) == 3:
+                r2, e2 = covs[2]
+                rate = sp._exp_rate(ind)
+                second.append((N, t, abs(rt - r2), math.hypot(et, e2),
+                               t * float(N) ** (-(rate * q_log - 1.0))))
+        oob["full"] = full.oob
+        oob["truncated"] += flows[0][1].oob
+        oob["second"] += sum(st.oob for _, st, _ in flows[1:])
+    return rows, second, oob
+
+
+def _as_tuples(rows):
+    return [(r.N, r.t, r.measured, r.stderr, r.bound) for r in rows]
+
+
+def test_truncation_experiment_matches_reflow():
+    ind = _small_pm()
+    v = sp.coordinate_observable()
+    tab = sp.truncation_error_experiment(ind, sp.cosine_roof(), v, v,
+                                         [20, 10], [20.0, 5.0], 5000, seed=3)
+    rows, _, oob = _reflow_experiment(ind, sp.cosine_roof(), [10, 20],
+                                      [5.0, 20.0], 5000, seed=3)
+    assert _as_tuples(tab.rows) == rows
+    # this few-cell tower parks landings in both the full and the cut flows
+    assert tab.oob == {"full": oob["full"], "truncated": oob["truncated"]}
+    assert tab.oob["full"] > 0 and tab.oob["truncated"] > 0
+
+
+def test_roof_truncation_experiment_matches_reflow():
+    ind = systems.doubling_induced()
+    roof = sp.power_singularity_roof(1.0)
+    v = sp.coordinate_observable()
+    out = sp.roof_truncation_experiment(ind, roof, v, v, [10, 20],
+                                        [5.0, 10.0], 3000, seed=5,
+                                        q_log_trunc=5.0)
+    rows, second, oob = _reflow_experiment(ind, roof, [10, 20], [5.0, 10.0],
+                                           3000, seed=5, q_log=5.0)
+    assert _as_tuples(out["rows"]) == rows
+    assert _as_tuples(out["second_rows"]) == second
+    assert out["oob"] == oob
+    assert out["second_stable_within"] == \
+        sp._ratio_stability(out["second_rows"])[1]
+
+
+def test_flow_visit_measure_unchanged():
+    # values recorded while the flat ensemble was still built column by column
+    model = sp.SuspensionModel(tw.build_tower(systems.doubling_induced()),
+                               sp.power_singularity_roof(1.0))
+    assert sp.flow_visit_measure(model, 10.0, 1) == pytest.approx(
+        (0.08145519611924441, 0.08357052851783225), rel=1e-14)

@@ -172,3 +172,59 @@ def test_tower_csv(tmp_path):
     t.to_csv(path)
     header = path.read_text().split("\n")[0]
     assert header == "j,level,measure,r,r_trunc,lo_proj,hi_proj"
+
+
+def _project_by_mask(tower, level, y):
+    """T^level(y) with T applied, level by level, to every point still
+    climbing, each time selected by a mask over all points."""
+    out = np.asarray(y, dtype=float).copy()
+    steps = np.asarray(level, dtype=int).copy()
+    while steps.max(initial=0) > 0:
+        act = steps > 0
+        out[act] = tower.ind.model.apply(out[act])
+        steps[act] -= 1
+    return out
+
+
+def test_project_and_return_map_match_masked_climb(pm_tower):
+    ind = pm_tower.ind
+    rng = np.random.default_rng(4)
+    j = rng.integers(0, ind.J, 2000)
+    lv = rng.integers(0, pm_tower.heights[j])
+    y = ind.lo[j] + rng.random(2000) * ind.widths[j]
+    assert np.array_equal(pm_tower.project(j, lv, y),
+                          _project_by_mask(pm_tower, lv, y))
+    assert np.array_equal(pm_tower.project(j, 0, y), y)
+    # the return map climbs the same way, r(j) steps per point
+    assert np.array_equal(ind.F(j, y), _project_by_mask(pm_tower, ind.r[j], y))
+    one = pm_tower.project(j[0], lv[0], y[0])
+    assert one.shape == () and one == _project_by_mask(pm_tower, lv[:1],
+                                                        y[:1])[0]
+
+
+@pytest.mark.parametrize("N", [None, 1, 7, 10_000])
+def test_column_positions_match_column_climb(N):
+    ind = systems.doubling_induced()
+    tower = tw.build_tower(ind)
+    if N is not None:
+        tower = tw.truncate(tower, N)
+    nodes = ind.lo[:, None] + np.array([0.1, 0.5, 0.9]) * ind.widths[:, None]
+    stacks = []
+    for j in range(ind.J):
+        cur = nodes[j]
+        for _ in range(int(tower.heights[j])):
+            stacks.append(cur)
+            cur = ind.model.apply(cur)
+    assert np.array_equal(tower.column_positions(nodes), np.array(stacks))
+    rows = tower.column_positions(nodes, lambda pos: pos.sum(axis=1)[:, None])
+    assert np.array_equal(rows[:, 0], np.array(stacks).sum(axis=1))
+
+
+def test_tail_table_matches_masked_sums(pm_tower):
+    ind = pm_tower.ind
+    rmax = int(ind.r.max())
+    for N in (1, 10, rmax - 1, rmax, rmax + 1, rmax + 50):
+        ge, gt = ind.tail_sums(N)
+        assert ge == float(ind.muY[ind.r >= N].sum())
+        assert gt == math.fsum(ind.muY[ind.r >= n].sum()
+                               for n in range(N + 1, rmax + 1))
