@@ -124,23 +124,29 @@ class MapModel:
         return out
 
     def advance(self, x, steps) -> np.ndarray:
-        """T^steps(x), point by point.  The points are sorted by step count
-        once; each application of T acts on the prefix still climbing."""
+        """T^steps(x), point by point."""
+        return self._climb(x, steps)[0]
+
+    def orbit_sum(self, x, steps, f) -> np.ndarray:
+        """sum_{l < steps} f(T^l x), point by point, added in order of l."""
+        return self._climb(x, steps, f)[1]
+
+    def _climb(self, x, steps, f=None) -> np.ndarray:
+        """(T^steps x, sum_{l < steps} f(T^l x)).  The points are sorted by
+        step count once; each application of T acts on the prefix still
+        climbing."""
         x = np.asarray(x, dtype=float)
         steps = np.broadcast_to(np.asarray(steps, dtype=int), x.shape).ravel()
         order, active = climb_order(steps)
         cur = x.ravel()[order]
+        tot = np.zeros_like(cur)
         for n in active:
+            if f is not None:
+                tot[:n] += f(cur[:n])
             cur[:n] = self.apply(cur[:n])
-        out = np.empty_like(cur)
-        out[order] = cur
-        return out.reshape(x.shape)
-
-    def iterate(self, x, n: int) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        for _ in range(n):
-            x = self.apply(x)
-        return x
+        out = np.empty((2, cur.size))
+        out[:, order] = cur, tot
+        return out.reshape((2,) + x.shape)
 
 
 @dataclass(frozen=True)
@@ -358,14 +364,19 @@ class InducedMap:
         """Forward return map on cell(s) j, by iterating the base map."""
         return self.model.advance(y, self.r[np.asarray(j, dtype=int)])
 
-    def F_deriv(self, j: int, y) -> np.ndarray:
-        """Derivative of F = T^{r(j)} along the forward orbit of y in Y_j."""
-        y = np.asarray(y, dtype=float)
-        d = np.ones_like(y)
-        for _ in range(int(self.r[j])):
-            d = d * self.model.apply_deriv(y)
-            y = self.model.apply(y)
-        return d
+    def land(self, j, level, pos):
+        """Complete the returns of points at ``pos`` = T^level(y), y in Y_j:
+        (cell, F(y), parked).  Landings past the represented cells are
+        parked in the deepest cell; ``parked`` counts them."""
+        y = self.model.advance(pos, self.r[np.asarray(j, dtype=int)] - level)
+        cell = self.cell_of(y)
+        bad = cell < 0
+        if np.any(bad):
+            deep = int(np.argmax(self.r))
+            y[bad] = np.clip(y[bad], self.lo[deep],
+                             self.hi[deep] - 1e-12 * self.hi[deep])
+            cell[bad] = deep
+        return cell, y, int(bad.sum())
 
     def F_inverse(self, j: int, x) -> np.ndarray:
         """Inverse branch of F on cell j, applied to base points x."""
@@ -402,11 +413,6 @@ class InducedMap:
             y = b0.inv(z)
             yield j, y, p * b0.deriv(y)
 
-    def gibbs_weight(self, j: int, x) -> np.ndarray:
-        """g_j(x) = 1/F'(F_j^{-1} x), the mu_0 inverse Jacobian on cell j."""
-        y = self.F_inverse(j, x)
-        return 1.0 / self.F_deriv(j, y)
-
     # -- tails ----------------------------------------------------------------
 
     @property
@@ -435,7 +441,8 @@ class InducedMap:
 
     def muY_tail_represented(self, n: int) -> float:
         """Sum of invariant cell masses with r > n, represented cells only."""
-        return float(self.muY[self.r > n].sum())
+        tail = self.tail_ge
+        return float(tail[min(max(n + 1, 0), len(tail) - 1)])
 
     @property
     def mean_return(self) -> float:
@@ -499,8 +506,7 @@ class InducedMap:
         """
         worst = 0.0
         a, b = self.Y
-        for j in range(self.J):
-            ends = self.F_inverse(j, np.array([a, b]))
+        for j, ends, _ in self.inverse_chain(np.array([a, b])):
             worst = max(worst, abs(ends[0] - self.lo[j]), abs(ends[1] - self.hi[j]))
             if self.r[j] <= 25:
                 w = self.hi[j] - self.lo[j]

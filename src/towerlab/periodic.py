@@ -109,7 +109,7 @@ def enumerate_periodic(sub: FiniteSubsystem, q_max: int,
     if len(sub.symbols) ** q_max > 1_000_000:
         raise ValueError("word space too large")
     ind = sub.ind
-    triples: list[PeriodicTriple] = []
+    words, points = [], []
     for q in range(1, q_max + 1):
         for word in _necklace_representatives(sub.symbols, q):
             x = np.array([0.5 * (ind.Y[0] + ind.Y[1])])
@@ -122,17 +122,13 @@ def enumerate_periodic(sub: FiniteSubsystem, q_max: int,
             else:
                 raise ArithmeticError(
                     f"inverse-branch contraction failed for word {word}")
-            p = float(x[0])
-            d = int(ind.r[list(word)].sum())
-            tau = 0.0
-            cur = p
-            for _ in range(d):
-                tau += float(roof(np.array([cur]))[0]) if roof is not None \
-                    else 1.0
-                cur = float(ind.model.apply(np.array([cur]))[0])
-            triples.append(PeriodicTriple(word=word, point=p, q=q, d=d,
-                                          tau=tau))
-    return triples
+            words.append(word)
+            points.append(float(x[0]))
+    ds = np.array([int(ind.r[list(w)].sum()) for w in words], dtype=int)
+    taus = ds.astype(float) if roof is None else \
+        ind.model.orbit_sum(np.array(points), ds, roof)
+    return [PeriodicTriple(word=w, point=p, q=len(w), d=int(d), tau=float(tau))
+            for w, p, d, tau in zip(words, points, ds, taus)]
 
 
 def verify_triple(sub: FiniteSubsystem, t: PeriodicTriple,
@@ -318,16 +314,8 @@ def approx_eigenfunction_search(sub: FiniteSubsystem, roof: RoofFunction,
         pts[i] = float(x[0])
     shift = np.array([words.index(w[1:] + w[:1]) for w in words])
     # weights along one return block from each collocation point
-    H = np.empty(n_states)
-    rr = np.empty(n_states)
-    for i, w in enumerate(words):
-        j = int(ind.cell_of(np.array([pts[i]]))[0])
-        rr[i] = ind.r[j]
-        tot, cur = 0.0, pts[i]
-        for _ in range(int(ind.r[j])):
-            tot += float(roof(np.array([cur]))[0])
-            cur = float(ind.model.apply(np.array([cur]))[0])
-        H[i] = tot
+    rr = ind.r[ind.cell_of(pts)]
+    H = ind.model.orbit_sum(pts, rr, roof)
     rows = []
     rng = np.random.default_rng(11)
     for b in np.atleast_1d(b_grid):

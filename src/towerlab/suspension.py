@@ -327,26 +327,11 @@ def flow(model: SuspensionModel, st: FlowState, t: float,
         st.pos[climb] = ind.model.apply(st.pos[climb])
         dropi = cross[drop]
         if len(dropi) > 0:
-            # complete the return: T applied (r - level) more times from pos
-            extra = ind.r[st.col[dropi]] - st.level[dropi]
-            p = st.pos[dropi].copy()
-            while extra.max(initial=0) > 0:
-                act = extra > 0
-                p[act] = ind.model.apply(p[act])
-                extra[act] -= 1
-            newcol = ind.cell_of(p)
-            bad = newcol < 0
-            if np.any(bad):
-                st.oob += int(bad.sum())
-                # park tail landings in the deepest represented cell
-                deep = int(np.argmax(ind.r))
-                p[bad] = np.clip(p[bad], ind.lo[deep],
-                                 ind.hi[deep] - 1e-12 * ind.hi[deep])
-                newcol[bad] = deep
-            st.col[dropi] = newcol
+            st.col[dropi], p, parked = ind.land(st.col[dropi], st.level[dropi],
+                                                st.pos[dropi])
+            st.oob += parked
             st.level[dropi] = 0
-            st.y[dropi] = p
-            st.pos[dropi] = p
+            st.y[dropi] = st.pos[dropi] = p
         h[cross] = model.roof(st.pos[cross])
     else:
         raise ArithmeticError("flow did not terminate")
@@ -609,7 +594,6 @@ def flow_visit_measure(model: SuspensionModel, N: float, k: float,
     pos = tower.column_positions(x).reshape(-1)
     col = np.repeat(model.cell_col, len(qn))
     level = np.repeat(model.cell_level, len(qn))
-    ybase = x[model.cell_col].reshape(-1)
     w = (model.cell_mass[:, None] * wts).reshape(-1)
     h0 = np.asarray(model.roof(pos), dtype=float)
     hcur = h0.copy()
@@ -620,11 +604,8 @@ def flow_visit_measure(model: SuspensionModel, N: float, k: float,
         acc = acc + hcur
         drop = level + 1 >= tower.heights[col]
         if np.any(drop):
-            yn = ind.F(col[drop], ybase[drop])
-            cn = np.maximum(ind.cell_of(yn), 0)
-            ybase[drop] = yn
-            pos[drop] = yn
-            col[drop] = cn
+            col[drop], pos[drop], _ = ind.land(col[drop], level[drop],
+                                               pos[drop])
             level[drop] = 0
         climb = ~drop
         pos[climb] = ind.model.apply(pos[climb])

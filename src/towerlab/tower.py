@@ -81,10 +81,7 @@ class Tower:
         y = np.asarray(y, dtype=float).copy()
         drop = level >= self.heights[j]
         if np.any(drop):
-            ynew = self.ind.F(j[drop], y[drop])
-            jnew = self.ind.cell_of(ynew)
-            y[drop] = ynew
-            j[drop] = jnew
+            j[drop], y[drop], _ = self.ind.land(j[drop], 0, y[drop])
             level = np.where(drop, 0, level)
         return j, level, y
 

@@ -72,36 +72,19 @@ class OperatorMatrix:
         return worst
 
     def pointwise_apply(self, func, x: np.ndarray) -> np.ndarray:
-        """(R_{s,z} v)(x) by direct summation over inverse branches."""
+        """(R v)(x) by direct summation over inverse branches; untwisted
+        operators only."""
+        if self.s != 0 or self.z != 0:
+            raise ValueError("pointwise_apply evaluates the untwisted R only")
         basis = self.basis
-        ind = basis.ind
         x = np.asarray(x, dtype=float)
         rho_at = basis.rho[basis.leaf_of_point(x)]
         out = np.zeros_like(x, dtype=complex)
-        grid = self._grid
-        for j, y, deriv in ind.inverse_chain(x):
+        for _, y, deriv in basis.ind.inverse_chain(x):
             rho_y = basis.rho[basis.leaf_of_point(y)]
             g = rho_y / (deriv * basis.lam * rho_at)
-            tw = 1.0
-            if grid is not None:
-                ell = min(int(ind.r[j]), grid.N or ind.r[j])
-                tw = np.exp(self.s * _orbit_roof_sum(grid, j, y, ell)
-                            + self.z * ell)
-            out += g * tw * np.asarray(func(y), dtype=complex)
+            out += g * np.asarray(func(y), dtype=complex)
         return out
-
-    _grid: TowerGrid | None = field(default=None, repr=False)
-
-
-def _orbit_roof_sum(grid: TowerGrid, j: int, y: np.ndarray,
-                    ell: int) -> np.ndarray:
-    """sum_{l < ell} h(T^l y) along actual orbits (not collocation)."""
-    tot = np.zeros_like(np.asarray(y, dtype=float))
-    cur = np.asarray(y, dtype=float).copy()
-    for _ in range(ell):
-        tot += grid.roof(cur)
-        cur = grid.basis.ind.model.apply(cur)
-    return tot
 
 
 def assemble_R(basis: CylinderBasis, theta: float | None = None
@@ -125,7 +108,6 @@ def assemble_twisted(grid: TowerGrid, s: complex, z: complex = 0.0,
     op = OperatorMatrix(mat=mat, basis=basis, s=s, z=z, N=grid.N, C6=C6,
                         theta=theta if theta is not None
                         else basis.ind.model.expansion ** (-basis.ind.model.eta))
-    op._grid = grid
     return op
 
 

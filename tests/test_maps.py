@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from towerlab import maps, systems
 
@@ -146,8 +147,47 @@ def test_gibbs_weight_is_inverse_jacobian(pm05):
     for j in (0, 3, 7):
         y = pm05.F_inverse(j, x)
         assert np.allclose(pm05.F(j, y), x, atol=1e-10)
-        g = pm05.gibbs_weight(j, x)
-        assert np.allclose(g * pm05.F_deriv(j, y), 1.0, atol=1e-9)
+    # F' of the inverse chain (1/g_j, used by transition_kernel and
+    # check_distortion) against the product of T' along each forward orbit
+    js, y, deriv = (np.array(a) for a in zip(*pm05.inverse_chain(x)))
+    assert sorted(js) == list(range(pm05.J))
+    steps = np.broadcast_to(pm05.r[js][:, None], y.shape)
+    fwd, cur = np.ones_like(y), y.copy()
+    for ell in range(int(steps.max())):
+        act = steps > ell
+        fwd[act] *= pm05.model.apply_deriv(cur[act])
+        cur[act] = pm05.model.apply(cur[act])
+    assert np.allclose(deriv, fwd, rtol=1e-8, atol=0.0)
+
+
+def _roof_like(p):
+    return 2.0 + np.cos(2.0 * np.pi * p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.none() | st.floats(0.05, 0.95),
+       seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 25),
+       top=st.integers(0, 40))
+@example(alpha=0.5, seed=0, n=1, top=0)
+@example(alpha=None, seed=1, n=1, top=40)
+def test_advance_and_orbit_sum_match_pointwise_loop(alpha, seed, n, top):
+    model = maps.doubling_map() if alpha is None \
+        else maps.pomeau_manneville(alpha)
+    rng = np.random.default_rng(seed)
+    x = rng.random(n)
+    steps = rng.integers(0, top + 1, n)
+    ends, sums = np.empty(n), np.empty(n)
+    for i in range(n):
+        cur, tot = x[i:i + 1], 0.0
+        for _ in range(int(steps[i])):
+            tot += _roof_like(cur)[0]
+            cur = model.apply(cur)
+        ends[i], sums[i] = cur[0], tot
+    assert np.array_equal(model.advance(x, steps), ends)
+    assert np.array_equal(model.orbit_sum(x, steps, _roof_like), sums)
+    zeros = np.zeros(n, dtype=int)
+    assert np.array_equal(model.advance(x, zeros), x)
+    assert np.array_equal(model.orbit_sum(x, zeros, _roof_like), np.zeros(n))
 
 
 def test_doubling_induced_exact_dyadics():

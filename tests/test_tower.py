@@ -228,3 +228,31 @@ def test_tail_table_matches_masked_sums(pm_tower):
         assert ge == float(ind.muY[ind.r >= N].sum())
         assert gt == math.fsum(ind.muY[ind.r >= n].sum()
                                for n in range(N + 1, rmax + 1))
+    for n in range(-2, rmax + 3):
+        assert ind.muY_tail_represented(n) == float(ind.muY[ind.r > n].sum())
+
+
+def test_land_parks_tail_landings(pm_tower):
+    ind = pm_tower.ind
+    x = np.array([0.5 + 1e-12])       # past the deepest represented cell
+    assert ind.cell_of(x)[0] == -1
+    j = np.array([2])
+    y = ind.F_inverse(2, x)
+    deep = int(np.argmax(ind.r))
+    cell, p, parked = ind.land(j, 0, y)
+    assert cell[0] == deep and parked == 1
+    assert ind.lo[deep] <= p[0] < ind.hi[deep]
+    # the tower map lands through the same policy, never in column -1
+    j2, lv2, y2 = pm_tower.step(j, ind.r[j] - 1, y)
+    assert j2[0] == deep and lv2[0] == 0 and y2[0] == p[0]
+
+
+def test_land_from_any_level_matches_return_map(pm_tower):
+    ind = pm_tower.ind
+    rng = np.random.default_rng(5)
+    j = rng.integers(0, ind.J, 500)
+    y = ind.lo[j] + rng.random(500) * ind.widths[j]
+    lv = rng.integers(0, ind.r[j])
+    cell, p, parked = ind.land(j, lv, pm_tower.project(j, lv, y))
+    assert np.array_equal(p, ind.F(j, y)) and parked == 0
+    assert np.array_equal(cell, ind.cell_of(p))

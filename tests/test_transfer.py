@@ -87,6 +87,13 @@ def test_doubling_closed_form_pointwise(bd):
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
+def test_pointwise_apply_refuses_twist(bd):
+    # only the untwisted R is evaluated pointwise; a twist is an error
+    op = assemble_twisted(TowerGrid(bd, sp.cosine_roof()), 0.3 + 2j)
+    with pytest.raises(ValueError):
+        op.pointwise_apply(lambda y: y, np.array([0.3]))
+
+
 def test_duality_adjoint_pairing(bd, bp):
     for b in (bd, bp):
         assert assemble_R(b).duality_defect(n_pairs=20) <= 1e-8
