@@ -256,19 +256,16 @@ def check_determinism() -> CheckResult:
     model = sp.SuspensionModel(tw.build_tower(ind), sp.cosine_roof())
     v = sp.coordinate_observable()
 
-    def run(threads: int) -> bytes:
-        # worker count must not influence anything; it is accepted and the
-        # computation is performed with order-independent accumulation
-        _ = threads
+    def run() -> bytes:
         cs = sp.correlation_mc(model, v, v, [0, 5, 10], 100_000, seed=7)
         buf = io.StringIO()
         for tt, r, e in zip(cs.t, cs.rho, cs.stderr):
             buf.write(f"{tt:.17g},{r:.17g},{e:.17g}\n")
         return buf.getvalue().encode()
 
-    outs = {run(1), run(4), run(1)}
+    outs = {run(), run(), run()}
     ok = len(outs) == 1
-    return _result("bit-identical output across repeats and worker counts",
+    return _result("bit-identical output across repeated runs",
                    ok, f"{3} runs, {len(outs)} distinct outputs", t0)
 
 
@@ -287,11 +284,9 @@ CHECKS = [
 ]
 
 
-def run_all(out_dir: str | None = None, only=None) -> list[CheckResult]:
+def run_all(out_dir: str | None = None) -> list[CheckResult]:
     results = []
     for num, fn in CHECKS:
-        if only is not None and num not in only:
-            continue
         res = fn()
         results.append(res)
         status = "PASS" if res.passed else "FAIL"

@@ -3,7 +3,7 @@
 Each subcommand reads an INI config, runs one experiment, writes CSV
 tables plus a small matplotlib script next to them (never rendering
 anything itself), and prints a one-line summary.  Exit codes: 0 success,
-1 usage, 2 assertion failure, 3 config error.
+1 usage, 2 check failed, 3 config error, 4 numerical error.
 """
 
 from __future__ import annotations
@@ -442,11 +442,12 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default=None)
     parser.add_argument("--out", default="out")
     parser.add_argument("--seed", default=None, type=int)
-    parser.add_argument("--threads", default=1, type=int,
-                        help="worker count; results are independent of it")
     parser.add_argument("--strict", action="store_true",
                         help="promote warnings to failures")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 on -h
+        return 1 if exc.code else 0
     if args.subcommand is None or args.subcommand not in SUBCOMMANDS:
         parser.print_usage()
         return 1

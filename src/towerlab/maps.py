@@ -70,7 +70,8 @@ class MapModel:
     endpoint belongs to the branch on its right (half-open cells).
     ``dist_const`` is the declared distortion constant, ``expansion`` the
     declared expansion of the induced return map, ``eta`` the Hoelder
-    exponent of the log weights.
+    exponent of the log weights; the last two fix the symbolic metric
+    parameter ``theta``.
     """
 
     name: str
@@ -84,6 +85,8 @@ class MapModel:
             raise ValueError("eta must lie in (0, 1]")
         if self.dist_const < 1.0:
             raise ValueError("distortion constant must be >= 1")
+        if not (0.0 < self.theta < 1.0):
+            raise ValueError("theta = expansion^-eta must lie in (0, 1)")
         lo = 0.0
         for b in self.branches:
             if abs(b.lo - lo) > 1e-12:
@@ -91,6 +94,11 @@ class MapModel:
             lo = b.hi
         if abs(lo - 1.0) > 1e-12:
             raise ValueError("branch domains must partition [0,1)")
+
+    @property
+    def theta(self) -> float:
+        """theta = expansion^-eta of the tower metric d_theta = theta^s."""
+        return self.expansion ** -self.eta
 
     @property
     def branch_edges(self) -> np.ndarray:

@@ -188,13 +188,6 @@ class AlignmentReport:
                    f"{len(self.rows)} points ({rng})"
         return f"EVIDENCE-AGAINST alignment ({rng})"
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("b,omega,phi_star,residual,pass_flag\n")
-            for r in self.rows:
-                fh.write(f"{r.b:.17g},{r.omega:.17g},{r.phi:.17g},"
-                         f"{r.worst:.17g},{int(r.passes)}\n")
-
 
 def _dist_mod_2pi(x: np.ndarray) -> np.ndarray:
     y = np.mod(x, TWO_PI)

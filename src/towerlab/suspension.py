@@ -285,7 +285,7 @@ def sample_stationary(model: SuspensionModel, n: int, seed: int) -> FlowState:
     todo = np.arange(n)
     for _ in range(200):
         cand = lo[todo] + rng.random(len(todo)) * wid[todo]
-        cpos = model.tower.project(col[todo], level[todo], cand)
+        cpos = ind.model.advance(cand, level[todo])
         ok = rng.random(len(todo)) * env[todo] <= model.roof(cpos)
         y[todo[ok]] = cand[ok]
         pos[todo[ok]] = cpos[ok]
@@ -459,8 +459,7 @@ def _ratio_stability(rows: list[TruncationRow]) -> tuple[float, float, float]:
 def truncation_error_experiment(ind: InducedMap, roof: RoofFunction,
                                 v: Observable, w: Observable,
                                 N_list, t_grid, n_samples: int,
-                                seed: int, theta: float | None = None
-                                ) -> TruncationTable:
+                                seed: int) -> TruncationTable:
     """Pathwise |rho - rho'| for tower truncation at each N, against the
     tail bound sum_{n>N} mu_Y(r>=n) + (N+t) mu_Y(r>=N).
 
@@ -470,7 +469,7 @@ def truncation_error_experiment(ind: InducedMap, roof: RoofFunction,
     """
     if not roof.bounded:
         raise ValueError("roof is unbounded: use roof_truncation_experiment")
-    base_tower = build_tower(ind, theta)
+    base_tower = build_tower(ind)
     model = SuspensionModel(base_tower, roof)
     st0 = sample_stationary(model, n_samples, seed)
     v0 = v.eval_state(model, st0)
@@ -499,8 +498,7 @@ def truncation_error_experiment(ind: InducedMap, roof: RoofFunction,
 def roof_truncation_experiment(ind: InducedMap, roof: RoofFunction,
                                v: Observable, w: Observable,
                                N_list, t_grid, n_samples: int, seed: int,
-                               q_log_trunc: float | None = None,
-                               theta: float | None = None) -> dict:
+                               q_log_trunc: float | None = None) -> dict:
     """Pathwise |rho - rho'| for the roof truncation h' = min(h, N) against
     the bound N^-beta + t N^-(beta+1); optionally also applies the second
     truncation r' = min(r, [q ln N]) and reports its extra error.
@@ -513,7 +511,7 @@ def roof_truncation_experiment(ind: InducedMap, roof: RoofFunction,
     if roof.tail_exponent is None:
         raise ValueError("unbounded roof needs a declared tail exponent")
     beta = roof.tail_exponent - 1.0
-    base_tower = build_tower(ind, theta)
+    base_tower = build_tower(ind)
     model = SuspensionModel(base_tower, roof)
     st0 = sample_stationary(model, n_samples, seed)
     v0 = v.eval_state(model, st0)

@@ -27,20 +27,16 @@ __all__ = [
 
 
 class Tower:
-    """Tower over an induced map with the symbolic metric parameter theta.
+    """Tower over an induced map; its symbolic metric d_theta takes theta
+    from the map model.
 
     Cell (j, l), 0 <= l < r(j), carries invariant measure mu_Y(Y_j)/rbar,
     where rbar is the mean return time over represented cells.  Tail mass
     beyond the branch cutoff is excluded from the normalisation.
     """
 
-    def __init__(self, ind: InducedMap, theta: float | None = None) -> None:
-        if theta is None:
-            theta = ind.model.expansion ** (-ind.model.eta)
-        if not (0.0 < theta < 1.0):
-            raise ValueError("theta must lie in (0, 1)")
+    def __init__(self, ind: InducedMap) -> None:
         self.ind = ind
-        self.theta = float(theta)
         self.heights = ind.r.copy()
         self.rbar = float(np.sum(ind.r * ind.muY))
         self.column_mass = ind.muY / self.rbar  # per level of each column
@@ -49,10 +45,6 @@ class Tower:
     @property
     def total_mass(self) -> float:
         return float(np.sum(self.heights * self.column_mass))
-
-    def project(self, j, level, y) -> np.ndarray:
-        """Ambient position of tower points: T^level applied to base coords."""
-        return self.ind.model.advance(y, level)
 
     def column_positions(self, y_nodes: np.ndarray, reduce=None) -> np.ndarray:
         """Positions T^l(y_nodes[j]) of every cell (j, l), y_nodes of shape
@@ -108,7 +100,6 @@ class TruncatedTower(Tower):
         self.parent = parent
         self.N = int(N)
         self.ind = ind
-        self.theta = parent.theta
         self.heights = np.minimum(ind.r, N)
         self.rbar = float(np.sum(self.heights * ind.muY))
         self.column_mass = ind.muY / self.rbar
@@ -135,8 +126,8 @@ class TruncatedTower(Tower):
         return lhs, rhs
 
 
-def build_tower(ind: InducedMap, theta: float | None = None) -> Tower:
-    return Tower(ind, theta)
+def build_tower(ind: InducedMap) -> Tower:
+    return Tower(ind)
 
 
 def truncate(tower: Tower, N: int) -> TruncatedTower:
@@ -226,4 +217,4 @@ def separation_time(tower: Tower, p: tuple[int, int, float],
 
 def d_theta(tower: Tower, p, q) -> float:
     s = separation_time(tower, p, q)
-    return 0.0 if s is math.inf or math.isinf(s) else tower.theta ** s
+    return 0.0 if math.isinf(s) else tower.ind.model.theta ** s

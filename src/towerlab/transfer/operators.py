@@ -31,29 +31,15 @@ __all__ = [
 
 @dataclass
 class OperatorMatrix:
-    """Dense operator on cylinder collocation values with norm machinery."""
+    """Dense operator on cylinder collocation values."""
 
     mat: np.ndarray
     basis: CylinderBasis
     s: complex = 0.0
     z: complex = 0.0
-    N: int | None = None
-    C6: float | None = None   # twisted-iterate inequality constant for |.|_b
-    theta: float = 0.5
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.mat @ v
-
-    def sup_norm(self, v) -> float:
-        return self.basis.sup_norm(v)
-
-    def theta_seminorm(self, v) -> float:
-        return self.basis.theta_seminorm(v, self.theta)
-
-    def norm_b(self, v, b: float) -> float:
-        if self.C6 is None:
-            raise ValueError("no twisted-iterate constant set")
-        return self.basis.norm_b(v, b, self.C6, self.theta)
 
     def duality_defect(self, n_pairs: int = 20, seed: int = 0) -> float:
         """max |<Rv, w>_mu - <v, w o F>_mu| over random pairs, where the
@@ -87,16 +73,12 @@ class OperatorMatrix:
         return out
 
 
-def assemble_R(basis: CylinderBasis, theta: float | None = None
-               ) -> OperatorMatrix:
+def assemble_R(basis: CylinderBasis) -> OperatorMatrix:
     """The untwisted base transfer operator, normalised so R1 = 1."""
-    return OperatorMatrix(mat=basis.Mhat, basis=basis,
-                          theta=theta if theta is not None
-                          else basis.ind.model.expansion ** (-basis.ind.model.eta))
+    return OperatorMatrix(mat=basis.Mhat, basis=basis)
 
 
-def assemble_twisted(grid: TowerGrid, s: complex, z: complex = 0.0,
-                     C6: float | None = None, theta: float | None = None
+def assemble_twisted(grid: TowerGrid, s: complex, z: complex = 0.0
                      ) -> OperatorMatrix:
     """Twisted operator R_{s,z} v = R(e^{s H'} e^{z r'} v) on the grid's
     truncation level."""
@@ -105,10 +87,7 @@ def assemble_twisted(grid: TowerGrid, s: complex, z: complex = 0.0,
     mat = basis.Mhat * tw[None, :]
     if s == 0 and z == 0:
         mat = basis.Mhat.copy()
-    op = OperatorMatrix(mat=mat, basis=basis, s=s, z=z, N=grid.N, C6=C6,
-                        theta=theta if theta is not None
-                        else basis.ind.model.expansion ** (-basis.ind.model.eta))
-    return op
+    return OperatorMatrix(mat=mat, basis=basis, s=s, z=z)
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +106,10 @@ class IterateInequalityReport:
 
 def lasota_yorke_check(basis: CylinderBasis, roof, b_list, omega_list,
                        n_max: int, N_list=(None,), n_probes: int = 8,
-                       seed: int = 0, theta: float | None = None
-                       ) -> IterateInequalityReport:
+                       seed: int = 0) -> IterateInequalityReport:
     """Empirical uniformity of the twisted-iterate inequality across
     truncation levels, frequencies and iterates."""
-    if theta is None:
-        theta = basis.ind.model.expansion ** (-basis.ind.model.eta)
+    theta = basis.ind.model.theta
     rng = np.random.default_rng(seed)
     probes = [rng.standard_normal(basis.n) + 1j * rng.standard_normal(basis.n)
               for _ in range(n_probes - 2)]
@@ -147,7 +124,7 @@ def lasota_yorke_check(basis: CylinderBasis, roof, b_list, omega_list,
             if abs(b) <= 1:
                 raise ValueError("the inequality regime needs |b| > 1")
             for om in omega_list:
-                op = assemble_twisted(grid, 1j * b, 1j * om, theta=theta)
+                op = assemble_twisted(grid, 1j * b, 1j * om)
                 for p in probes:
                     sup0 = basis.sup_norm(p)
                     sem0 = basis.theta_seminorm(p, theta)
@@ -206,23 +183,22 @@ def _unit_b_probes(basis: CylinderBasis, b: float, C6: float, theta: float,
 def resolvent_scan(basis: CylinderBasis, roof, b_grid, omega_grid,
                    N: int | None = None, C6: float = 1.0,
                    n_random: int = 200, n_adversarial: int = 5,
-                   seed: int = 0, resonance_tol: float = 1e-10,
-                   theta: float | None = None) -> ResolventScan:
+                   seed: int = 0, resonance_tol: float = 1e-10
+                   ) -> ResolventScan:
     """Probe estimates of ||(I - R_{ib,iw})^{-1}||_b over a frequency grid.
 
     Near-singular systems (eigenvalue 1 within ``resonance_tol``) are
     flagged as approximate-eigenvalue candidates and skipped; the growth
     exponent alpha is fitted on the unflagged points.
     """
-    if theta is None:
-        theta = basis.ind.model.expansion ** (-basis.ind.model.eta)
+    theta = basis.ind.model.theta
     rng = np.random.default_rng(seed)
     grid = TowerGrid(basis, roof, N)
     bs, oms, norms, flags, resids = [], [], [], [], []
     eye = np.eye(basis.n, dtype=complex)
     for b in np.atleast_1d(b_grid):
         for om in np.atleast_1d(omega_grid):
-            op = assemble_twisted(grid, 1j * b, 1j * om, C6=C6, theta=theta)
+            op = assemble_twisted(grid, 1j * b, 1j * om)
             A = eye - op.mat
             lu = lu_factor(A)
             # smallest singular value by inverse power iteration on A^H A
@@ -302,22 +278,20 @@ def twist_perturbation_check(basis: CylinderBasis, roof, s: complex,
                              z: complex = 0.0, N: int | None = None,
                              C6: float = 1.0, n_probes: int = 40,
                              seed: int = 0, unbounded_variant: bool = False,
-                             q_log: float = 4.0,
-                             theta: float | None = None) -> PerturbationReport:
+                             q_log: float = 4.0) -> PerturbationReport:
     """Probe norm of R_{s,z} - R_{ib,iw} against the tail-moment bound.
 
     The bounded-roof bound is d_N (|a|+|sigma|) e^{(|a| |h|_inf + |sigma|) N};
     with ``unbounded_variant`` the exponential factor is
     e^{q (|a| N + |sigma|) ln N} as appropriate for log-truncated towers.
     """
-    if theta is None:
-        theta = basis.ind.model.expansion ** (-basis.ind.model.eta)
+    theta = basis.ind.model.theta
     grid = TowerGrid(basis, roof, N)
     Nval = N if N is not None else int(grid.max_h)
     a, sg = s.real, z.real
     b, om = s.imag, z.imag
-    op_full = assemble_twisted(grid, s, z, C6=C6, theta=theta)
-    op_imag = assemble_twisted(grid, 1j * b, 1j * om, C6=C6, theta=theta)
+    op_full = assemble_twisted(grid, s, z)
+    op_imag = assemble_twisted(grid, 1j * b, 1j * om)
     D = op_full.mat - op_imag.mat
     rng = np.random.default_rng(seed)
     beff = max(abs(b), 1.0)

@@ -47,7 +47,7 @@ class RenewalData:
 
 def renewal_build(grid: TowerGrid, s: complex, horizon: int = 96,
                   n_probes: int = 16, n_z: int = 16, seed: int = 0,
-                  tol: float = 1e-8, grow: bool = True) -> RenewalData:
+                  grow: bool = True) -> RenewalData:
     """Build and cross-check the renewal family at twist parameter s.
 
     The identity is evaluated at n_z points z = i omega on an offset
@@ -143,8 +143,8 @@ class DecompositionReport:
 
 
 def tower_operator_decomposition(grid: TowerGrid, s: complex, n: int,
-                                 n_probes: int = 12, seed: int = 0,
-                                 theta: float = 0.5) -> DecompositionReport:
+                                 n_probes: int = 12, seed: int = 0
+                                 ) -> DecompositionReport:
     """Verify L_s^n = sum_{i+j+k=n} A_i T_j B_k + E_n on probe vectors.
 
     A climbs from the base without returning, T runs base to base, B
@@ -232,7 +232,7 @@ def tower_operator_decomposition(grid: TowerGrid, s: complex, n: int,
 
     a_norms = np.array([_a_norm(grid, cum, s, i) for i in range(1, N + 2)])
     e_norms = np.array([_e_norm(grid, cum, s, i) for i in range(1, N + 2)])
-    b_norms = np.array([_b_norm_probe(grid, cum, s, k, B_apply, theta, rng)
+    b_norms = np.array([_b_norm_probe(grid, k, B_apply, rng)
                         for k in range(1, min(N, 12) + 1)])
     vanish = bool(np.all(a_norms[N:] == 0.0) and np.all(e_norms[N:] == 0.0))
     return DecompositionReport(n=n, residual=residual, a_norms=a_norms,
@@ -276,9 +276,10 @@ def _e_norm(grid: TowerGrid, cum, s: complex, nn: int) -> float:
     return tot / grid.rbar
 
 
-def _b_norm_probe(grid: TowerGrid, cum, s: complex, k: int, B_apply,
-                  theta: float, rng, n_probes: int = 8) -> float:
+def _b_norm_probe(grid: TowerGrid, k: int, B_apply, rng,
+                  n_probes: int = 8) -> float:
     basis = grid.basis
+    theta = basis.ind.model.theta
     best = 0.0
     for _ in range(n_probes):
         V = [rng.standard_normal(len(a)) + 1j * rng.standard_normal(len(a))

@@ -161,16 +161,15 @@ class TowerGrid:
 # ---------------------------------------------------------------------------
 
 def map_correlation_operator(basis: CylinderBasis, v_func, w_func,
-                             n_max: int, tail_account: bool = True
-                             ) -> np.ndarray:
+                             n_max: int) -> np.ndarray:
     """Deterministic correlations int v . w o T^n dnu - means, n = 0..n_max.
 
     v and w are functions of the ambient coordinate, lifted through the
     tower projection; the transfer operator is iterated on the untruncated
-    (represented) tower.  With ``tail_account`` the columns past the cell
-    cutoff contribute through the aggregate ladder: their never-returned
-    pairs are summed explicitly and their returned mass is closed with the
-    equilibrium mean.
+    (represented) tower.  When the induced map has an escape ladder past
+    the cell cutoff (``InducedMap.tail_columns``), those columns contribute
+    through it: their never-returned pairs are summed explicitly and their
+    returned mass is closed with the equilibrium mean.
     """
     grid = TowerGrid(basis, None, None)
     V = grid.state_from_function(v_func)
@@ -185,7 +184,7 @@ def map_correlation_operator(basis: CylinderBasis, v_func, w_func,
                               zip(grid.mu_at, grid.state_from_function(v_func)))))
     int_w = float(np.real(sum(m @ a for m, a in zip(grid.mu_at, Wv))))
     rbar = grid.rbar
-    tail = basis.ind.tail_columns() if tail_account else None
+    tail = basis.ind.tail_columns()
     if tail is None:
         vbar, wbar = int_v / rbar, int_w / rbar
         return raw / rbar - vbar * wbar
@@ -248,12 +247,16 @@ def laplace_series(grid: TowerGrid, v: Observable, w: Observable,
     Sums the operator series over return blocks plus the same-flight
     quadrature term, minus the mean product pole 1/s.  Divergence (Re s
     outside the contraction region) is detected from the term growth and
-    reported through ``abscissa_estimate``.
+    reported through ``abscissa_estimate``.  A weighted state or series
+    term that is not finite (e.g. e^{s u} overflowing under an unbounded
+    roof) raises ArithmeticError.
     """
     if grid.roof is None:
         raise ValueError("grid carries no roof")
     v_s = grid.state_from_observable(v, weight=lambda u: np.exp(s * u))
     w_s = grid.state_from_observable(w, weight=lambda u: np.exp(-s * u))
+    if not all(np.isfinite(x).all() for x in v_s + w_s):
+        raise ArithmeticError(f"e^(+-s u)-weighted state not finite at s={s}")
     vbar = complex(grid.integrate(grid.state_from_observable(v))) / grid.hbar
     wbar = complex(grid.integrate(grid.state_from_observable(w))) / grid.hbar
     # same-flight term: int_0^h v(x,u) int_u^h e^{-s(t-u)} w(x,t) dt du
@@ -285,6 +288,8 @@ def laplace_series(grid: TowerGrid, v: Observable, w: Observable,
         V = grid.step(V, -s)
         term = sum(m @ (a * b) for m, a, b in zip(grid.mu_at, V, w_s)) \
             / grid.rbar
+        if not np.isfinite(term):
+            raise ArithmeticError(f"series term {n} not finite at s={s}")
         total += term
         mag = abs(term)
         if prev_mag is not None and prev_mag > 0:

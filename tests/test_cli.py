@@ -85,6 +85,21 @@ def test_unknown_subcommand_usage_exit():
     assert run(["frobnicate", "--config", "x"]) == 1
 
 
+@pytest.mark.parametrize("extra", [["--bogus", "1"], ["--threads", "1"],
+                                   ["--seed", "x"]])
+def test_bad_flag_is_usage_error(pm_config, tmp_path, extra, capsys):
+    # argparse alone would exit 2, the code of a failed check
+    assert run(["corr-flow", "--config", pm_config,
+                "--out", str(tmp_path)] + extra) == 1
+    assert "usage:" in capsys.readouterr().err
+    assert not (tmp_path / "corr_flow.csv").exists()
+
+
+def test_help_exits_zero(capsys):
+    assert run(["--help"]) == 0
+    assert "--threads" not in capsys.readouterr().out
+
+
 def test_missing_config_is_config_error(tmp_path):
     assert run(["induce", "--config", str(tmp_path / "nope.ini"),
                 "--out", str(tmp_path)]) == 3
@@ -170,10 +185,23 @@ def test_byte_identical_reruns(pm_config, tmp_path):
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
-        assert run(["corr-flow", "--config", pm_config, "--out", str(out),
-                    "--threads", {"a": "1", "b": "8"}[name]]) == 0
+        assert run(["corr-flow", "--config", pm_config,
+                    "--out", str(out)]) == 0
         outs.append((out / "corr_flow.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_laplace_overflow_is_numerical_error(doubling_config, tmp_path,
+                                            capsys):
+    # e^{s u} overflows under the power-singularity roof at s = 0.5: the
+    # series must stop with exit 4, not report nan as a result
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(["laplace", "--config", doubling_config,
+                    "--out", str(out)])
+    assert code == 4
+    assert "numerical error" in capsys.readouterr().err
+    assert not (out / "laplace.csv").exists()
 
 
 def test_seed_flag_overrides(pm_config, tmp_path):

@@ -276,7 +276,7 @@ def test_buffer_matches_continuation_derivatives(truncated_model):
     j = int(np.nonzero(tower.tall)[0][0])
     y = np.array([0.5 * (ind.lo[j] + ind.hi[j])])
     lv = int(tower.heights[j] - 1)
-    pos = tower.project(np.array([j]), np.array([lv]), y)
+    pos = ind.model.advance(y, lv)
     h = float(truncated_model.roof(pos)[0])
     # flow-derivative match at the seam: compare buffered value near u = h
     # with the continuation from the post-drop point

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from towerlab import systems, tower as tw
+from towerlab import maps, systems, tower as tw
 
 
 @pytest.fixture(scope="module")
@@ -13,12 +14,20 @@ def pm_tower():
 
 
 def test_theta_default_from_expansion(pm_tower):
-    assert pm_tower.theta == pytest.approx(0.5)
+    # theta = expansion^-eta = 2^-1, exactly
+    assert pm_tower.ind.model.theta == 0.5
+    p, q = (3, 0, 0.6), (3, 0, 0.6 + 1e-9)
+    s = tw.separation_time(pm_tower, p, q)
+    assert 0 < s < tw.SEPARATION_CAP
+    assert tw.d_theta(pm_tower, p, q) == 0.5 ** s
 
 
 def test_theta_validation():
-    with pytest.raises(ValueError):
-        tw.build_tower(systems.pm_induced(0.5), theta=1.5)
+    # a declared expansion of at most 1 gives theta = expansion^-eta >= 1
+    model = maps.pomeau_manneville(0.5)
+    for expansion, eta in ((1.0, 1.0), (0.5, 1.0), (0.8, 0.5)):
+        with pytest.raises(ValueError, match="theta"):
+            dataclasses.replace(model, expansion=expansion, eta=eta)
 
 
 def test_total_mass_one(pm_tower):
@@ -46,9 +55,9 @@ def test_projection_semiconjugacy(pm_tower):
     j = np.array([5, 17, 40])
     y = ind.lo[j] + rng.random(3) * ind.widths[j]
     lv = np.array([2, 6, 12])
-    left = ind.model.apply(pm_tower.project(j, lv, y))
+    left = ind.model.apply(ind.model.advance(y, lv))
     j2, lv2, y2 = pm_tower.step(j, lv, y)
-    right = pm_tower.project(j2, lv2, y2)
+    right = ind.model.advance(y2, lv2)
     assert np.allclose(left, right, atol=1e-9)
 
 
@@ -192,12 +201,12 @@ def test_project_and_return_map_match_masked_climb(pm_tower):
     j = rng.integers(0, ind.J, 2000)
     lv = rng.integers(0, pm_tower.heights[j])
     y = ind.lo[j] + rng.random(2000) * ind.widths[j]
-    assert np.array_equal(pm_tower.project(j, lv, y),
+    assert np.array_equal(ind.model.advance(y, lv),
                           _project_by_mask(pm_tower, lv, y))
-    assert np.array_equal(pm_tower.project(j, 0, y), y)
+    assert np.array_equal(ind.model.advance(y, 0), y)
     # the return map climbs the same way, r(j) steps per point
     assert np.array_equal(ind.F(j, y), _project_by_mask(pm_tower, ind.r[j], y))
-    one = pm_tower.project(j[0], lv[0], y[0])
+    one = ind.model.advance(y[0], lv[0])
     assert one.shape == () and one == _project_by_mask(pm_tower, lv[:1],
                                                         y[:1])[0]
 
@@ -253,6 +262,6 @@ def test_land_from_any_level_matches_return_map(pm_tower):
     j = rng.integers(0, ind.J, 500)
     y = ind.lo[j] + rng.random(500) * ind.widths[j]
     lv = rng.integers(0, ind.r[j])
-    cell, p, parked = ind.land(j, lv, pm_tower.project(j, lv, y))
+    cell, p, parked = ind.land(j, lv, ind.model.advance(y, lv))
     assert np.array_equal(p, ind.F(j, y)) and parked == 0
     assert np.array_equal(cell, ind.cell_of(p))

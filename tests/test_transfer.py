@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from towerlab import systems, suspension as sp
 from towerlab.transfer.basis import CylinderBasis
@@ -348,6 +349,27 @@ def test_decomposition_pm(bp):
     # block norms decay along the return-time tail
     rep = tower_operator_decomposition(grid, 0.1j, 5, n_probes=4)
     assert rep.a_norms[0] > rep.a_norms[10] > rep.a_norms[18]
+
+
+@pytest.fixture(scope="module")
+def small_pm_grid():
+    basis = CylinderBasis(systems.pm_induced(0.5, 60, 3000), depth=2,
+                          refine_symbols=8)
+    return TowerGrid(basis, sp.cosine_roof(), 6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 12),
+       a=st.floats(-0.5, 0.5), b=st.floats(-30.0, 30.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_decomposition_any_n_and_s(small_pm_grid, n, a, b, seed):
+    # L_s^n = sum A_i T_j B_k + E_n at any n in [1, 2N] and any s; the
+    # climb and interior blocks vanish past the cut N = 6
+    from towerlab.transfer.renewal import tower_operator_decomposition
+    rep = tower_operator_decomposition(small_pm_grid, complex(a, b), n,
+                                       n_probes=3, seed=seed)
+    assert rep.residual <= 1e-8
+    assert rep.vanish_beyond
 
 
 def test_rate_budget_cases():
