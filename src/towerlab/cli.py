@@ -197,11 +197,7 @@ def cmd_truncate(cfg, args) -> None:
 
 
 def cmd_corr_map(cfg, args) -> None:
-    ind = _build_induced(cfg)
-    basis = CylinderBasis(ind, depth=int(cfg.get("basis", "depth",
-                                                 fallback="2")),
-                          refine_symbols=int(cfg.get("basis", "refine",
-                                                     fallback="50")))
+    basis = _build_basis(cfg, _build_induced(cfg))
     n_max = int(cfg.get("grids", "n_max", fallback="500"))
     c = map_correlation_operator(basis, lambda x: x - 0.5, lambda x: x - 0.5,
                                  n_max)
@@ -443,13 +439,19 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="out")
     parser.add_argument("--seed", default=None, type=int)
     parser.add_argument("--strict", action="store_true",
-                        help="promote warnings to failures")
+                        help="tail only: fail (exit 2) on an exponential "
+                             "tail; a usage error on other subcommands")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 on -h
         return 1 if exc.code else 0
     if args.subcommand is None or args.subcommand not in SUBCOMMANDS:
         parser.print_usage()
+        return 1
+    if args.strict and args.subcommand != "tail":  # refused, not ignored
+        parser.print_usage(sys.stderr)
+        print(f"towerlab: --strict has no meaning for {args.subcommand}",
+              file=sys.stderr)
         return 1
     try:
         if args.subcommand == "accept":

@@ -50,10 +50,18 @@ def renewal_build(grid: TowerGrid, s: complex, horizon: int = 96,
                   grow: bool = True) -> RenewalData:
     """Build and cross-check the renewal family at twist parameter s.
 
-    The identity is evaluated at n_z points z = i omega on an offset
-    unit-circle grid (avoiding the pole of (I - R_s(z))^{-1} at z = 0 when
-    s = 0).  If the raw coefficient tail has not decayed below 1e-10 the
-    horizon is doubled once when ``grow`` is set.
+    The tower side iterates L_s on base-supported probes and sums
+    S(z) = sum_{n<=H} e^{zn} t_n with t_n = 1_Y L_s^n 1_Y; the base side is
+    R_s(z) = sum_k e^{zk} R_{s,k}, R_{s,k} = Mhat diag(e^{sH'} 1_{r'=k}).
+    The identity (I - R_s(z)) S(z) + Q(z) = 1 is evaluated at n_z points
+    z = i omega on an offset unit-circle grid (avoiding the pole of
+    (I - R_s(z))^{-1} at z = 0 when s = 0).  Q(z) is the horizon tail,
+    the terms of R_s(z) S(z) that fall past H; since Mhat is linear it is
+    one product per z, Q(z) = Mhat @ sum_k e^{zk} twist_k * suffix_k(z),
+    suffix_k(z) = sum_{n=H-k+1..H} e^{zn} t_n.  The coefficient form
+    t_n = sum_k R_{s,k} t_{n-k} is spot-checked with one product per
+    step in the same way.  If the raw coefficient tail has not decayed
+    below 1e-10 the horizon is doubled once when ``grow`` is set.
     """
     if grid.N is None:
         raise ValueError("renewal sequences need a truncated tower")
@@ -72,7 +80,6 @@ def renewal_build(grid: TowerGrid, s: complex, horizon: int = 96,
 
     def run(H: int):
         S = np.zeros((n_z, basis.n, n_probes), dtype=complex)
-        ring: list[np.ndarray] = []
         V = grid.state_from_base(U.astype(complex))
         t_n = grid.base_values(V)
         rec_resid = 0.0
@@ -85,10 +92,9 @@ def renewal_build(grid: TowerGrid, s: complex, horizon: int = 96,
                 hist.append(t_n)
                 if n in (1, 2, N, N + 1, 2 * N + 1):
                     # coefficient-form renewal identity at spot checks
-                    acc = np.zeros_like(t_n)
-                    for k in range(1, min(n, N) + 1):
-                        acc += basis.Mhat @ (level_twists[k - 1][:, None]
-                                             * hist[n - k])
+                    acc = basis.Mhat @ sum(level_twists[k - 1][:, None]
+                                           * hist[n - k]
+                                           for k in range(1, min(n, N) + 1))
                     scale = max(np.abs(t_n).max(), 1e-30)
                     rec_resid = max(rec_resid,
                                     float(np.abs(acc - t_n).max() / scale))
@@ -111,17 +117,18 @@ def renewal_build(grid: TowerGrid, s: complex, horizon: int = 96,
         diag = np.exp(s * grid.H_col + z * grid.heights)
         A = eye - basis.Mhat * diag[None, :]
         # horizon tail, w = e^z: Q = sum_k R_{s,k} w^k sum_{n=H-k+1..H} w^n t_n
-        Q = np.zeros((basis.n, n_probes), dtype=complex)
+        tail = np.zeros((basis.n, n_probes), dtype=complex)
         suffix = np.zeros((basis.n, n_probes), dtype=complex)
         for k in range(1, N + 1):
             suffix = suffix + np.exp(z * (H - k + 1)) * ring[k - 1]
-            Q += np.exp(z * k) * (basis.Mhat @ (level_twists[k - 1][:, None]
-                                                * suffix))
-        lhs = A @ S[m] + Q
+            tail += np.exp(z * k) * (level_twists[k - 1][:, None] * suffix)
+        Q = basis.Mhat @ tail
+        AS = A @ S[m]
+        lhs = AS + Q
         scale = max(np.abs(lhs).max(), np.abs(Q).max(), 1.0)
         residuals[m] = float(np.abs(lhs - U).max() / scale)
-        raw_residuals[m] = float(np.abs(A @ S[m] - U).max()
-                                 / max(np.abs(A @ S[m]).max(), 1.0))
+        raw_residuals[m] = float(np.abs(AS - U).max()
+                                 / max(np.abs(AS).max(), 1.0))
     return RenewalData(grid=grid, s=s, horizon=H, z_points=zs,
                        residuals=residuals, raw_residuals=raw_residuals,
                        raw_tail=raw_tail, recursion_residual=rec_resid,
@@ -136,10 +143,10 @@ def renewal_build(grid: TowerGrid, s: complex, horizon: int = 96,
 class DecompositionReport:
     n: int
     residual: float
-    a_norms: np.ndarray      # L^inf(Y) -> L^1 norms of the climb operators
+    a_norms: np.ndarray      # L^inf(Y) -> L^1 norms of A_{s,i}, i = 1..2N
     b_norms: np.ndarray      # probe ||.||_b -> ||.||_b norms of the descents
-    e_norms: np.ndarray      # interior-block L^1 norms
-    vanish_beyond: bool      # A, B, E identically zero past the cut
+    e_norms: np.ndarray      # L^1 norms of E_{s,i}, i = 1..2N
+    vanish_beyond: bool      # A, E identically zero from i = N on
 
 
 def tower_operator_decomposition(grid: TowerGrid, s: complex, n: int,
@@ -148,130 +155,127 @@ def tower_operator_decomposition(grid: TowerGrid, s: complex, n: int,
     """Verify L_s^n = sum_{i+j+k=n} A_i T_j B_k + E_n on probe vectors.
 
     A climbs from the base without returning, T runs base to base, B
-    descends to its first base hit, and E never touches the base; all four
-    are assembled from their path characterisations and compared against
-    direct iteration of the tower operator.
+    descends to its first base hit, and E never touches the base.  The
+    probes are the columns of one tower state, so every step is one
+    matrix product.  The left side is n direct steps of L_s.  The right
+    side assembles B and E from their path tables and gets the T-part from
+    U_m = L_s U_{m-1} + lift(B_m), U_{-1} = 0, whose base values are
+    sum_{k+j=m} T_j B_k; so it is sum_m A_{n-m} base(U_m) + E_n, again n
+    steps.  The block norms of A and E run to i = 2N over the levels the
+    grid has; ``vanish_beyond`` reports whether they are zero from the
+    declared cut N on.
     """
     if grid.N is None:
         raise ValueError("the decomposition needs a truncated tower")
-    basis = grid.basis
-    N = int(grid.max_h)
+    N = int(grid.N)
+    levels = grid.max_h
     cum = _cum_roof(grid)
     rng = np.random.default_rng(seed)
     probes = [
         [rng.standard_normal(len(a)) + 1j * rng.standard_normal(len(a))
          for a in grid.active] for _ in range(n_probes)]
+    V0 = [np.stack(cols, axis=1) for cols in zip(*probes)]
+    B_apply = _descent(grid, cum, s)
 
-    def B_apply(V: list, k: int) -> np.ndarray:
-        """First-passage descent: k >= 1 starts at level r' - k >= 1."""
-        if k == 0:
-            return grid.base_values(V)
-        u = np.zeros(basis.n, dtype=complex)
-        for ell in range(max(1, 0), grid.max_h):
-            # leaves whose column height is ell + k (so level ell = r' - k)
-            if ell < 1 or ell + k > N:
-                continue
-            act = grid.active[ell]
-            at_start = grid.heights[act] == ell + k
-            if not np.any(at_start):
-                continue
-            idx = np.nonzero(at_start)[0]
-            leaves = act[idx]
-            S = grid.H_col[leaves] - cum[ell][idx]
-            u[leaves] = np.exp(s * S) * V[ell][idx]
-        return basis.Mhat @ u
+    lhs = V0
+    for _ in range(n):
+        lhs = grid.step(lhs, s)
 
-    def A_apply(u: np.ndarray, i: int) -> list:
-        """No-return climb to level i."""
-        V = grid.zero_state(dtype=complex)
-        if i == 0:
-            V[0] = u[grid.active[0]].astype(complex)
-            return V
-        if i < grid.max_h:
-            act = grid.active[i]
-            V[i] = np.exp(s * cum[i]) * u[act]
-        return V
+    rhs = _interior_apply(grid, cum, s, V0, n)
+    flat0 = np.concatenate(V0)
+    U = grid.zero_state(dtype=complex, width=n_probes)
+    for m in range(n + 1):
+        if m > 0:
+            U = grid.step(U, s)
+        if m < levels:
+            U[0] = U[0] + B_apply(flat0, m)[grid.active[0]]
+        i = n - m
+        if i < levels:
+            base = grid.base_values(U)[grid.active[i]]
+            rhs[i] = rhs[i] + np.exp(s * cum[i])[:, None] * base
 
-    def E_apply(V: list, nn: int) -> list:
-        """Interior block: start at level >= 1, never reach the base."""
-        out = grid.zero_state(dtype=complex)
-        for ell in range(1, grid.max_h - nn):
-            surv = _survivors(grid, ell, nn)
-            if len(surv) == 0:
-                continue
-            pos_t = _positions(grid, ell, nn, surv)
-            out[ell + nn][pos_t] = np.exp(
-                s * (cum[ell + nn][pos_t] - cum[ell][surv])) * V[ell][surv]
-        return out
+    diff = np.zeros(n_probes)
+    scale = np.full(n_probes, 1e-30)
+    for a, b in zip(lhs, rhs):
+        if len(a):
+            diff = np.maximum(diff, np.abs(a - b).max(axis=0))
+            scale = np.maximum(scale, np.abs(a).max(axis=0))
+    residual = float(np.max(diff / scale))
 
-    # direct LHS and T-family from tower iteration of all B outputs
-    residual = 0.0
-    for V0 in probes:
-        lhs = [x.copy() for x in V0]
-        for _ in range(n):
-            lhs = grid.step(lhs, s)
-        Bs = [B_apply(V0, k) for k in range(0, min(n, N) + 1)]
-        rhs = grid.zero_state(dtype=complex)
-        for k, bvec in enumerate(Bs):
-            W = grid.state_from_base(bvec)
-            for j in range(0, n - k + 1):
-                i = n - k - j
-                if i <= N:
-                    contrib = A_apply(grid.base_values(W), i)
-                    for ell in range(grid.max_h):
-                        rhs[ell] = rhs[ell] + contrib[ell]
-                if j < n - k:
-                    W = grid.step(W, s)
-        EV = E_apply(V0, n)
-        for ell in range(grid.max_h):
-            rhs[ell] = rhs[ell] + EV[ell]
-        scale = max(grid.sup_norm(lhs), 1e-30)
-        residual = max(residual,
-                       max(float(np.abs(a - b).max()) if len(a) else 0.0
-                           for a, b in zip(lhs, rhs)) / scale)
-
-    a_norms = np.array([_a_norm(grid, cum, s, i) for i in range(1, N + 2)])
-    e_norms = np.array([_e_norm(grid, cum, s, i) for i in range(1, N + 2)])
+    climb = np.zeros(2 * N + 1)
+    for i, (c, mu) in enumerate(zip(cum[:2 * N + 1], grid.mu_at)):
+        climb[i] = np.sum(np.abs(np.exp(s * c)) * mu) / grid.rbar
+    a_norms = climb[1:]
+    e_norms = np.array([_interior_norm(grid, cum, s, i)
+                        for i in range(1, 2 * N + 1)])
     b_norms = np.array([_b_norm_probe(grid, k, B_apply, rng)
                         for k in range(1, min(N, 12) + 1)])
-    vanish = bool(np.all(a_norms[N:] == 0.0) and np.all(e_norms[N:] == 0.0))
+    vanish = bool(np.all(a_norms[N - 1:] == 0.0)
+                  and np.all(e_norms[N - 1:] == 0.0))
     return DecompositionReport(n=n, residual=residual, a_norms=a_norms,
                                b_norms=b_norms, e_norms=e_norms,
                                vanish_beyond=vanish)
 
 
-def _survivors(grid: TowerGrid, ell: int, nn: int) -> np.ndarray:
-    """Indices within active[ell] of leaves with height > ell + nn."""
-    act = grid.active[ell]
-    return np.nonzero(grid.heights[act] > ell + nn)[0]
+def _descent(grid: TowerGrid, cum, s: complex):
+    """First-passage descent B_{s,k} as a function of a flat tower vector.
+
+    B_0 reads the base level.  For k >= 1, B_k starts at level r' - k >= 1
+    of each column and twists by the roof left to climb; its leaves, flat
+    positions and phases are tabulated once per k.
+    """
+    basis = grid.basis
+    sizes = [len(a) for a in grid.active]
+    level = np.repeat(np.arange(grid.max_h), sizes)
+    leaf = np.concatenate(grid.active)
+    start = grid.heights[leaf] - level        # k of a start at this cell
+    phase = np.exp(s * (grid.H_col[leaf] - np.concatenate(cum)))
+    tables = {}
+    for k in range(1, grid.max_h):
+        pos = np.nonzero((start == k) & (level >= 1))[0]
+        tables[k] = (leaf[pos], pos, phase[pos])
+
+    def B_apply(flat: np.ndarray, k: int) -> np.ndarray:
+        u = np.zeros((basis.n,) + flat.shape[1:], dtype=complex)
+        if k == 0:
+            u[grid.active[0]] = flat[:sizes[0]]
+            return u
+        if k not in tables:
+            return u
+        cells, pos, ph = tables[k]
+        u[cells] = ph[(slice(None),) + (None,) * (flat.ndim - 1)] * flat[pos]
+        return basis.Mhat @ u
+
+    return B_apply
 
 
-def _positions(grid: TowerGrid, ell: int, nn: int,
-               surv: np.ndarray) -> np.ndarray:
-    """Positions of those survivors within active[ell + nn]."""
-    act = grid.active[ell][surv]
-    tgt = grid.active[ell + nn]
-    return np.searchsorted(tgt, act)
-
-
-def _a_norm(grid: TowerGrid, cum, s: complex, i: int) -> float:
-    """Exact L^inf(Y) -> L^1 norm of the no-return climb A_{s,i}."""
-    if i >= grid.max_h:
-        return 0.0
-    act = grid.active[i]
-    return float(np.sum(np.abs(np.exp(s * cum[i])) * grid.basis.mu[act])
-                 / grid.rbar)
-
-
-def _e_norm(grid: TowerGrid, cum, s: complex, nn: int) -> float:
-    """Exact sup-functional L^1 norm of the interior block E_{s,nn}."""
-    tot = 0.0
+def _interior(grid: TowerGrid, cum, nn: int):
+    """Paths of the interior block E_{s,nn}: per start level ell >= 1, the
+    leaves in active[ell] of height > ell + nn, their positions in
+    active[ell + nn], and the roof they climb on the way."""
     for ell in range(1, grid.max_h - nn):
-        surv = _survivors(grid, ell, nn)
+        act = grid.active[ell]
+        surv = np.nonzero(grid.heights[act] > ell + nn)[0]
         if len(surv) == 0:
             continue
-        pos_t = _positions(grid, ell, nn, surv)
-        tw = np.abs(np.exp(s * (cum[ell + nn][pos_t] - cum[ell][surv])))
+        pos_t = np.searchsorted(grid.active[ell + nn], act[surv])
+        yield ell, surv, pos_t, cum[ell + nn][pos_t] - cum[ell][surv]
+
+
+def _interior_apply(grid: TowerGrid, cum, s: complex, V: list,
+                    nn: int) -> list:
+    """Interior block: start at level >= 1, never reach the base."""
+    out = grid.zero_state(dtype=complex, width=V[0].shape[1])
+    for ell, surv, pos_t, climbed in _interior(grid, cum, nn):
+        out[ell + nn][pos_t] = np.exp(s * climbed)[:, None] * V[ell][surv]
+    return out
+
+
+def _interior_norm(grid: TowerGrid, cum, s: complex, nn: int) -> float:
+    """Exact sup-functional L^1 norm of the interior block E_{s,nn}."""
+    tot = 0.0
+    for ell, surv, _, climbed in _interior(grid, cum, nn):
+        tw = np.abs(np.exp(s * climbed))
         tot += float(np.sum(tw * grid.basis.mu[grid.active[ell][surv]]))
     return tot / grid.rbar
 
@@ -285,7 +289,7 @@ def _b_norm_probe(grid: TowerGrid, k: int, B_apply, rng,
         V = [rng.standard_normal(len(a)) + 1j * rng.standard_normal(len(a))
              for a in grid.active]
         denom = max(grid.sup_norm(V), grid.theta_seminorm(V, theta))
-        u = B_apply(V, k)
+        u = B_apply(np.concatenate(V), k)
         num = max(basis.sup_norm(u), basis.theta_seminorm(u, theta))
         best = max(best, num / denom)
     return best

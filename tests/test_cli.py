@@ -97,7 +97,30 @@ def test_bad_flag_is_usage_error(pm_config, tmp_path, extra, capsys):
 
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
-    assert "--threads" not in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "--threads" not in out
+    assert "tail only" in out      # where --strict has a meaning
+
+
+@pytest.mark.parametrize("sub", ["corr-flow", "renewal", "accept"])
+def test_strict_off_tail_is_usage_error(sub, pm_config, tmp_path, capsys):
+    # only tail reads --strict; elsewhere it would be a silent no-op
+    out = tmp_path / "out"
+    assert run([sub, "--config", pm_config, "--out", str(out),
+                "--strict"]) == 1
+    assert "--strict" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tail_strict_still_checks(pm_config, doubling_config, tmp_path):
+    # power-law pm tail passes; the doubling map's exponential tail fails
+    assert run(["tail", "--config", pm_config, "--out",
+                str(tmp_path / "pm"), "--strict"]) == 0
+    assert (tmp_path / "pm" / "tail.csv").exists()
+    assert run(["tail", "--config", doubling_config, "--out",
+                str(tmp_path / "db"), "--strict"]) == 2
+    assert run(["tail", "--config", doubling_config, "--out",
+                str(tmp_path / "db2")]) == 0
 
 
 def test_missing_config_is_config_error(tmp_path):

@@ -372,6 +372,70 @@ def test_decomposition_any_n_and_s(small_pm_grid, n, a, b, seed):
     assert rep.vanish_beyond
 
 
+@settings(max_examples=25, deadline=None)
+@given(a=st.floats(-1.0, 0.0), b=st.floats(-30.0, 30.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_renewal_any_admissible_s(small_pm_grid, a, b, seed):
+    # T_s(z) (I - R_s(z)) = I with the horizon tail carried, at Re s <= 0
+    from towerlab.transfer.renewal import renewal_build
+    rd = renewal_build(small_pm_grid, complex(a, b), horizon=48,
+                       n_probes=4, seed=seed, grow=False)
+    assert rd.max_residual <= 1e-8
+    assert rd.recursion_residual <= 1e-8
+
+
+def test_descent_tables_match_level_loop(small_pm_grid):
+    # B_{s,k} from the per-k tables equals a level-by-level loop over the
+    # columns that start their descent at level r' - k >= 1
+    from towerlab.transfer.renewal import _cum_roof, _descent
+    grid, s = small_pm_grid, 0.3 + 2j
+    cum = _cum_roof(grid)
+    B_apply = _descent(grid, cum, s)
+    rng = np.random.default_rng(3)
+    V = [rng.standard_normal((len(a), 2)) + 1j for a in grid.active]
+    flat = np.concatenate(V)
+    assert np.array_equal(B_apply(flat, 0), grid.base_values(V))
+    for k in range(1, grid.max_h + 2):
+        u = np.zeros((grid.basis.n, 2), dtype=complex)
+        for ell in range(1, grid.max_h):
+            idx = np.nonzero(grid.heights[grid.active[ell]] == ell + k)[0]
+            leaves = grid.active[ell][idx]
+            u[leaves] = np.exp(s * (grid.H_col[leaves] - cum[ell][idx])
+                               )[:, None] * V[ell][idx]
+        assert np.array_equal(B_apply(flat, k), grid.basis.Mhat @ u)
+
+
+def test_vanish_beyond_fails_past_the_cut(small_pm_grid):
+    # a grid built at N = 6 but declared at N = 5 has a level past its cut
+    from towerlab.transfer.renewal import tower_operator_decomposition
+    grid = TowerGrid(small_pm_grid.basis, sp.cosine_roof(), 6)
+    grid.N = 5
+    rep = tower_operator_decomposition(grid, 0.1j, 3, n_probes=2)
+    assert rep.residual <= 1e-8
+    assert rep.a_norms[4] > 0.0      # A_5 climbs to level 5
+    assert not rep.vanish_beyond
+
+
+def test_base_side_defect_fails_both_identities(small_pm_grid, monkeypatch):
+    # the base side (twists, R_s(z), descent phases) reads H_col, the
+    # tower side only h_at: a defect in one column's induced roof must show
+    # in both residuals.  B never reads a column of height 1, so the
+    # column is the heaviest of height >= 2.
+    from towerlab.transfer.renewal import renewal_build, \
+        tower_operator_decomposition
+    grid = small_pm_grid
+    tall = np.nonzero(grid.heights >= 2)[0]
+    col = tall[np.argmax(grid.basis.mu[tall])]
+    H = grid.H_col.copy()
+    H[col] += 1e-6
+    monkeypatch.setattr(grid, "H_col", H)
+    s = 0.3 + 2j
+    rd = renewal_build(grid, s, horizon=48, n_probes=4, grow=False)
+    rep = tower_operator_decomposition(grid, s, 5, n_probes=3)
+    assert rd.max_residual > 1e-8
+    assert rep.residual > 1e-8
+
+
 def test_rate_budget_cases():
     from towerlab.transfer import rates
     b = rates.rate_budget(beta=1.0, gamma=2.0)
