@@ -12,11 +12,13 @@ import argparse
 import configparser
 import os
 import sys
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
-from towerlab import maps, suspension as sp, tower as tw
-from towerlab import periodic as per
+from towerlab import maps, periodic as per, suspension as sp, tower as tw
 from towerlab.transfer.basis import CylinderBasis
 from towerlab.transfer.towerop import TowerGrid, laplace_series, \
     map_correlation_operator
@@ -25,98 +27,155 @@ from towerlab.transfer.renewal import renewal_build, \
     tower_operator_decomposition
 from towerlab.transfer import rates
 
-SUBCOMMANDS = [
-    "induce", "tail", "tower", "truncate", "corr-map", "corr-flow",
-    "trunc-error", "roof-trunc", "resolvent", "renewal", "decomp",
-    "laplace", "budget", "periodic", "eigenfun", "accept",
-]
-
-
-class ConfigError(Exception):
-    pass
-
 
 class CheckFailure(Exception):
     pass
 
 
-def _parse_list(text: str, cast=float) -> list:
-    text = text.strip()
-    if ":" in text:  # start:stop:step
-        a, b, c = (float(x) for x in text.split(":"))
-        return list(np.arange(a, b + 1e-9, c).astype(cast))
-    return [cast(x) for x in text.split(",") if x.strip()]
+def _parse(typ, text: str):
+    """Cast INI text to a SCHEMA type; raise ValueError if it does not fit."""
+    if isinstance(typ, tuple):
+        if text not in typ:
+            raise ValueError(f"not one of {' | '.join(typ)}")
+        return text
+    if isinstance(typ, list) and ":" in text:  # start:stop:step
+        a, b, c = (typ[0](x) for x in text.split(":"))
+        if not (a <= b and c > 0):
+            raise ValueError("want start <= stop and step > 0")
+        return tuple(np.arange(a, b + 1e-9, c).astype(typ[0]).tolist())
+    if isinstance(typ, list):
+        return tuple(typ[0](x) for x in text.split(","))
+    return typ(text.replace(" ", "") if typ is complex else text)
 
 
-def _load(path: str) -> configparser.ConfigParser:
-    cfg = configparser.ConfigParser()
-    cfg.optionxform = str  # keys are case-sensitive
-    if not os.path.exists(path):
-        raise ConfigError(f"config file {path!r} not found")
+# Every key a config may hold, as (type, default); any other key is a config
+# error.  A type is int, float, complex, [int] or [float] (a comma list or
+# start:stop:step) or a tuple of choices.  A default is INI text, or a dict
+# of them picked by the subcommand or by [map] kind (declared first); None
+# leaves the key unset.
+SCHEMA = {
+    ("map", "kind"): (("pm", "pomeau-manneville", "doubling"), "pm"),
+    ("map", "alpha"): (float, "0.5"),
+    ("map", "C"): (float, "24.0"),
+    ("map", "Y"): ([float], {"pm": "0.5,1.0", "pomeau-manneville": "0.5,1.0",
+                             "doubling": "0.0,1.0"}),
+    ("map", "J"): (int, "400"),
+    ("map", "tail_horizon"): (int, "12000"),
+    ("map", "gamma"): (float, "0.0"),
+    ("roof", "kind"): (tuple(sp.ROOFS), "cosine"),
+    ("roof", "c"): (float, "1.0"),
+    ("roof", "mean"): (float, "2.0"),
+    ("roof", "amp"): (float, "1.0"),
+    ("roof", "beta"): (float, "1.0"),
+    ("observables", "v"): (tuple(sp.OBSERVABLES), "coordinate"),
+    ("observables", "w"): (tuple(sp.OBSERVABLES), "coordinate"),
+    ("basis", "depth"): (int, "2"),
+    ("basis", "refine"): (int, "24"),
+    ("basis", "C6"): (float, "2.0"),
+    ("tower", "N"): (int, {"resolvent": "30", "renewal": "30",
+                           "laplace": "30", "decomp": "20"}),
+    ("grids", "N_list"): ([int], {"truncate": "10,20,50,100",
+                                  "trunc-error": "10,20,40",
+                                  "roof-trunc": "10,20,40"}),
+    ("grids", "t_grid"): ([float], {"corr-flow": "0,1,2,5,10,20",
+                                    "trunc-error": "5,10,20",
+                                    "roof-trunc": "5,10,20"}),
+    ("grids", "n_max"): (int, "500"),
+    ("grids", "q_log"): (float, "5.0"),
+    ("grids", "b_grid"): ([float], {"resolvent": "1:100:4",
+                                    "eigenfun": "10:200:10"}),
+    ("grids", "omega_grid"): ([float], "0"),
+    ("grids", "s"): (complex, {"renewal": "0.1j", "decomp": "0.1j",
+                               "laplace": "0.5"}),
+    ("grids", "n_list"): ([int], "1,5,15,21"),
+    ("grids", "beta"): (float, "1.0"),
+    ("grids", "gamma"): (float, "2.0"),
+    ("grids", "symbols"): ([int], "0,1"),
+    ("grids", "q_max"): (int, "3"),
+    ("grids", "alpha"): (float, "2.0"),
+    ("run", "seed"): (int, None),
+    ("run", "samples"): (int, "200000"),
+}
+
+
+def _load(path: str | None, sub: str, seed: int | None = None) -> Mapping:
+    """Parse the INI at ``path`` into the typed values ``sub`` runs with."""
+    if path is None:
+        raise ValueError("--config is required")
+    ini = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    ini.optionxform = str  # keys are case-sensitive
     try:
-        cfg.read(path)
-    except configparser.Error as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg
+        with open(path) as fh:
+            ini.read_file(fh)
+        given = {(sec, key): text for sec in ini.sections()
+                 for key, text in ini[sec].items()}
+    except (OSError, configparser.Error) as exc:
+        raise ValueError(str(exc)) from exc
+    unknown = [f"[{s}]" for s in ini.sections()
+               if s not in {sec for sec, _ in SCHEMA}] or \
+        [f"[{s}] {k}" for s, k in given if (s, k) not in SCHEMA]
+    if unknown:
+        raise ValueError("unknown " + ", ".join(unknown))
+    values = {}
+    for (sec, key), (typ, default) in SCHEMA.items():
+        text = given.get((sec, key), default)
+        if isinstance(text, dict):
+            text = text.get(sub, text.get(values.get(("map", "kind"))))
+        try:
+            values[sec, key] = None if text is None else _parse(typ, text)
+        except ValueError as exc:
+            raise ValueError(f"[{sec}] {key} = {text!r}: {exc}") from exc
+    if seed is not None:
+        values["run", "seed"] = seed
+    if values["run", "seed"] is None and sub in FLAG_READERS["seed"]:
+        raise ValueError("no seed given (config [run] seed or --seed)")
+    return MappingProxyType(values)
 
 
-def _build_induced(cfg) -> maps.InducedMap:
-    sec = cfg["map"] if "map" in cfg else {}
-    model = maps.map_from_config(sec)
-    Y = tuple(_parse_list(sec.get("Y", "0.5,1.0"))) if sec.get("Y") else (0.5, 1.0)
-    if model.name == "doubling" and "Y" not in sec:
-        Y = (0.0, 1.0)
-    return maps.induce(model, Y,
-                       branch_cutoff=int(sec.get("J", 400)),
-                       tail_horizon=int(sec.get("tail_horizon", 12000)),
-                       gamma_declared=float(sec.get("gamma", 0.0)))
+@dataclass(frozen=True)
+class Run:
+    """What a subcommand reads: the parsed config, --out and --strict."""
+    cfg: Mapping
+    out: str
+    strict: bool
+
+    def __getitem__(self, key: tuple[str, str]):
+        return self.cfg[key]
 
 
-def _build_roof(cfg) -> sp.RoofFunction:
-    sec = cfg["roof"] if "roof" in cfg else {}
-    kind = sec.get("kind", "cosine")
+def _build_induced(run: Run) -> maps.InducedMap:
+    model = maps.doubling_map() if run["map", "kind"] == "doubling" else \
+        maps.pomeau_manneville(run["map", "alpha"], dist_const=run["map", "C"])
+    return maps.induce(model, run["map", "Y"], branch_cutoff=run["map", "J"],
+                       tail_horizon=run["map", "tail_horizon"],
+                       gamma_declared=run["map", "gamma"])
+
+
+def _build_roof(run: Run) -> sp.RoofFunction:
+    kind = run["roof", "kind"]
     if kind == "constant":
-        return sp.constant_roof(float(sec.get("c", 1.0)))
+        return sp.constant_roof(run["roof", "c"])
     if kind == "cosine":
-        return sp.cosine_roof(float(sec.get("mean", 2.0)),
-                              float(sec.get("amp", 1.0)))
-    if kind == "power_singularity":
-        return sp.power_singularity_roof(float(sec.get("beta", 1.0)))
-    raise ConfigError(f"unknown roof kind {kind!r}")
+        return sp.cosine_roof(run["roof", "mean"], run["roof", "amp"])
+    return sp.power_singularity_roof(run["roof", "beta"])
 
 
-def _build_obs(cfg, key: str) -> sp.Observable:
-    sec = cfg["observables"] if "observables" in cfg else {}
-    name = sec.get(key, "coordinate")
-    if name not in sp.OBSERVABLES:
-        raise ConfigError(f"unknown observable {name!r}")
-    return sp.OBSERVABLES[name]()
+def _build_obs(run: Run) -> tuple[sp.Observable, sp.Observable]:
+    return (sp.OBSERVABLES[run["observables", "v"]](),
+            sp.OBSERVABLES[run["observables", "w"]]())
 
 
-def _build_basis(cfg, ind) -> CylinderBasis:
-    sec = cfg["basis"] if "basis" in cfg else {}
-    return CylinderBasis(ind, depth=int(sec.get("depth", 2)),
-                         refine_symbols=int(sec.get("refine", 24)))
+def _build_basis(run: Run) -> CylinderBasis:
+    return CylinderBasis(_build_induced(run), depth=run["basis", "depth"],
+                         refine_symbols=run["basis", "refine"])
 
 
-def _seed(cfg, args) -> int:
-    if args.seed is not None:
-        return int(args.seed)
-    if "run" in cfg and "seed" in cfg["run"]:
-        return int(cfg["run"]["seed"])
-    raise ConfigError("no seed given (config [run] seed or --seed)")
+def _out(run: Run, name: str) -> str:
+    os.makedirs(run.out, exist_ok=True)
+    return os.path.join(run.out, name)
 
 
-def _samples(cfg) -> int:
-    return int(cfg["run"].get("samples", "200000")) if "run" in cfg else 200000
-
-
-def _out(args, name: str) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, name)
-
-
-def _plot_script(args, name: str, csv: str, xcol: str, ycols: list[str],
+def _plot_script(run: Run, name: str, csv: str, xcol: str, ycols: list[str],
                  logx: bool = False, logy: bool = False) -> None:
     lines = [
         "#!/usr/bin/env python3",
@@ -134,23 +193,23 @@ def _plot_script(args, name: str, csv: str, xcol: str, ycols: list[str],
         lines.append("plt.yscale('log')")
     lines += [f"plt.xlabel({xcol!r})", "plt.legend()",
               f"plt.savefig({name + '.png'!r}, dpi=150)"]
-    with open(_out(args, f"plot_{name}.py"), "w") as fh:
+    with open(_out(run, f"plot_{name}.py"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 # -- subcommand implementations ----------------------------------------------
 
-def cmd_induce(cfg, args) -> None:
-    ind = _build_induced(cfg)
-    path = _out(args, "cells.csv")
+def cmd_induce(run: Run) -> None:
+    ind = _build_induced(run)
+    path = _out(run, "cells.csv")
     ind.to_csv(path)
     print(f"induce: {ind.J} cells, rbar={ind.mean_return:.6f}, "
           f"tail mass {ind.tail_mass:.3e} -> {path}")
 
 
-def cmd_tail(cfg, args) -> None:
-    ind = _build_induced(cfg)
-    path = _out(args, "tail.csv")
+def cmd_tail(run: Run) -> None:
+    ind = _build_induced(run)
+    path = _out(run, "tail.csv")
     ns = np.unique(np.geomspace(1, ind.tail_horizon - 1, 200).astype(int))
     with open(path, "w") as fh:
         fh.write("n,muY_total,muY_raw,muY_extrapolated,mu0_exact\n")
@@ -159,33 +218,29 @@ def cmd_tail(cfg, args) -> None:
             fh.write(f"{n},{tv.total:.17g},{tv.raw:.17g},"
                      f"{tv.extrapolated:.17g},{ind.mu0_tail(int(n)):.17g}\n")
     fit = maps.fit_tail_exponent(ind, 100, min(10000, ind.tail_horizon - 1))
-    _plot_script(args, "tail", path, "n", ["muY_total", "mu0_exact"],
+    _plot_script(run, "tail", path, "n", ["muY_total", "mu0_exact"],
                  logx=True, logy=True)
     print(f"tail: fitted exponent {fit.exponent:.4f} "
           f"(exp flag {fit.exponential_flag}) -> {path}")
-    if fit.exponential_flag and args.strict:
+    if fit.exponential_flag and run.strict:
         raise CheckFailure("exponential tail under strict power-law profile")
 
 
-def cmd_tower(cfg, args) -> None:
-    ind = _build_induced(cfg)
-    t = tw.build_tower(ind)
-    path = _out(args, "tower.csv")
+def cmd_tower(run: Run) -> None:
+    t = tw.build_tower(_build_induced(run))
+    path = _out(run, "tower.csv")
     t.to_csv(path)
     print(f"tower: {t.n_cells} cells, rbar={t.rbar:.6f}, "
           f"mass {t.total_mass:.12f} -> {path}")
 
 
-def cmd_truncate(cfg, args) -> None:
-    ind = _build_induced(cfg)
-    t = tw.build_tower(ind)
-    Ns = [int(x) for x in _parse_list(cfg["grids"].get("N_list", "10,20,50,100"))] \
-        if "grids" in cfg else [10, 20, 50, 100]
-    path = _out(args, "truncate.csv")
+def cmd_truncate(run: Run) -> None:
+    t = tw.build_tower(_build_induced(run))
+    path = _out(run, "truncate.csv")
     worst = 0.0
     with open(path, "w") as fh:
         fh.write("N,mean_defect_lhs,mean_defect_rhs,tall_lhs,tall_rhs\n")
-        for N in Ns:
+        for N in run["grids", "N_list"]:
             tt = tw.truncate(t, N)
             l1, r1 = tt.identity_mean_defect()
             l2, r2 = tt.identity_tall_mass()
@@ -196,12 +251,13 @@ def cmd_truncate(cfg, args) -> None:
         raise CheckFailure(f"truncation identities defect {worst:.3e}")
 
 
-def cmd_corr_map(cfg, args) -> None:
-    basis = _build_basis(cfg, _build_induced(cfg))
-    n_max = int(cfg.get("grids", "n_max", fallback="500"))
-    c = map_correlation_operator(basis, lambda x: x - 0.5, lambda x: x - 0.5,
-                                 n_max)
-    path = _out(args, "corr_map.csv")
+def cmd_corr_map(run: Run) -> None:
+    n_max = run["grids", "n_max"]
+    if n_max < 11:  # the fit below needs two points from n = 10 on
+        raise ValueError(f"[grids] n_max = {n_max}: below 11")
+    c = map_correlation_operator(_build_basis(run), lambda x: x - 0.5,
+                                 lambda x: x - 0.5, n_max)
+    path = _out(run, "corr_map.csv")
     with open(path, "w") as fh:
         fh.write("n,rho\n")
         for n, v in enumerate(c):
@@ -209,34 +265,30 @@ def cmd_corr_map(cfg, args) -> None:
     ns = np.arange(10, n_max + 1)
     good = np.abs(c[10:]) > 0
     coef = np.polyfit(np.log(ns[good]), np.log(np.abs(c[10:][good])), 1)
-    _plot_script(args, "corr_map", path, "n", ["rho"], logx=True, logy=True)
+    _plot_script(run, "corr_map", path, "n", ["rho"], logx=True, logy=True)
     print(f"corr-map: fitted exponent {-coef[0]:.4f} -> {path}")
 
 
-def cmd_corr_flow(cfg, args) -> None:
-    ind = _build_induced(cfg)
-    model = sp.SuspensionModel(tw.build_tower(ind), _build_roof(cfg))
-    t_grid = _parse_list(cfg.get("grids", "t_grid", fallback="0,1,2,5,10,20"))
-    cs = sp.correlation_mc(model, _build_obs(cfg, "v"), _build_obs(cfg, "w"),
-                           t_grid, _samples(cfg), _seed(cfg, args))
-    path = _out(args, "corr_flow.csv")
+def cmd_corr_flow(run: Run) -> None:
+    model = sp.SuspensionModel(tw.build_tower(_build_induced(run)),
+                               _build_roof(run))
+    cs = sp.correlation_mc(model, *_build_obs(run), run["grids", "t_grid"],
+                           run["run", "samples"], run["run", "seed"])
+    path = _out(run, "corr_flow.csv")
     cs.to_csv(path)
-    _plot_script(args, "corr_flow", path, "t", ["rho"])
+    _plot_script(run, "corr_flow", path, "t", ["rho"])
     print(f"corr-flow: rho({cs.t[-1]:g}) = {cs.rho[-1]:.5f} "
           f"+- {cs.stderr[-1]:.5f} -> {path}")
 
 
-def cmd_trunc_error(cfg, args) -> None:
-    ind = _build_induced(cfg)
-    Ns = [int(x) for x in _parse_list(cfg.get("grids", "N_list",
-                                              fallback="10,20,40"))]
-    ts = _parse_list(cfg.get("grids", "t_grid", fallback="5,10,20"))
+def cmd_trunc_error(run: Run) -> None:
     tab = sp.truncation_error_experiment(
-        ind, _build_roof(cfg), _build_obs(cfg, "v"), _build_obs(cfg, "w"),
-        Ns, ts, _samples(cfg), _seed(cfg, args))
-    path = _out(args, "trunc_error.csv")
+        _build_induced(run), _build_roof(run), *_build_obs(run),
+        run["grids", "N_list"], run["grids", "t_grid"], run["run", "samples"],
+        run["run", "seed"])
+    path = _out(run, "trunc_error.csv")
     tab.to_csv(path)
-    _plot_script(args, "trunc_error", path, "t", ["measured", "bound"],
+    _plot_script(run, "trunc_error", path, "t", ["measured", "bound"],
                  logy=True)
     print(f"trunc-error: fitted C {tab.fitted_C:.4f}, "
           f"stable within {tab.stable_within:.2f} -> {path}")
@@ -244,17 +296,12 @@ def cmd_trunc_error(cfg, args) -> None:
         raise CheckFailure("fitted constant unstable beyond factor 3")
 
 
-def cmd_roof_trunc(cfg, args) -> None:
-    ind = _build_induced(cfg)
-    roof = _build_roof(cfg)
-    Ns = [int(x) for x in _parse_list(cfg.get("grids", "N_list",
-                                              fallback="10,20,40"))]
-    ts = _parse_list(cfg.get("grids", "t_grid", fallback="5,10,20"))
+def cmd_roof_trunc(run: Run) -> None:
     out = sp.roof_truncation_experiment(
-        ind, roof, _build_obs(cfg, "v"), _build_obs(cfg, "w"),
-        Ns, ts, _samples(cfg), _seed(cfg, args),
-        q_log_trunc=float(cfg.get("grids", "q_log", fallback="5.0")))
-    path = _out(args, "roof_trunc.csv")
+        _build_induced(run), _build_roof(run), *_build_obs(run),
+        run["grids", "N_list"], run["grids", "t_grid"], run["run", "samples"],
+        run["run", "seed"], q_log_trunc=run["grids", "q_log"])
+    path = _out(run, "roof_trunc.csv")
     with open(path, "w") as fh:
         fh.write("N,t,measured,stderr,bound,second_measured,second_bound\n")
         for r, r2 in zip(out["rows"], out["second_rows"]):
@@ -268,30 +315,25 @@ def cmd_roof_trunc(cfg, args) -> None:
         raise CheckFailure("fitted constant unstable beyond factor 3")
 
 
-def cmd_resolvent(cfg, args) -> None:
-    ind = _build_induced(cfg)
-    basis = _build_basis(cfg, ind)
-    bg = _parse_list(cfg.get("grids", "b_grid", fallback="1:100:4"))
-    og = _parse_list(cfg.get("grids", "omega_grid", fallback="0"))
-    sc = resolvent_scan(basis, _build_roof(cfg), bg, og,
-                        N=int(cfg.get("tower", "N", fallback="30")),
-                        C6=float(cfg.get("basis", "C6", fallback="2.0")),
-                        seed=_seed(cfg, args))
-    path = _out(args, "resolvent.csv")
+def cmd_resolvent(run: Run) -> None:
+    sc = resolvent_scan(_build_basis(run), _build_roof(run),
+                        run["grids", "b_grid"], run["grids", "omega_grid"],
+                        N=run["tower", "N"], C6=run["basis", "C6"],
+                        seed=run["run", "seed"])
+    path = _out(run, "resolvent.csv")
     sc.to_csv(path)
-    _plot_script(args, "resolvent", path, "b", ["norm_estimate"], logy=True)
+    _plot_script(run, "resolvent", path, "b", ["norm_estimate"], logy=True)
     print(f"resolvent: {int(sc.resonance.sum())} flags, "
           f"alpha fit {sc.alpha_fit:.3f} -> {path}")
 
 
-def cmd_renewal(cfg, args) -> None:
-    ind = _build_induced(cfg)
-    basis = _build_basis(cfg, ind)
-    grid = TowerGrid(basis, _build_roof(cfg),
-                     int(cfg.get("tower", "N", fallback="30")))
-    s = complex(cfg.get("grids", "s", fallback="0.1j").replace(" ", ""))
-    rd = renewal_build(grid, s)
-    path = _out(args, "renewal.csv")
+def _tower_grid(run: Run) -> TowerGrid:
+    return TowerGrid(_build_basis(run), _build_roof(run), run["tower", "N"])
+
+
+def cmd_renewal(run: Run) -> None:
+    rd = renewal_build(_tower_grid(run), run["grids", "s"])
+    path = _out(run, "renewal.csv")
     with open(path, "w") as fh:
         fh.write("omega,residual,raw_residual\n")
         for om, r, rr in zip(np.imag(rd.z_points), rd.residuals,
@@ -303,20 +345,14 @@ def cmd_renewal(cfg, args) -> None:
         raise CheckFailure("renewal identity residual above 1e-8")
 
 
-def cmd_decomp(cfg, args) -> None:
-    ind = _build_induced(cfg)
-    basis = _build_basis(cfg, ind)
-    grid = TowerGrid(basis, _build_roof(cfg),
-                     int(cfg.get("tower", "N", fallback="20")))
-    s = complex(cfg.get("grids", "s", fallback="0.1j").replace(" ", ""))
-    ns = [int(x) for x in _parse_list(cfg.get("grids", "n_list",
-                                              fallback="1,5,15,21"))]
-    path = _out(args, "decomp.csv")
+def cmd_decomp(run: Run) -> None:
+    grid = _tower_grid(run)
+    path = _out(run, "decomp.csv")
     worst = 0.0
     with open(path, "w") as fh:
         fh.write("n,residual,vanish_beyond\n")
-        for n in ns:
-            rep = tower_operator_decomposition(grid, s, n)
+        for n in run["grids", "n_list"]:
+            rep = tower_operator_decomposition(grid, run["grids", "s"], n)
             worst = max(worst, rep.residual)
             fh.write(f"{n},{rep.residual:.17g},{int(rep.vanish_beyond)}\n")
     print(f"decomp: worst residual {worst:.3e} -> {path}")
@@ -324,14 +360,10 @@ def cmd_decomp(cfg, args) -> None:
         raise CheckFailure("decomposition residual above 1e-8")
 
 
-def cmd_laplace(cfg, args) -> None:
-    ind = _build_induced(cfg)
-    basis = _build_basis(cfg, ind)
-    grid = TowerGrid(basis, _build_roof(cfg),
-                     int(cfg.get("tower", "N", fallback="30")))
-    s = complex(cfg.get("grids", "s", fallback="0.5").replace(" ", ""))
-    lv = laplace_series(grid, _build_obs(cfg, "v"), _build_obs(cfg, "w"), s)
-    path = _out(args, "laplace.csv")
+def cmd_laplace(run: Run) -> None:
+    s = run["grids", "s"]
+    lv = laplace_series(_tower_grid(run), *_build_obs(run), s)
+    path = _out(run, "laplace.csv")
     with open(path, "w") as fh:
         fh.write("s_re,s_im,value_re,value_im,n_terms,converged\n")
         fh.write(f"{s.real:.17g},{s.imag:.17g},{lv.value.real:.17g},"
@@ -340,14 +372,12 @@ def cmd_laplace(cfg, args) -> None:
           f"({lv.n_terms} terms) -> {path}")
 
 
-def cmd_budget(cfg, args) -> None:
-    sec = cfg["grids"] if "grids" in cfg else {}
-    beta = float(sec.get("beta", 1.0))
-    gamma = float(sec.get("gamma", 2.0))
-    b = rates.rate_budget(beta=beta, gamma=gamma)
-    path = _out(args, "budget.csv")
+def cmd_budget(run: Run) -> None:
+    b = rates.rate_budget(beta=run["grids", "beta"],
+                          gamma=run["grids", "gamma"])
+    path = _out(run, "budget.csv")
     b.to_csv(path)
-    _plot_script(args, "budget", path, "t",
+    _plot_script(run, "budget", path, "t",
                  ["term1", "term2", "term3", "term4"], logx=True, logy=True)
     defect = rates.budget_matches_rate(b)
     print(f"budget: dominant rate {b.predicted_rate}, dN class {b.dN_class}, "
@@ -356,14 +386,11 @@ def cmd_budget(cfg, args) -> None:
         raise CheckFailure("schedule does not reproduce the predicted rate")
 
 
-def cmd_periodic(cfg, args) -> None:
-    ind = _build_induced(cfg)
-    sec = cfg["grids"] if "grids" in cfg else {}
-    syms = tuple(int(x) for x in _parse_list(sec.get("symbols", "0,1"), int))
-    qmax = int(sec.get("q_max", 3))
-    sub = per.FiniteSubsystem(ind, syms)
-    triples = per.enumerate_periodic(sub, qmax, roof=_build_roof(cfg))
-    path = _out(args, "periodic.csv")
+def cmd_periodic(run: Run) -> None:
+    sub = per.FiniteSubsystem(_build_induced(run), run["grids", "symbols"])
+    triples = per.enumerate_periodic(sub, run["grids", "q_max"],
+                                     roof=_build_roof(run))
+    path = _out(run, "periodic.csv")
     with open(path, "w") as fh:
         fh.write("word,q,d,tau\n")
         for t in triples:
@@ -372,22 +399,18 @@ def cmd_periodic(cfg, args) -> None:
     print(f"periodic: {len(triples)} primitive orbits -> {path}")
 
 
-def cmd_eigenfun(cfg, args) -> None:
-    ind = _build_induced(cfg)
-    roof = _build_roof(cfg)
-    sec = cfg["grids"] if "grids" in cfg else {}
-    syms = tuple(int(x) for x in _parse_list(sec.get("symbols", "0,1"), int))
-    sub = per.FiniteSubsystem(ind, syms)
-    bg = _parse_list(sec.get("b_grid", "10:200:10"))
-    og = _parse_list(sec.get("omega_grid", "0"))
-    alpha = float(sec.get("alpha", 2.0))
-    rep = per.approx_eigenfunction_search(sub, roof, bg, og, alpha=alpha)
-    path = _out(args, "eigenfun.csv")
+def cmd_eigenfun(run: Run) -> None:
+    roof = _build_roof(run)
+    sub = per.FiniteSubsystem(_build_induced(run), run["grids", "symbols"])
+    bg, og = run["grids", "b_grid"], run["grids", "omega_grid"]
+    rep = per.approx_eigenfunction_search(sub, roof, bg, og,
+                                          alpha=run["grids", "alpha"])
+    path = _out(run, "eigenfun.csv")
     rep.to_csv(path)
     # the theorem-side constants are existential: sweep trial values and
     # report the alignment verdict per combination
-    triples = per.enumerate_periodic(sub, int(sec.get("q_max", 3)), roof=roof)
-    path2 = _out(args, "diophantine.csv")
+    triples = per.enumerate_periodic(sub, run["grids", "q_max"], roof=roof)
+    path2 = _out(run, "diophantine.csv")
     with open(path2, "w") as fh:
         fh.write("alpha,C,b,omega,phi_star,residual,pass_flag\n")
         for a in (1.0, 2.0, 4.0):
@@ -401,31 +424,22 @@ def cmd_eigenfun(cfg, args) -> None:
     print(f"eigenfun: {small} small-residual points -> {path}, {path2}")
 
 
-def cmd_accept(cfg, args) -> None:
+def cmd_accept(run: Run) -> None:
     from towerlab import acceptance
-    results = acceptance.run_all(out_dir=args.out)
+    results = acceptance.run_all(out_dir=run.out)
     failed = [r for r in results if not r.passed]
     if failed:
         raise CheckFailure(f"{len(failed)} acceptance criteria failed")
 
 
-HANDLERS = {
-    "induce": cmd_induce,
-    "tail": cmd_tail,
-    "tower": cmd_tower,
-    "truncate": cmd_truncate,
-    "corr-map": cmd_corr_map,
-    "corr-flow": cmd_corr_flow,
-    "trunc-error": cmd_trunc_error,
-    "roof-trunc": cmd_roof_trunc,
-    "resolvent": cmd_resolvent,
-    "renewal": cmd_renewal,
-    "decomp": cmd_decomp,
-    "laplace": cmd_laplace,
-    "budget": cmd_budget,
-    "periodic": cmd_periodic,
-    "eigenfun": cmd_eigenfun,
-    "accept": cmd_accept,
+HANDLERS = {name[4:].replace("_", "-"): fn
+            for name, fn in list(globals().items()) if name.startswith("cmd_")}
+
+# The subcommands that read each flag (all read --out); others refuse it.
+FLAG_READERS = {
+    "config": set(HANDLERS) - {"accept"},
+    "seed": {"corr-flow", "trunc-error", "roof-trunc", "resolvent"},
+    "strict": {"tail"},
 }
 
 
@@ -433,39 +447,24 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="towerlab",
         description="numerical laboratory for towers and suspension semiflows")
-    parser.add_argument("subcommand", nargs="?",
-                        metavar="{" + ",".join(SUBCOMMANDS) + "}")
-    parser.add_argument("--config", default=None)
+    parser.add_argument("subcommand", choices=HANDLERS)
+    parser.add_argument("--config")
     parser.add_argument("--out", default="out")
-    parser.add_argument("--seed", default=None, type=int)
-    parser.add_argument("--strict", action="store_true",
-                        help="tail only: fail (exit 2) on an exponential "
-                             "tail; a usage error on other subcommands")
+    parser.add_argument("--seed", type=int, help="overrides [run] seed")
+    parser.add_argument("--strict", action="store_true", default=None,
+                        help="tail only: exit 2 on an exponential tail")
     try:
         args = parser.parse_args(argv)
+        sub = args.subcommand
+        for flag, readers in FLAG_READERS.items():
+            if getattr(args, flag) is not None and sub not in readers:
+                parser.error(f"--{flag} has no meaning for {sub}")
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 on -h
         return 1 if exc.code else 0
-    if args.subcommand is None or args.subcommand not in SUBCOMMANDS:
-        parser.print_usage()
-        return 1
-    if args.strict and args.subcommand != "tail":  # refused, not ignored
-        parser.print_usage(sys.stderr)
-        print(f"towerlab: --strict has no meaning for {args.subcommand}",
-              file=sys.stderr)
-        return 1
     try:
-        if args.subcommand == "accept":
-            cfg = configparser.ConfigParser()
-            if args.config:
-                cfg = _load(args.config)
-        else:
-            if args.config is None:
-                raise ConfigError("--config is required")
-            cfg = _load(args.config)
-        HANDLERS[args.subcommand](cfg, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
+        cfg = _load(args.config, sub, args.seed) \
+            if sub in FLAG_READERS["config"] else MappingProxyType({})
+        HANDLERS[sub](Run(cfg, args.out, bool(args.strict)))
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 2

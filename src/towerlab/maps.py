@@ -29,7 +29,6 @@ __all__ = [
     "induce",
     "return_time_tail",
     "fit_tail_exponent",
-    "map_from_config",
 ]
 
 
@@ -755,17 +754,3 @@ def fit_tail_exponent(ind: InducedMap, n_min: int, n_max: int,
     return TailFit(exponent=float(coef[1]), log_power=gamma,
                    residual=resid, exponential_flag=False)
 
-
-# ---------------------------------------------------------------------------
-# Config loading
-# ---------------------------------------------------------------------------
-
-def map_from_config(section) -> MapModel:
-    """Build a map model from a config mapping with a ``kind`` key."""
-    kind = section.get("kind", "pm")
-    if kind in ("pm", "pomeau-manneville"):
-        return pomeau_manneville(float(section.get("alpha", 0.5)),
-                                 dist_const=float(section.get("C", 24.0)))
-    if kind == "doubling":
-        return doubling_map()
-    raise ValueError(f"unknown map kind {kind!r}")

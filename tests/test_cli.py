@@ -102,13 +102,25 @@ def test_help_exits_zero(capsys):
     assert "tail only" in out      # where --strict has a meaning
 
 
-@pytest.mark.parametrize("sub", ["corr-flow", "renewal", "accept"])
-def test_strict_off_tail_is_usage_error(sub, pm_config, tmp_path, capsys):
-    # only tail reads --strict; elsewhere it would be a silent no-op
+@pytest.mark.parametrize("sub,flag,value", [
+    pytest.param("corr-flow", "--strict", None, id="corr-flow"),
+    pytest.param("renewal", "--strict", None, id="renewal"),
+    pytest.param("accept", "--strict", None, id="accept"),
+    pytest.param("renewal", "--seed", "5", id="renewal-seed"),
+    pytest.param("tail", "--seed", "5", id="tail-seed"),
+    pytest.param("accept", "--config", "x.ini", id="accept-config"),
+])
+def test_strict_off_tail_is_usage_error(sub, flag, value, pm_config,
+                                        tmp_path, capsys):
+    # a flag is refused where no handler reads it: there it would be a
+    # silent no-op (only tail reads --strict, only the four sampling and
+    # scanning subcommands read --seed, accept reads no config)
     out = tmp_path / "out"
-    assert run([sub, "--config", pm_config, "--out", str(out),
-                "--strict"]) == 1
-    assert "--strict" in capsys.readouterr().err
+    argv = [sub, "--out", str(out), flag] + ([value] if value else [])
+    if sub != "accept":
+        argv += ["--config", pm_config]
+    assert run(argv) == 1
+    assert flag in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -140,7 +152,7 @@ def _singular_solve():
 @pytest.mark.parametrize("fail", [_not_converged, _singular_solve])
 def test_numerical_failure_is_not_config_error(tmp_path, pm_config, fail,
                                               monkeypatch, capsys):
-    monkeypatch.setitem(cli.HANDLERS, "induce", lambda cfg, args: fail())
+    monkeypatch.setitem(cli.HANDLERS, "induce", lambda run: fail())
     assert run(["induce", "--config", pm_config,
                 "--out", str(tmp_path)]) == 4
     err = capsys.readouterr().err
@@ -235,3 +247,56 @@ def test_seed_flag_overrides(pm_config, tmp_path):
          "--seed", "2"])
     assert (out1 / "corr_flow.csv").read_bytes() != \
         (out2 / "corr_flow.csv").read_bytes()
+
+
+@pytest.mark.parametrize("sub,section,key,value", [
+    ("truncate", "grids", "N_list", "5.7"),     # int(float) made this N = 5
+    ("decomp", "grids", "n_list", "1,4.5"),
+    ("periodic", "grids", "symbols", "0,1.0"),
+    ("induce", "map", "Y", ""),                 # was (0.5, 1.0), even for
+    ("tail", "map", "Y", ""),                   # the doubling map
+    ("corr-map", "grids", "n_max", "5"),        # was a TypeError traceback
+    ("corr-map", "grids", "n_max", "10"),
+    ("resolvent", "grids", "b_grid", "1:100:0"),  # was a ZeroDivisionError
+    ("eigenfun", "grids", "b_grid", "200:10:10"),  # an empty range
+])
+def test_ill_typed_value_is_config_error(sub, section, key, value, tmp_path,
+                                         capsys):
+    body = {"map": "kind = doubling\nJ = 30\ntail_horizon = 600\n"}
+    body[section] = body.get(section, "") + f"{key} = {value}\n"
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("".join(f"[{s}]\n{b}" for s, b in body.items()))
+    out = tmp_path / "out"
+    assert run([sub, "--config", str(cfg), "--out", str(out)]) == 3
+    assert f"[{section}] {key} = " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text,name", [
+    ("[grid]\nN_list = 7\n", "[grid]"),
+    ("[map]\nalfa = 0.5\n", "[map] alfa"),
+], ids=["section", "key"])
+def test_misspelt_section_or_key_is_config_error(text, name, tmp_path,
+                                                 capsys):
+    # a misspelt [grid] used to run truncate at the default N list, exit 0
+    cfg = tmp_path / "typo.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert run(["truncate", "--config", str(cfg), "--out", str(out)]) == 3
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_per_subcommand_defaults(doubling_config, tmp_path):
+    # decomp defaults to N = 20 and s = 0.1j (resolvent, renewal and
+    # laplace to N = 30; laplace to s = 0.5, see the overflow test above)
+    explicit = tmp_path / "explicit.ini"
+    explicit.write_text(open(doubling_config).read()
+                        .replace("[roof]", "[tower]\nN = 20\n[roof]")
+                        .replace("[grids]", "[grids]\ns = 0.1j"))
+    for name, cfg in (("implicit", doubling_config),
+                      ("explicit", str(explicit))):
+        assert run(["decomp", "--config", cfg,
+                    "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "implicit" / "decomp.csv").read_bytes() == \
+        (tmp_path / "explicit" / "decomp.csv").read_bytes()

@@ -4,7 +4,7 @@ A parameter that the body never reads is a setting that does nothing:
 callers can pass it, nothing changes.  The walk covers every ``def``
 (methods and nested functions included); a read inside a nested function
 or lambda counts, and a method's receiver ``self``/``cls`` is not checked.
-Only the uniform call signatures below are exempt.
+Only the uniform call signature below is exempt.
 """
 
 import ast
@@ -12,13 +12,9 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
-# A fixed calling convention, not a per-function choice: every subcommand
-# handler is called as handler(cfg, args), and every observable callback
-# as f(x, u, h), whether or not it needs all of them.
-ALLOWED = {
-    "cmd_*": {"cfg", "args"},
-    "<observable>": {"x", "u", "h"},
-}
+# A fixed calling convention, not a per-function choice: every observable
+# callback is called as f(x, u, h), whether or not it needs all of them.
+OBSERVABLE_ARGS = ["x", "u", "h"]
 
 
 def _params(fn: ast.FunctionDef) -> list[str]:
@@ -37,12 +33,6 @@ def _reads(fn: ast.FunctionDef) -> set[str]:
     return out
 
 
-def _exempt(fn: ast.FunctionDef, name: str) -> bool:
-    if fn.name.startswith("cmd_") and name in ALLOWED["cmd_*"]:
-        return True
-    return _params(fn) == ["x", "u", "h"] and name in ALLOWED["<observable>"]
-
-
 def unread_parameters(root: pathlib.Path = SRC) -> list[str]:
     found = []
     for path in sorted(root.rglob("*.py")):
@@ -54,11 +44,13 @@ def unread_parameters(root: pathlib.Path = SRC) -> list[str]:
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             params = _params(fn)
+            if params == OBSERVABLE_ARGS:
+                continue
             if id(fn) in methods and params and params[0] in ("self", "cls"):
                 params = params[1:]
             reads = _reads(fn)
             for name in params:
-                if name not in reads and not _exempt(fn, name):
+                if name not in reads:
                     rel = path.relative_to(root)
                     found.append(f"{rel}:{fn.lineno} {fn.name}({name})")
     return found
@@ -81,4 +73,5 @@ def test_guard_flags_an_unread_parameter(tmp_path):
         "        def inner():\n"
         "            return v\n"
         "        return inner\n")
-    assert unread_parameters(tmp_path) == ["m.py:1 f(b)", "m.py:1 f(c)"]
+    assert unread_parameters(tmp_path) == [
+        "m.py:1 f(b)", "m.py:1 f(c)", "m.py:3 cmd_x(cfg)", "m.py:3 cmd_x(args)"]
