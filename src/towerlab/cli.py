@@ -38,27 +38,32 @@ def _parse(typ, text: str):
         if text not in typ:
             raise ValueError(f"not one of {' | '.join(typ)}")
         return text
-    if isinstance(typ, list) and ":" in text:  # start:stop:step
-        a, b, c = (typ[0](x) for x in text.split(":"))
-        if not (a <= b and c > 0):
-            raise ValueError("want start <= stop and step > 0")
-        return tuple(np.arange(a, b + 1e-9, c).astype(typ[0]).tolist())
     if isinstance(typ, list):
-        return tuple(typ[0](x) for x in text.split(","))
+        if ":" in text:  # start:stop:step
+            a, b, c = (typ[0](x) for x in text.split(":"))
+            if not (a <= b and c > 0):
+                raise ValueError("want start <= stop and step > 0")
+            vals = tuple(np.arange(a, b + 1e-9, c).astype(typ[0]).tolist())
+        else:
+            vals = tuple(typ[0](x) for x in text.split(","))
+        if len(typ) > 1 and len(vals) != len(typ):
+            raise ValueError(f"want exactly {len(typ)} values")
+        return vals
     return typ(text.replace(" ", "") if typ is complex else text)
 
 
 # Every key a config may hold, as (type, default); any other key is a config
 # error.  A type is int, float, complex, [int] or [float] (a comma list or
-# start:stop:step) or a tuple of choices.  A default is INI text, or a dict
-# of them picked by the subcommand or by [map] kind (declared first); None
-# leaves the key unset.
+# start:stop:step), [float, float] (exactly two) or a tuple of choices.  A
+# default is INI text, or a dict of them picked by the subcommand or by
+# [map] kind (declared first); None leaves the key unset.
 SCHEMA = {
     ("map", "kind"): (("pm", "pomeau-manneville", "doubling"), "pm"),
     ("map", "alpha"): (float, "0.5"),
     ("map", "C"): (float, "24.0"),
-    ("map", "Y"): ([float], {"pm": "0.5,1.0", "pomeau-manneville": "0.5,1.0",
-                             "doubling": "0.0,1.0"}),
+    ("map", "Y"): ([float, float], {"pm": "0.5,1.0",
+                                    "pomeau-manneville": "0.5,1.0",
+                                    "doubling": "0.0,1.0"}),
     ("map", "J"): (int, "400"),
     ("map", "tail_horizon"): (int, "12000"),
     ("map", "gamma"): (float, "0.0"),
@@ -102,7 +107,10 @@ def _load(path: str | None, sub: str, seed: int | None = None) -> Mapping:
     """Parse the INI at ``path`` into the typed values ``sub`` runs with."""
     if path is None:
         raise ValueError("--config is required")
-    ini = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    # no header names the empty section, so [DEFAULT] is an ordinary (and
+    # unknown) section instead of defaults copied into every section
+    ini = configparser.ConfigParser(inline_comment_prefixes=(";",),
+                                    default_section="")
     ini.optionxform = str  # keys are case-sensitive
     try:
         with open(path) as fh:

@@ -190,8 +190,23 @@ class CylinderBasis:
         self.perron_residual = float(resid)
         self.perron_iterations = it
         self.Mhat = M * rho[None, :] / (lam * rho[:, None])
+        self.Mhat.flags.writeable = False  # shared by every operator view
         mu = m * rho
         self.mu = mu / mu.sum()
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """Mhat @ u for a real or complex u of shape (n,) or (n, w).
+
+        Mhat is real, so a complex u is multiplied as its interleaved
+        (re, im) pairs: one real product of Mhat with the (n, 2w) float
+        view of a C-contiguous u, viewed back as complex.  Mhat is never
+        cast to complex.
+        """
+        if not np.iscomplexobj(u):
+            return self.Mhat @ u
+        u = np.ascontiguousarray(u, dtype=complex)
+        out = self.Mhat @ u.reshape(self.n, -1).view(np.float64)
+        return out.view(complex).reshape(u.shape)
 
     # -- norms ------------------------------------------------------------------
 

@@ -56,12 +56,14 @@ def renewal_build(grid: TowerGrid, s: complex, horizon: int = 96,
     The identity (I - R_s(z)) S(z) + Q(z) = 1 is evaluated at n_z points
     z = i omega on an offset unit-circle grid (avoiding the pole of
     (I - R_s(z))^{-1} at z = 0 when s = 0).  Q(z) is the horizon tail,
-    the terms of R_s(z) S(z) that fall past H; since Mhat is linear it is
-    one product per z, Q(z) = Mhat @ sum_k e^{zk} twist_k * suffix_k(z),
-    suffix_k(z) = sum_{n=H-k+1..H} e^{zn} t_n.  The coefficient form
-    t_n = sum_k R_{s,k} t_{n-k} is spot-checked with one product per
-    step in the same way.  If the raw coefficient tail has not decayed
-    below 1e-10 the horizon is doubled once when ``grow`` is set.
+    the terms of R_s(z) S(z) that fall past H; since Mhat is linear,
+    Q(z) = Mhat sum_k e^{zk} twist_k * suffix_k(z) with
+    suffix_k(z) = sum_{n=H-k+1..H} e^{zn} t_n, and (I - R_s(z)) S(z) =
+    S(z) - Mhat diag(e^{sH' + zr'}) S(z); both come from one product per
+    z.  The coefficient form t_n = sum_k R_{s,k} t_{n-k} is spot-checked
+    with one product per step in the same way.  If the raw coefficient
+    tail has not decayed below 1e-10 the horizon is doubled once when
+    ``grow`` is set.
     """
     if grid.N is None:
         raise ValueError("renewal sequences need a truncated tower")
@@ -92,9 +94,9 @@ def renewal_build(grid: TowerGrid, s: complex, horizon: int = 96,
                 hist.append(t_n)
                 if n in (1, 2, N, N + 1, 2 * N + 1):
                     # coefficient-form renewal identity at spot checks
-                    acc = basis.Mhat @ sum(level_twists[k - 1][:, None]
-                                           * hist[n - k]
-                                           for k in range(1, min(n, N) + 1))
+                    acc = basis.apply(sum(level_twists[k - 1][:, None]
+                                          * hist[n - k]
+                                          for k in range(1, min(n, N) + 1)))
                     scale = max(np.abs(t_n).max(), 1e-30)
                     rec_resid = max(rec_resid,
                                     float(np.abs(acc - t_n).max() / scale))
@@ -112,18 +114,18 @@ def renewal_build(grid: TowerGrid, s: complex, horizon: int = 96,
 
     residuals = np.empty(n_z)
     raw_residuals = np.empty(n_z)
-    eye = np.eye(basis.n, dtype=complex)
     for m, z in enumerate(zs):
         diag = np.exp(s * grid.H_col + z * grid.heights)
-        A = eye - basis.Mhat * diag[None, :]
         # horizon tail, w = e^z: Q = sum_k R_{s,k} w^k sum_{n=H-k+1..H} w^n t_n
         tail = np.zeros((basis.n, n_probes), dtype=complex)
         suffix = np.zeros((basis.n, n_probes), dtype=complex)
         for k in range(1, N + 1):
             suffix = suffix + np.exp(z * (H - k + 1)) * ring[k - 1]
             tail += np.exp(z * k) * (level_twists[k - 1][:, None] * suffix)
-        Q = basis.Mhat @ tail
-        AS = A @ S[m]
+        # R_s(z) S = Mhat (diag S) and Q in one product
+        RS_Q = basis.apply(np.hstack([diag[:, None] * S[m], tail]))
+        AS = S[m] - RS_Q[:, :n_probes]
+        Q = RS_Q[:, n_probes:]
         lhs = AS + Q
         scale = max(np.abs(lhs).max(), np.abs(Q).max(), 1.0)
         residuals[m] = float(np.abs(lhs - U).max() / scale)
@@ -244,7 +246,7 @@ def _descent(grid: TowerGrid, cum, s: complex):
             return u
         cells, pos, ph = tables[k]
         u[cells] = ph[(slice(None),) + (None,) * (flat.ndim - 1)] * flat[pos]
-        return basis.Mhat @ u
+        return basis.apply(u)
 
     return B_apply
 

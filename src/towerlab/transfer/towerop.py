@@ -75,6 +75,7 @@ class TowerGrid:
         self.hbar = float(sum(m @ h for m, h in zip(self.mu_at, self.h_at))
                           / self.rbar)
         self.n_cells = int(self.heights.sum())
+        self._twist_key = self._twist = None
 
     # -- states ----------------------------------------------------------------
 
@@ -107,20 +108,30 @@ class TowerGrid:
 
     # -- dynamics ----------------------------------------------------------------
 
+    def _twists(self, s: complex) -> list:
+        """The level twists e^{s h}, computed once per s: the last s and
+        its twists are kept.  A real and a complex s of equal value give
+        twists of different dtype, so the key tells them apart."""
+        key = (s, np.iscomplexobj(s))
+        if self._twist_key != key:
+            self._twist = [np.exp(s * h) for h in self.h_at]
+            self._twist_key = key
+        return self._twist
+
     def step(self, V: list, s: complex | None = None) -> list:
         """One application of L_s: twist by e^{s h}, shift, drop tops."""
         if s is None or s == 0:
             W = V
         else:
-            W = [np.exp(s * h)[(slice(None),) + (None,) * (v.ndim - 1)] * v
-                 for v, h in zip(V, self.h_at)]
+            W = [t[(slice(None),) + (None,) * (v.ndim - 1)] * v
+                 for v, t in zip(V, self._twists(s))]
         shape = (self.basis.n,) + W[0].shape[1:]
         u = np.zeros(shape, dtype=W[0].dtype)
         for ell in range(self.max_h):
             tops = self.top_mask[ell]
             if len(tops):
                 u[self.active[ell][tops]] = W[ell][tops]
-        out = [self.basis.Mhat @ u]
+        out = [self.basis.apply(u)]
         for ell in range(self.max_h - 1):
             out.append(W[ell][self.sel_next[ell]])
         return out

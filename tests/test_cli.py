@@ -255,6 +255,8 @@ def test_seed_flag_overrides(pm_config, tmp_path):
     ("periodic", "grids", "symbols", "0,1.0"),
     ("induce", "map", "Y", ""),                 # was (0.5, 1.0), even for
     ("tail", "map", "Y", ""),                   # the doubling map
+    ("induce", "map", "Y", "0.5,1.0,7"),        # ran on [0.5, 1], 7 dropped
+    ("induce", "map", "Y", "0.5"),
     ("corr-map", "grids", "n_max", "5"),        # was a TypeError traceback
     ("corr-map", "grids", "n_max", "10"),
     ("resolvent", "grids", "b_grid", "1:100:0"),  # was a ZeroDivisionError
@@ -284,6 +286,24 @@ def test_misspelt_section_or_key_is_config_error(text, name, tmp_path,
     out = tmp_path / "out"
     assert run(["truncate", "--config", str(cfg), "--out", str(out)]) == 3
     assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nJ = 30\n[map]\nkind = pm\n",
+    "[DEFAULT]\nJ = 30\n[map]\nkind = pm\n[grids]\nn_max = 60\n",
+], ids=["beside-map", "beside-grids"])
+def test_default_section_is_config_error(text, tmp_path, capsys):
+    # configparser copies [DEFAULT] keys into every section: beside [map]
+    # alone this ran induce with J = 30, beside [grids] it was misreported
+    # as an unknown [grids] J
+    cfg = tmp_path / "default.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert run(["induce", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "[DEFAULT]" in err
+    assert "[grids] J" not in err
     assert not out.exists()
 
 

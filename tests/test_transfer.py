@@ -79,6 +79,41 @@ def test_measure_stationary(bd, bp):
         assert np.max(np.abs(b.mu @ b.Mhat - b.mu)) <= 1e-12
 
 
+@pytest.mark.parametrize("width", [None, 1, 6, 16])
+def test_basis_apply_matches_matmul(bp, width):
+    # real operands are multiplied as Mhat @ u, bit for bit; complex ones
+    # as one real product of their (re, im) pairs, within rounding of the
+    # complex product; contiguous or not (a column slice, a transpose)
+    rng = np.random.default_rng(11)
+    w = 1 if width is None else width
+    wide = rng.standard_normal((bp.n, 3 * w)) \
+        + 1j * rng.standard_normal((bp.n, 3 * w))
+    tall = rng.standard_normal((w, bp.n)) + 1j * rng.standard_normal((w, bp.n))
+    if width is None:
+        cplx = [wide[:, 0].copy(), wide[:, 1]]
+    else:
+        cplx = [wide[:, :w].copy(), wide[:, 1:1 + w], wide[:, ::3], tall.T]
+    eps = np.finfo(float).eps
+    for u in cplx:
+        for x in (u.real, u):
+            got, want = bp.apply(x), bp.Mhat @ x
+            assert got.shape == want.shape and got.dtype == want.dtype
+            if x is u:
+                bound = 8 * eps * (np.abs(bp.Mhat) @ np.abs(u))
+                assert np.all(np.abs(got - want) <= bound)
+            else:
+                assert np.array_equal(got, want)
+
+
+def test_untwisted_operator_is_the_shared_Mhat(bp):
+    grid = TowerGrid(bp, sp.cosine_roof(), 30)
+    for op in (assemble_R(bp), assemble_twisted(grid, 0.0, 0.0)):
+        assert op.mat is bp.Mhat
+    assert not bp.Mhat.flags.writeable
+    v = np.exp(2j * np.pi * bp.mid)
+    assert np.array_equal(assemble_R(bp).apply(v), bp.apply(v))
+
+
 def test_doubling_closed_form_pointwise(bd):
     # (Rv)(x) = (v(x/2) + v((x+1)/2))/2, exact for the doubling map
     op = assemble_R(bd)
@@ -402,7 +437,34 @@ def test_descent_tables_match_level_loop(small_pm_grid):
             leaves = grid.active[ell][idx]
             u[leaves] = np.exp(s * (grid.H_col[leaves] - cum[ell][idx])
                                )[:, None] * V[ell][idx]
-        assert np.array_equal(B_apply(flat, k), grid.basis.Mhat @ u)
+        assert np.array_equal(B_apply(flat, k), grid.basis.apply(u))
+
+
+def test_step_twists_follow_s(small_pm_grid, monkeypatch):
+    # the level twists are kept per s: one grid stepped at s1, s2, s1
+    # gives what a fresh grid gives at each s
+    rng = np.random.default_rng(5)
+    V = [rng.standard_normal((len(a), 3)) + 1j * rng.standard_normal(
+        (len(a), 3)) for a in small_pm_grid.active]
+
+    def matches_fresh():
+        grid = TowerGrid(small_pm_grid.basis, sp.cosine_roof(), 6)
+        out = []
+        for s in (0.3 + 2j, -0.2 + 5j, 0.3 + 2j):
+            fresh = TowerGrid(grid.basis, grid.roof, grid.N)
+            out.append(all(np.array_equal(a, b) for a, b
+                           in zip(grid.step(V, s), fresh.step(V, s))))
+        return out
+
+    assert matches_fresh() == [True, True, True]
+
+    def ignores_s(self, s):
+        if self._twist is None:
+            self._twist = [np.exp(s * h) for h in self.h_at]
+        return self._twist
+
+    monkeypatch.setattr(TowerGrid, "_twists", ignores_s)
+    assert matches_fresh() == [True, False, True]
 
 
 def test_vanish_beyond_fails_past_the_cut(small_pm_grid):
