@@ -8,6 +8,7 @@ the invariant density of the induced map.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -311,13 +312,14 @@ class InducedMap:
     def _compute_invariant_density(self) -> None:
         P = self.transition_kernel()
         mu = self.mu0.copy()
-        for it in range(4000):
+        for it in range(1, 4001):
             new = mu @ P
             new /= new.sum()
             if np.max(np.abs(new - mu)) < 1e-16:
                 mu = new
                 break
             mu = new
+        self.fixed_point_iterations = it
         self.fixed_point_residual = float(np.max(np.abs(mu @ P - mu)))
         if self.fixed_point_residual > 1e-12:
             raise ArithmeticError(
@@ -336,7 +338,6 @@ class InducedMap:
         self.rho = self.muY / self.mu0  # density wrt mu_0|Y, one value per cell
         self.tail_mass = tail_raw / total
         self._edge_rho = edge_rho / total
-        self._mass_norm = total
 
     def transition_kernel(self) -> np.ndarray:
         """Row-stochastic cell kernel P[j, i] ~ mu(Y_j n F^{-1} Y_i)/mu(Y_j).
@@ -526,38 +527,37 @@ class InducedMap:
             raise AssertionError(f"return map endpoint defect {worst:.2e}")
         return worst
 
+    def _cell_pairs(self, pairs_per_cell: int, rng) -> tuple[np.ndarray, np.ndarray]:
+        """Uniform pairs (x, y) of shape (J, pairs_per_cell) within each
+        cell, drawn cell by cell: x of a cell, then its y."""
+        u = rng.uniform(self.lo[:, None, None], self.hi[:, None, None],
+                        (self.J, 2, pairs_per_cell))
+        return u[:, 0], u[:, 1]
+
     def check_expansion(self, pairs_per_cell: int = 20, rng=None) -> float:
         """Smallest sampled expansion ratio d(Fx,Fy)/d(x,y) over the cells."""
-        rng = rng or np.random.default_rng(0)
-        worst = np.inf
-        for j in range(self.J):
-            x = rng.uniform(self.lo[j], self.hi[j], pairs_per_cell)
-            y = rng.uniform(self.lo[j], self.hi[j], pairs_per_cell)
-            keep = np.abs(x - y) > 1e-13
-            if not np.any(keep):
-                continue
-            ratio = np.abs(self.F(j, x[keep]) - self.F(j, y[keep])) \
-                / np.abs(x[keep] - y[keep])
-            worst = min(worst, float(ratio.min()))
-        return worst
+        x, y = self._cell_pairs(pairs_per_cell, rng or np.random.default_rng(0))
+        keep = np.abs(x - y) > 1e-13
+        steps = np.broadcast_to(self.r[:, None], x.shape)[keep]
+        ratio = np.abs(self.model.advance(x[keep], steps)
+                       - self.model.advance(y[keep], steps)) \
+            / np.abs(x[keep] - y[keep])
+        return float(ratio.min(initial=np.inf))
 
     def check_backward_lipschitz(self, pairs_per_cell: int = 10, rng=None) -> float:
         """Max of d(T^l x, T^l y)/d(Fx, Fy) over sampled pairs and 0 <= l < r."""
-        rng = rng or np.random.default_rng(1)
-        worst = 0.0
-        for j in range(self.J):
-            x = rng.uniform(self.lo[j], self.hi[j], pairs_per_cell)
-            y = rng.uniform(self.lo[j], self.hi[j], pairs_per_cell)
-            d_end = np.abs(self.F(j, x) - self.F(j, y))
-            keep = d_end > 1e-13
-            if not np.any(keep):
-                continue
-            cx, cy, d_end = x[keep], y[keep], d_end[keep]
-            for _ in range(int(self.r[j])):
-                worst = max(worst, float((np.abs(cx - cy) / d_end).max()))
-                cx = self.model.apply(cx)
-                cy = self.model.apply(cy)
-        return worst
+        x, y = self._cell_pairs(pairs_per_cell, rng or np.random.default_rng(1))
+        order, active = climb_order(
+            np.broadcast_to(self.r[:, None], x.shape).ravel())
+        cur = np.stack([x.ravel(), y.ravel()], axis=1)[order]
+        spread = np.zeros(len(cur))  # max over l < r of d(T^l x, T^l y)
+        for n in active:
+            spread[:n] = np.maximum(spread[:n], np.abs(cur[:n, 0] - cur[:n, 1]))
+            cur[:n] = self.model.apply(cur[:n])
+        d_end = np.abs(cur[:, 0] - cur[:, 1])
+        keep = d_end > 1e-13
+        # division by d > 0 is monotone, so max_l (a_l / d) = (max_l a_l) / d
+        return float(np.max(spread[keep] / d_end[keep], initial=0.0))
 
     def check_distortion(self, pairs_per_cell: int = 100, rng=None) -> float:
         """Fitted log-Hoelder constant of the Gibbs weights across cells."""
@@ -600,16 +600,15 @@ def induce(model: MapModel, Y: tuple[float, float], branch_cutoff: int = 400,
     cells: list[InducedCell] = []
     width_by_r = np.zeros(tail_horizon + 2)
 
-    # pieces: dict word -> (img_lo, img_hi, pa, pb) where (pa, pb) is the
-    # pullback of the base endpoints (a, b) through the word's inner chain,
-    # so that a return at the next step has base endpoints inv_{w0}(pa, pb).
+    # pieces: (word, img_lo, img_hi, pa, pb) where (pa, pb) is the pullback
+    # of the base endpoints (a, b) through the word's inner chain, so that a
+    # return at the next step has base endpoints inv_{w0}(pa, pb).  Words
+    # grow only up to the cutoff: deeper returns are never stored as cells,
+    # so they carry their first symbol and take r from the depth.
     pieces: list[tuple[tuple[int, ...], float, float, float, float]] = []
 
-    def record(word: tuple[int, ...], pa: float, pb: float) -> None:
-        w0 = model.branches[word[0]]
-        clo = float(w0.inv(np.array([pa]))[0])
-        chi = float(w0.inv(np.array([pb]))[0])
-        r = len(word)
+    def record(word: tuple[int, ...], r: int, pa: float, pb: float) -> None:
+        clo, chi = map(float, model.branches[word[0]].inv(np.array([pa, pb])))
         width_by_r[min(r, tail_horizon + 1)] += chi - clo
         resolvable = chi - clo > max(4e-16 * abs(chi), 1e-300)
         if r <= branch_cutoff and len(cells) < branch_cutoff and resolvable:
@@ -627,7 +626,7 @@ def induce(model: MapModel, Y: tuple[float, float], branch_cutoff: int = 400,
             continue
         if t_lo > a + 1e-12 or t_hi < b - 1e-12:
             raise ValueError("non-Markov base: a branch image straddles Y")
-        record((j,), a, b)
+        record((j,), 1, a, b)
         if t_lo < a - 1e-12:
             pieces.append(((j,), t_lo, a, a, b))
         if t_hi > b + 1e-12:
@@ -639,17 +638,25 @@ def induce(model: MapModel, Y: tuple[float, float], branch_cutoff: int = 400,
     ladder: list[float] | None = [a] if len(pieces) == 1 else None
     ladder_branch = pieces[0][0][0] if pieces else 0
 
+    # inversions of the previous depth, keyed (branch, y): on a single-chain
+    # sweep the upper endpoint pb is the previous depth's lower endpoint pa,
+    # so each depth solves once.  _invert_warm depends on (branch, y) only.
+    solved: dict[tuple[int, float], float] = {}
+
     # deeper sweeps: each escape piece must sit inside one branch domain
     depth = 1
     while pieces and depth < tail_horizon:
         depth += 1
         if len(pieces) != 1:
             ladder = None
+        last, solved = solved, {}
         nxt = []
         for word, ilo, ihi, pa, pb in pieces:
             if ihi - ilo <= 1e-300:
                 continue
-            js = int(model.branch_index(np.array([ilo]))[0])
+            # branch of ilo, ties to the right (MapModel.branch_index)
+            js = min(max(bisect.bisect_right(edges, ilo) - 1, 0),
+                     len(model.branches) - 1)
             br = model.branches[js]
             if ihi > br.hi + 1e-12:
                 raise ValueError(
@@ -657,15 +664,16 @@ def induce(model: MapModel, Y: tuple[float, float], branch_cutoff: int = 400,
                     "base is not supported")
             t_lo = float(br.fwd(ilo))
             t_hi = float(br.fwd(min(ihi, br.hi)))
-            pa2 = _invert_warm(br, pa, pa)
-            pb2 = _invert_warm(br, pb, pb)
-            new_word = word + (js,)
+            pa2, pb2 = (last[js, y] if (js, y) in last
+                        else _invert_warm(br, y, y) for y in (pa, pb))
+            solved[js, pa], solved[js, pb] = pa2, pb2
+            new_word = word + (js,) if depth <= branch_cutoff else word
             if t_hi <= a + 1e-12 or t_lo >= b - 1e-12:
                 nxt.append((new_word, t_lo, t_hi, pa2, pb2))
                 continue
             if t_lo > a + 1e-12 or t_hi < b - 1e-12:
                 raise ValueError("non-Markov base: an image straddles Y")
-            record(new_word, pa2, pb2)
+            record(new_word, depth, pa2, pb2)
             if ladder is not None:
                 ladder.append(pa2)
             if t_lo < a - 1e-12:

@@ -11,8 +11,6 @@ Perron pair so that R1 = 1 and the discrete measure is exactly stationary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from towerlab.maps import InducedMap
@@ -21,13 +19,6 @@ from towerlab.transfer.diameters import GroupDiameters
 BIG = -2  # aggregated deep-continuation symbol (cells >= refine_symbols)
 
 __all__ = ["CylinderBasis", "BIG"]
-
-
-@dataclass(frozen=True)
-class _Leaf:
-    word: tuple[int, ...]
-    lo: float
-    hi: float
 
 
 class CylinderBasis:
@@ -40,50 +31,48 @@ class CylinderBasis:
         self.ind = ind
         self.depth = int(depth)
         self.refine = int(min(refine_symbols, ind.J))
-        leaves: list[_Leaf] = []
-        self._tree: dict = {}
         big_lo, big_hi = self._aggregate_range()
-        self._big_range = (big_lo, big_hi)
+        pulled = self._pullbacks(big_lo, big_hi)
+        words: list[tuple[int, ...]] = []
+        lo: list[float] = []
+        hi: list[float] = []
+        # the cylinder tree, nodes in depth-first order: child_of[node] is
+        # the child of each refined symbol, then of the aggregate; a leaf is
+        # its own child, so a walk stops there.  node_leaf: leaf index.
+        child_of: list[list[int]] = []
+        node_leaf: list[int] = []
 
-        def expand(word: tuple[int, ...], lo: float, hi: float, node: dict):
+        def leaf(word: tuple[int, ...], a: float, b: float) -> int:
+            node_leaf.append(len(words))
+            words.append(word)
+            lo.append(a)
+            hi.append(b)
+            child_of.append([len(child_of)] * (self.refine + 1))
+            return len(child_of) - 1
+
+        def expand(word: tuple[int, ...], a: float, b: float) -> int:
             if len(word) == self.depth:
-                node["leaf"] = len(leaves)
-                leaves.append(_Leaf(word, lo, hi))
-                return
-            kids: dict = {}
-            node["children"] = kids
-            targets = np.empty(2 * self.refine + 2)
-            targets[0:2 * self.refine:2] = ind.lo[: self.refine]
-            targets[1:2 * self.refine:2] = ind.hi[: self.refine]
-            targets[-2:] = (big_lo, big_hi)
-            pulled = self._pull(word, targets)
-            for i in range(self.refine):
-                kid: dict = {}
-                kids[i] = kid
-                expand(word + (i,), float(pulled[2 * i]),
-                       float(pulled[2 * i + 1]), kid)
-            if big_hi > big_lo:
-                kids[BIG] = {"leaf": len(leaves)}
-                leaves.append(_Leaf(word + (BIG,), float(pulled[-2]),
-                                    float(pulled[-1])))
+                return leaf(word, a, b)
+            node = len(child_of)
+            child_of.append([])
+            node_leaf.append(-1)
+            ends = pulled[len(word) - 1][word]
+            kids = [expand(word + (i,), float(ends[2 * i]),
+                           float(ends[2 * i + 1])) for i in range(self.refine)]
+            kids.append(leaf(word + (BIG,), float(ends[-2]), float(ends[-1]))
+                        if big_hi > big_lo else node)
+            child_of[node] = kids
+            return node
 
-        for j in range(ind.J):
-            node: dict = {}
-            self._tree[j] = node
-            if j < self.refine and self.depth > 1:
-                expand((j,), ind.lo[j], ind.hi[j], node)
-            else:
-                node["leaf"] = len(leaves)
-                leaves.append(_Leaf((j,), ind.lo[j], ind.hi[j]))
-
-        self.leaves = leaves
-        self.n = len(leaves)
-        self.words = [lf.word for lf in leaves]
-        self.lo = np.array([lf.lo for lf in leaves])
-        self.hi = np.array([lf.hi for lf in leaves])
+        roots = [expand((j,), ind.lo[j], ind.hi[j]) if j < self.refine
+                 else leaf((j,), ind.lo[j], ind.hi[j]) for j in range(ind.J)]
+        self.n = len(words)
+        self.words = words
+        self.lo = np.array(lo)
+        self.hi = np.array(hi)
         self.width = self.hi - self.lo
         self.mid = 0.5 * (self.lo + self.hi)
-        self.col = np.array([lf.word[0] for lf in leaves], dtype=int)
+        self.col = np.array([w[0] for w in words], dtype=int)
         self.r_col = ind.r[self.col]
         order = np.argsort(self.lo, kind="stable")
         self._sorted_lo = self.lo[order]
@@ -98,6 +87,17 @@ class CylinderBasis:
                 gid[i] = seen.setdefault(key, len(seen))
             self._groups.append(gid)
         self._diameters = GroupDiameters(dict(enumerate(self._groups)))
+        # colmap[i, j]: leaf of the word (j,) + words[i][:depth-1], which
+        # holds F_j^{-1}(mid_i); symbols past the refined range, and the
+        # padding of short words, take the aggregate child
+        syms = np.array([(w + (BIG,) * self.depth)[:self.depth - 1]
+                         for w in words]).reshape(self.n, self.depth - 1)
+        syms = np.where((syms >= 0) & (syms < self.refine), syms, self.refine)
+        child_of = np.array(child_of)
+        node = np.broadcast_to(np.array(roots), (self.n, ind.J))
+        for t in range(self.depth - 1):
+            node = child_of[node, syms[:, t, None]]
+        self._colmap = np.array(node_leaf, dtype=np.int32)[node]
         self._assemble()
 
     # -- geometry ------------------------------------------------------------
@@ -114,25 +114,31 @@ class CylinderBasis:
             raise ValueError("deep cells do not form a contiguous aggregate")
         return lo, hi
 
-    def _pull(self, word: tuple[int, ...], pts: np.ndarray) -> np.ndarray:
-        for sym in reversed(word):
-            pts = self.ind.F_inverse(sym, pts)
-        return pts
+    def _pullbacks(self, big_lo: float, big_hi: float) -> list[np.ndarray]:
+        """Endpoints of the children of every refined node, by level.
 
-    def leaf_of_word(self, syms) -> int:
-        """Leaf containing the cylinder word; unresolved symbols aggregate."""
-        s0 = syms[0]
-        if s0 >= len(self._tree):
-            s0 = len(self._tree) - 1  # clamp words past the represented range
-        node = self._tree[s0]
-        for s in syms[1:]:
-            if "leaf" in node:
-                return node["leaf"]
-            kids = node["children"]
-            node = kids[s] if s in kids else kids[BIG]
-        while "leaf" not in node:
-            node = node["children"][BIG]
-        return node["leaf"]
+        pulled[k][w] holds F_{w_0}^{-1} ... F_{w_k}^{-1} of the refined cell
+        ends and the aggregate range, as (lo, hi) pairs, for the node word
+        w of length k + 1: each level is one inverse_chain pass over the
+        previous level's points.
+        """
+        ind, refine = self.ind, self.refine
+        pts = np.empty(2 * refine + 2)
+        pts[0:2 * refine:2] = ind.lo[:refine]
+        pts[1:2 * refine:2] = ind.hi[:refine]
+        pts[-2:] = (big_lo, big_hi)
+        pulled = []
+        for _ in range(self.depth - 1):
+            nxt = np.empty((refine,) + pts.shape)
+            left = refine
+            for j, y, _dy in ind.inverse_chain(pts.ravel()):
+                if j < refine:
+                    nxt[j] = y.reshape(pts.shape)
+                    left -= 1
+                    if not left:
+                        break
+            pulled.append(pts := nxt)
+        return pulled
 
     def leaf_of_point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -145,29 +151,10 @@ class CylinderBasis:
     def _assemble(self) -> None:
         ind = self.ind
         n = self.n
-        # column leaf of the query word (cell j) + (row word); it depends on
-        # the row only through the first depth-1 symbols, so tabulate per
-        # distinct row prefix
-        prefix_ids: dict[tuple[int, ...], int] = {}
-        row_prefix = np.empty(n, dtype=np.int32)
-        reps: list[tuple[int, ...]] = []
-        for i, w in enumerate(self.words):
-            key = w[: self.depth - 1]
-            if key not in prefix_ids:
-                prefix_ids[key] = len(reps)
-                reps.append(key)
-            row_prefix[i] = prefix_ids[key]
-        table = np.empty((ind.J, len(reps)), dtype=np.int32)
-        for j in range(ind.J):
-            for p, rep in enumerate(reps):
-                table[j, p] = self.leaf_of_word((j,) + rep)
-        colmap = table[:, row_prefix].T.copy()
         M = np.zeros((n, n))
         rows = np.arange(n)
         for j, _, deriv in ind.inverse_chain(self.mid):
-            np.add.at(M, (rows, colmap[:, j]), 1.0 / deriv)
-        self._colmap = colmap
-        self.M_leb = M
+            np.add.at(M, (rows, self._colmap[:, j]), 1.0 / deriv)
         rho = np.full(n, 1.0)
         m = self.width / self.width.sum()
         lam = 1.0

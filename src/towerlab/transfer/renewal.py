@@ -82,6 +82,7 @@ def renewal_build(grid: TowerGrid, s: complex, horizon: int = 96,
 
     def run(H: int):
         S = np.zeros((n_z, basis.n, n_probes), dtype=complex)
+        term = np.empty_like(S)  # e^{zn} t_n, reused at every step
         V = grid.state_from_base(U.astype(complex))
         t_n = grid.base_values(V)
         rec_resid = 0.0
@@ -100,7 +101,8 @@ def renewal_build(grid: TowerGrid, s: complex, horizon: int = 96,
                     scale = max(np.abs(t_n).max(), 1e-30)
                     rec_resid = max(rec_resid,
                                     float(np.abs(acc - t_n).max() / scale))
-            S += ez[:, n][:, None, None] * t_n[None, :, :]
+            S += np.multiply(ez[:, n][:, None, None], t_n[None, :, :],
+                             out=term)
             if len(hist) > N + 1:
                 hist[n - N - 1] = None  # release early history
         ring = [hist[H - k] for k in range(0, N + 1)]
@@ -284,14 +286,17 @@ def _interior_norm(grid: TowerGrid, cum, s: complex, nn: int) -> float:
 
 def _b_norm_probe(grid: TowerGrid, k: int, B_apply, rng,
                   n_probes: int = 8) -> float:
+    """Largest ||B_k V||_b / ||V||_b over random tower probes V, drawn one
+    after another and descended together as the columns of one product."""
     basis = grid.basis
     theta = basis.ind.model.theta
+    flat = np.stack([np.concatenate(
+        [rng.standard_normal(len(a)) + 1j * rng.standard_normal(len(a))
+         for a in grid.active]) for _ in range(n_probes)], axis=1)
+    U = B_apply(flat, k)
     best = 0.0
-    for _ in range(n_probes):
-        V = [rng.standard_normal(len(a)) + 1j * rng.standard_normal(len(a))
-             for a in grid.active]
-        denom = max(grid.sup_norm(V), grid.theta_seminorm(V, theta))
-        u = B_apply(np.concatenate(V), k)
+    for v, u in zip(flat.T, U.T):
+        denom = max(grid.sup_norm([v]), grid.theta_seminorm([v], theta))
         num = max(basis.sup_norm(u), basis.theta_seminorm(u, theta))
         best = max(best, num / denom)
     return best

@@ -133,6 +133,44 @@ def test_backward_lipschitz(pm05):
     assert pm05.check_backward_lipschitz() <= pm05.model.dist_const
 
 
+def _per_cell_checks(ind, rng_e, rng_b):
+    """check_expansion and check_backward_lipschitz, one cell at a time."""
+    expansion = np.inf
+    for j in range(ind.J):
+        x = rng_e.uniform(ind.lo[j], ind.hi[j], 20)
+        y = rng_e.uniform(ind.lo[j], ind.hi[j], 20)
+        keep = np.abs(x - y) > 1e-13
+        if np.any(keep):
+            ratio = np.abs(ind.F(j, x[keep]) - ind.F(j, y[keep])) \
+                / np.abs(x[keep] - y[keep])
+            expansion = min(expansion, float(ratio.min()))
+    lipschitz = 0.0
+    for j in range(ind.J):
+        x = rng_b.uniform(ind.lo[j], ind.hi[j], 10)
+        y = rng_b.uniform(ind.lo[j], ind.hi[j], 10)
+        d_end = np.abs(ind.F(j, x) - ind.F(j, y))
+        keep = d_end > 1e-13
+        cx, cy, d_end = x[keep], y[keep], d_end[keep]
+        for _ in range(int(ind.r[j])):
+            if len(cx):
+                lipschitz = max(lipschitz, float((np.abs(cx - cy) / d_end).max()))
+            cx, cy = ind.model.apply(cx), ind.model.apply(cy)
+    return expansion, lipschitz
+
+
+@pytest.mark.parametrize("which", ["pm0.5-J60", "pm0.6-J60", "doubling"])
+def test_cell_checks_match_per_cell_loop(which):
+    ind = {"pm0.5-J60": lambda: systems.pm_induced(0.5, 60, 3000),
+           "pm0.6-J60": lambda: systems.pm_induced(0.6, 60, 3000),
+           "doubling": systems.doubling_induced}[which]()
+    for seed in (0, 5):
+        want = _per_cell_checks(ind, np.random.default_rng(seed),
+                                np.random.default_rng(seed + 1))
+        got = (ind.check_expansion(rng=np.random.default_rng(seed)),
+               ind.check_backward_lipschitz(rng=np.random.default_rng(seed + 1)))
+        assert got == want
+
+
 def test_distortion_fitted_below_declared(pm05):
     assert pm05.check_distortion() <= pm05.model.dist_const
 
@@ -197,6 +235,128 @@ def test_doubling_induced_exact_dyadics():
     assert ind.mean_return + ind.mean_return_tail == pytest.approx(2.0,
                                                                    abs=1e-9)
     assert ind.mu0_tail(3) == pytest.approx(0.125, abs=1e-12)
+
+
+def _reference_sweep(model, Y, branch_cutoff, tail_horizon):
+    """The first-return sweep written plainly: full words at every depth,
+    the branch by searchsorted, both endpoints inverted at every depth."""
+    a, b = Y
+    cells, width = [], np.zeros(tail_horizon + 2)
+
+    def record(word, pa, pb):
+        w0 = model.branches[word[0]]
+        clo = float(w0.inv(np.array([pa]))[0])
+        chi = float(w0.inv(np.array([pb]))[0])
+        width[min(len(word), tail_horizon + 1)] += chi - clo
+        if len(word) <= branch_cutoff and len(cells) < branch_cutoff \
+                and chi - clo > max(4e-16 * abs(chi), 1e-300):
+            cells.append((word, len(word), clo, chi))
+
+    pieces = []
+    for j, br in enumerate(model.branches):
+        s_lo, s_hi = max(a, br.lo), min(b, br.hi)
+        if s_hi <= s_lo:
+            continue
+        t_lo = float(br.fwd(np.array([s_lo]))[0])
+        t_hi = float(br.fwd(np.array([s_hi]))[0])
+        if t_hi <= a + 1e-12 or t_lo >= b - 1e-12:
+            pieces.append(((j,), t_lo, t_hi, a, b))
+            continue
+        record((j,), a, b)
+        if t_lo < a - 1e-12:
+            pieces.append(((j,), t_lo, a, a, b))
+        if t_hi > b + 1e-12:
+            pieces.append(((j,), b, t_hi, a, b))
+    ladder = [a] if len(pieces) == 1 else None
+    depth = 1
+    while pieces and depth < tail_horizon:
+        depth += 1
+        if len(pieces) != 1:
+            ladder = None
+        nxt = []
+        for word, ilo, ihi, pa, pb in pieces:
+            if ihi - ilo <= 1e-300:
+                continue
+            js = int(model.branch_index(np.array([ilo]))[0])
+            br = model.branches[js]
+            t_lo, t_hi = float(br.fwd(ilo)), float(br.fwd(min(ihi, br.hi)))
+            pa2 = maps._invert_warm(br, pa, pa)
+            pb2 = maps._invert_warm(br, pb, pb)
+            word = word + (js,)
+            if t_hi <= a + 1e-12 or t_lo >= b - 1e-12:
+                nxt.append((word, t_lo, t_hi, pa2, pb2))
+                continue
+            record(word, pa2, pb2)
+            if ladder is not None:
+                ladder.append(pa2)
+            if t_lo < a - 1e-12:
+                nxt.append((word, t_lo, a, pa2, pb2))
+            if t_hi > b + 1e-12:
+                nxt.append((word, b, t_hi, pa2, pb2))
+        pieces = nxt
+    cells.sort(key=lambda c: (c[1], c[2]))
+    return cells, width[1:tail_horizon + 1], ladder
+
+
+# every (map, Y, cutoff, horizon) that the suite and the CLI tests induce
+SWEEPS = [
+    ("pm", 0.5, (0.5, 1.0), 400, 12000),
+    ("pm", 0.5, (0.5, 1.0), 200, 12000),
+    ("pm", 0.5, (0.5, 1.0), 120, 3000),
+    ("pm", 0.5, (0.5, 1.0), 60, 3000),
+    ("pm", 0.5, (0.5, 1.0), 60, 2000),
+    ("pm", 0.6, (0.5, 1.0), 400, 12000),
+    ("pm", 0.8, (0.5, 1.0), 400, 12000),
+    ("doubling", None, (0.0, 1.0), 4, 16),
+    ("doubling", None, (0.5, 1.0), 40, 1200),
+    ("doubling", None, (0.5, 1.0), 30, 600),
+]
+
+
+def _induced(kind, alpha, Y, J, H):
+    if kind == "pm" and Y == (0.5, 1.0):
+        return systems.pm_induced(alpha, J, H)      # shared with the suite
+    if (kind, Y, J, H) == ("doubling", (0.0, 1.0), 4, 16):
+        return systems.doubling_full()
+    if (kind, Y) == ("doubling", (0.5, 1.0)):
+        return systems.doubling_induced(J, H)
+    raise AssertionError("unlisted sweep")
+
+
+@pytest.mark.parametrize("kind,alpha,Y,J,H", SWEEPS, ids=[
+    f"{k}{'' if al is None else al}-Y{y[0]}-J{j}-H{h}"
+    for k, al, y, j, h in SWEEPS])
+def test_induce_matches_reference_sweep(kind, alpha, Y, J, H):
+    ind = _induced(kind, alpha, Y, J, H)
+    cells, width, ladder = _reference_sweep(ind.model, Y, J, H)
+    assert [(c.word, c.r, c.lo, c.hi) for c in ind.cells] == cells
+    assert ind._mu0_r_width.tobytes() == width.tobytes()
+    if ladder is None:
+        assert ind._ladder is None
+    else:
+        assert ind._ladder.tobytes() == np.array(ladder).tobytes()
+
+
+def test_induce_solves_once_per_depth(monkeypatch):
+    # the memo of the previous depth's inversions keeps the sweep linear:
+    # only the first depth solves both endpoints
+    calls = []
+    solve = maps._invert_warm
+
+    def counted(br, y, x0):
+        calls.append(y)
+        return solve(br, y, x0)
+
+    monkeypatch.setattr(maps, "_invert_warm", counted)
+    H = 2000
+    maps.induce(maps.pomeau_manneville(0.5), (0.5, 1.0), 400, H)
+    assert len(calls) <= (H - 1) + 1
+
+
+def test_fixed_point_iterations_kept(pm05):
+    for ind in (pm05, systems.doubling_induced(), systems.doubling_full()):
+        assert 1 <= ind.fixed_point_iterations <= 4000
+        assert ind.fixed_point_residual <= 1e-12
 
 
 def test_induce_rejects_bad_base():

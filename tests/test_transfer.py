@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from towerlab import systems, suspension as sp
-from towerlab.transfer.basis import CylinderBasis
+from towerlab.transfer.basis import BIG, CylinderBasis
 from towerlab.transfer.towerop import TowerGrid, laplace_series, \
     map_correlation_operator
 from towerlab.transfer.operators import (assemble_R, assemble_twisted,
@@ -60,6 +60,38 @@ def test_perron_diagnostics_kept(bd, bp):
     for b in (bd, bp):
         assert b.perron_residual <= 1e-12
         assert 1 <= b.perron_iterations <= 1500
+
+
+def _leaf_by_walk(basis, word):
+    """Leaf holding a cylinder word, by walking the leaf words: symbols
+    past the refined range, and missing ones, follow the aggregate."""
+    leaf_of = {w: i for i, w in enumerate(basis.words)}
+    key = word[:1]
+    for sym in list(word[1:]) + [BIG] * basis.depth:
+        if key in leaf_of:
+            return leaf_of[key]
+        key += (sym if sym in range(basis.refine) else BIG,)
+    raise AssertionError(f"no leaf for {word}")
+
+
+@pytest.mark.parametrize("ind,depth,refine", [
+    ("pm60", 1, 8), ("pm60", 2, 8), ("pm60", 3, 5), ("doubling", 3, 2)])
+def test_colmap_and_ends_match_tree_walk(ind, depth, refine):
+    ind = {"pm60": lambda: systems.pm_induced(0.5, 60, 3000),
+           "doubling": systems.doubling_full}[ind]()
+    basis = CylinderBasis(ind, depth=depth, refine_symbols=refine)
+    want = np.array([[_leaf_by_walk(basis, (j,) + w[:depth - 1])
+                      for j in range(ind.J)] for w in basis.words])
+    assert np.array_equal(basis._colmap, want)
+    # leaf ends: the child cell's ends pulled back through each symbol of
+    # the parent word, one F_inverse at a time
+    agg = (ind.Y[0], float(ind.hi[basis.refine:].max(initial=ind.Y[0])))
+    for w, lo, hi in zip(basis.words, basis.lo, basis.hi):
+        ends = agg if w[-1] == BIG else (ind.lo[w[-1]], ind.hi[w[-1]])
+        pts = np.array(ends)
+        for sym in reversed(w[:-1]):
+            pts = ind.F_inverse(sym, pts)
+        assert (lo, hi) == tuple(pts)
 
 
 # -- base operator ----------------------------------------------------------------
