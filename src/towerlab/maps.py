@@ -100,15 +100,15 @@ class MapModel:
         """theta = expansion^-eta of the tower metric d_theta = theta^s."""
         return self.expansion ** -self.eta
 
-    @property
+    @cached_property
     def branch_edges(self) -> np.ndarray:
         return np.array([b.lo for b in self.branches] + [1.0])
 
     def branch_index(self, x) -> np.ndarray:
         """Index of the branch containing x; ties resolve to the right branch."""
-        edges = self.branch_edges
-        idx = np.searchsorted(edges, np.asarray(x, dtype=float), side="right") - 1
-        return np.clip(idx, 0, len(self.branches) - 1)
+        idx = np.searchsorted(self.branch_edges, np.asarray(x, dtype=float),
+                              side="right") - 1
+        return np.minimum(np.maximum(idx, 0), len(self.branches) - 1)
 
     def apply(self, x) -> np.ndarray:
         """Vectorised forward map."""
@@ -117,6 +117,8 @@ class MapModel:
         out = np.empty_like(x)
         for j, b in enumerate(self.branches):
             m = idx == j
+            if m.all():     # one branch: no gather or scatter
+                return np.asarray(b.fwd(x), dtype=float)
             if np.any(m):
                 out[m] = b.fwd(x[m])
         return out
@@ -147,14 +149,15 @@ class MapModel:
         steps = np.broadcast_to(np.asarray(steps, dtype=int), x.shape).ravel()
         order, active = climb_order(steps)
         cur = x.ravel()[order]
-        tot = np.zeros_like(cur)
+        rows = [cur] if f is None else [cur, np.zeros_like(cur)]
         for n in active:
             if f is not None:
-                tot[:n] += f(cur[:n])
+                rows[1][:n] += f(cur[:n])
             cur[:n] = self.apply(cur[:n])
-        out = np.empty((2, cur.size))
-        out[:, order] = cur, tot
-        return out.reshape((2,) + x.shape)
+        out = np.empty((len(rows), cur.size))
+        for o, row in zip(out, rows):
+            o[order] = row
+        return out.reshape((len(rows),) + x.shape)
 
 
 @dataclass(frozen=True)
@@ -375,7 +378,7 @@ class InducedMap:
     def land(self, j, level, pos):
         """Complete the returns of points at ``pos`` = T^level(y), y in Y_j:
         (cell, F(y), parked).  Landings past the represented cells are
-        parked in the deepest cell; ``parked`` counts them."""
+        parked in the deepest cell; ``parked`` marks them, point by point."""
         y = self.model.advance(pos, self.r[np.asarray(j, dtype=int)] - level)
         cell = self.cell_of(y)
         bad = cell < 0
@@ -384,7 +387,7 @@ class InducedMap:
             y[bad] = np.clip(y[bad], self.lo[deep],
                              self.hi[deep] - 1e-12 * self.hi[deep])
             cell[bad] = deep
-        return cell, y, int(bad.sum())
+        return cell, y, bad
 
     def F_inverse(self, j: int, x) -> np.ndarray:
         """Inverse branch of F on cell j, applied to base points x."""

@@ -11,9 +11,9 @@ sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import comb
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -95,7 +95,7 @@ def cosine_roof(mean: float = 2.0, amp: float = 1.0) -> RoofFunction:
 def power_singularity_roof(beta: float = 1.0) -> RoofFunction:
     """Unbounded roof 1 + x^(-1/(beta+1)); mu_Leb(h > n) ~ n^-(beta+1)."""
     p = 1.0 / (beta + 1.0)
-    return RoofFunction(name=f"signular(beta={beta:g})",
+    return RoofFunction(name=f"singular(beta={beta:g})",
                         func=lambda x: 1.0 + np.maximum(x, 1e-300) ** (-p),
                         bounded=False, inf_floor=1.0,
                         holder_const=math.inf, tail_exponent=beta + 1.0)
@@ -245,18 +245,33 @@ class SuspensionModel:
 @dataclass
 class FlowState:
     """Point ensemble on the suspension: tower column, level, base
-    coordinate, ambient position T^level(y), and flow height u."""
+    coordinate, ambient position T^level(y), and flow height u.
+
+    From its first flow on, a state also records per point the highest
+    level reached (``top``), the largest roof value met (``hmax``) and
+    the number of landings parked past the represented cells
+    (``parked``).  A flow truncated at level N, or under the roof
+    min(h, N), goes through the same operations as the full flow until
+    the point first reaches level N or meets h > N; the records tell
+    which points a cut diverts."""
 
     col: np.ndarray
     level: np.ndarray
     y: np.ndarray
     pos: np.ndarray
     u: np.ndarray
-    oob: int = 0   # drops that landed past the represented cells
+    top: np.ndarray | None = None
+    hmax: np.ndarray | None = None
+    parked: np.ndarray | None = None
+
+    @property
+    def oob(self) -> int:
+        """Landings parked past the represented cells, in total."""
+        return 0 if self.parked is None else int(self.parked.sum())
 
     def copy(self) -> "FlowState":
-        return FlowState(self.col.copy(), self.level.copy(), self.y.copy(),
-                         self.pos.copy(), self.u.copy(), self.oob)
+        arrays = (getattr(self, f.name) for f in fields(self))
+        return FlowState(*[None if a is None else a.copy() for a in arrays])
 
     def __len__(self) -> int:
         return len(self.col)
@@ -311,6 +326,9 @@ def flow(model: SuspensionModel, st: FlowState, t: float,
     h = model.roof(st.pos)
     if np.any((st.u < 0) | (st.u >= h)):
         raise ValueError("flow height u outside [0, h(x))")
+    if st.top is None:
+        st.top, st.hmax = st.level.astype(np.int32), h.copy()
+        st.parked = np.zeros(len(st), dtype=np.int32)
     for _ in range(10_000_000):
         fits = st.u + rem < h
         st.u[fits] += rem[fits]
@@ -320,21 +338,24 @@ def flow(model: SuspensionModel, st: FlowState, t: float,
             break
         rem[cross] -= h[cross] - st.u[cross]
         st.u[cross] = 0.0
-        lv = st.level[cross] + 1
-        drop = lv >= heights[st.col[cross]]
+        drop = st.level[cross] + 1 >= heights[st.col[cross]]
         climb = cross[~drop]
         st.level[climb] += 1
         st.pos[climb] = ind.model.apply(st.pos[climb])
         dropi = cross[drop]
         if len(dropi) > 0:
-            st.col[dropi], p, parked = ind.land(st.col[dropi], st.level[dropi],
+            lvd = st.level[dropi]    # the top of the column being left
+            st.top[dropi] = np.maximum(st.top[dropi], lvd)
+            st.col[dropi], p, parked = ind.land(st.col[dropi], lvd,
                                                 st.pos[dropi])
-            st.oob += parked
+            st.parked[dropi] += parked
             st.level[dropi] = 0
             st.y[dropi] = st.pos[dropi] = p
         h[cross] = model.roof(st.pos[cross])
+        st.hmax[cross] = np.maximum(st.hmax[cross], h[cross])
     else:
         raise ArithmeticError("flow did not terminate")
+    np.maximum(st.top, st.level, out=st.top)
     return st
 
 
@@ -387,25 +408,24 @@ def correlation_mc(model: SuspensionModel, v: Observable, w: Observable,
                          "meaningless; refuse")
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
     st = sample_stationary(model, n_samples, seed)
-    series, oob = _flow_series(model, st, v.eval_state(model, st), w, t_grid)
+    v0 = v.eval_state(model, st)
+    series = [_batched_cov(v0, wt)
+              for wt in _flow_series(model, st, w, t_grid)]
     rho, err = np.array(series).reshape(-1, 2).T
     return CorrelationSeries(t=t_grid, rho=rho, stderr=err,
                              n_samples=n_samples, seed=seed,
-                             meta={"roof": model.roof.name, "oob": oob})
+                             meta={"roof": model.roof.name, "oob": st.oob})
 
 
-def _flow_series(model: SuspensionModel, st: FlowState, v0: np.ndarray,
-                 w: Observable, ts: np.ndarray
-                 ) -> tuple[list[tuple[float, float]], int]:
-    """(rho, stderr) of v0 against w along the flow of st (in place), at
-    each time of the sorted ``ts``, and the count of landings it parked."""
+def _flow_series(model: SuspensionModel, st: FlowState, w: Observable,
+                 ts: np.ndarray):
+    """Yield w along the flow of st (in place) at each time of the sorted
+    ``ts``."""
     prev = 0.0
-    series = []
     for t in ts:
-        st = flow(model, st, t - prev, inplace=True)
+        flow(model, st, t - prev, inplace=True)
         prev = t
-        series.append(_batched_cov(v0, w.eval_state(model, st)))
-    return series, st.oob
+        yield w.eval_state(model, st)
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +435,61 @@ def _flow_series(model: SuspensionModel, st: FlowState, v0: np.ndarray,
 def _restrict(st: FlowState, keep: np.ndarray) -> FlowState:
     return FlowState(st.col[keep], st.level[keep], st.y[keep],
                      st.pos[keep], st.u[keep])
+
+
+class _FullFlow(NamedTuple):
+    """w at each time of ``ts`` along the full flow of a sample, and the
+    flow's per-point records (see FlowState)."""
+
+    ws: list[np.ndarray]
+    top: np.ndarray
+    hmax: np.ndarray
+    parked: np.ndarray
+
+
+def _full_flow(model: SuspensionModel, st0: FlowState, w: Observable,
+               ts: np.ndarray) -> _FullFlow:
+    """Flow a copy of st0; only the w-values and the records are kept."""
+    st = st0.copy()
+    ws = list(_flow_series(model, st, w, ts))
+    return _FullFlow(ws, st.top, st.hmax, st.parked)
+
+
+def _diverted(cut: SuspensionModel, top: np.ndarray,
+              hmax: np.ndarray) -> np.ndarray:
+    """Points whose full flow reached what the cut removes: a level at or
+    past the tower's cut, or a roof value above the roof's cap.  Below
+    both, min(h, cap) == h bit for bit and the columns climb alike."""
+    out = np.zeros(len(top), dtype=bool)
+    if isinstance(cut.tower, TruncatedTower):
+        out |= top >= cut.tower.N
+    if cut.roof.cap is not None:
+        out |= hmax > cut.roof.cap
+    return out
+
+
+def _cut_series(cut: SuspensionModel, st0: FlowState, v0: np.ndarray,
+                keep: np.ndarray, paths: _FullFlow, w: Observable,
+                ts: np.ndarray) -> tuple[list[tuple[float, float]], int, int]:
+    """(rho, stderr) of v0 against w at each time of ``ts`` along the cut
+    flow of the kept points of st0, its parked landings, and the number of
+    points flowed again.
+
+    A kept point the cut does not divert follows the full flow through the
+    same operations: its w-values and parked landings are those of
+    ``paths``.  Only the diverted points are flowed under the cut."""
+    diverted = _diverted(cut, paths.top, paths.hmax)
+    redo = keep & diverted
+    sub = _restrict(st0, redo)
+    at = redo[keep]
+    vk = v0[keep]
+    series = []
+    for w_full, w_cut in zip(paths.ws, _flow_series(cut, sub, w, ts)):
+        wt = w_full[keep]
+        wt[at] = w_cut
+        series.append(_batched_cov(vk, wt))
+    oob = int(paths.parked[keep & ~diverted].sum()) + sub.oob
+    return series, oob, len(sub)
 
 
 @dataclass
@@ -437,6 +512,7 @@ class TruncationTable:
     stable_within: float
     kept_fraction: float
     oob: dict[str, int]   # parked landings: "full" flow, "truncated" flows
+    reflowed: dict[int, int]   # per N, the kept points the cut diverted
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -465,25 +541,29 @@ def truncation_error_experiment(ind: InducedMap, roof: RoofFunction,
 
     One stationary sample of the full flow is drawn; the sub-ensemble on
     levels below the cut is exactly stationary for the truncated flow, so
-    the difference isolates the truncation effect.
+    the difference isolates the truncation effect.  The full flow is run
+    once; each cut flows again only the kept points whose full path
+    reached level N.
     """
     if not roof.bounded:
         raise ValueError("roof is unbounded: use roof_truncation_experiment")
     base_tower = build_tower(ind)
     model = SuspensionModel(base_tower, roof)
     st0 = sample_stationary(model, n_samples, seed)
-    v0 = v.eval_state(model, st0)
     ts = np.sort(np.asarray(t_grid, dtype=float))
-    full, oob_full = _flow_series(model, st0.copy(), v0, w, ts)
+    paths = _full_flow(model, st0, w, ts)
+    v0 = v.eval_state(model, st0)
+    full = [_batched_cov(v0, wt) for wt in paths.ws]
     rows: list[TruncationRow] = []
     kept_min = 1.0
-    oob = {"full": oob_full, "truncated": 0}
+    oob = {"full": int(paths.parked.sum()), "truncated": 0}
+    reflowed = {}
     for N in sorted(N_list):
         tt = truncate(base_tower, int(N))
         keep = st0.level < tt.heights[st0.col]
         kept_min = min(kept_min, float(keep.mean()))
-        cut, parked = _flow_series(SuspensionModel(tt, roof),
-                                   _restrict(st0, keep), v0[keep], w, ts)
+        cut, parked, reflowed[int(N)] = _cut_series(
+            SuspensionModel(tt, roof), st0, v0, keep, paths, w, ts)
         oob["truncated"] += parked
         tail_ge, tail_gt = ind.tail_sums(int(N))
         for t, (rho_f, e_f), (rho_t, e_t) in zip(ts, full, cut):
@@ -492,7 +572,7 @@ def truncation_error_experiment(ind: InducedMap, roof: RoofFunction,
                                       tail_gt + (N + t) * tail_ge))
     fitted, spread, _ = _ratio_stability(rows)
     return TruncationTable(rows=rows, fitted_C=fitted, stable_within=spread,
-                           kept_fraction=kept_min, oob=oob)
+                           kept_fraction=kept_min, oob=oob, reflowed=reflowed)
 
 
 def roof_truncation_experiment(ind: InducedMap, roof: RoofFunction,
@@ -504,7 +584,9 @@ def roof_truncation_experiment(ind: InducedMap, roof: RoofFunction,
     truncation r' = min(r, [q ln N]) and reports its extra error.
 
     Requires an unbounded roof with a declared tail exponent and an induced
-    map with exponential return tails.
+    map with exponential return tails.  As in truncation_error_experiment,
+    each cut flows again only the kept points its cut diverts: those whose
+    full path met h > N (or, for the second cut, reached level [q ln N]).
     """
     if roof.bounded:
         raise ValueError("roof is bounded: use truncation_error_experiment")
@@ -514,17 +596,19 @@ def roof_truncation_experiment(ind: InducedMap, roof: RoofFunction,
     base_tower = build_tower(ind)
     model = SuspensionModel(base_tower, roof)
     st0 = sample_stationary(model, n_samples, seed)
-    v0 = v.eval_state(model, st0)
     ts = np.sort(np.asarray(t_grid, dtype=float))
-    full, oob_full = _flow_series(model, st0.copy(), v0, w, ts)
+    paths = _full_flow(model, st0, w, ts)
+    v0 = v.eval_state(model, st0)
+    full = [_batched_cov(v0, wt) for wt in paths.ws]
     rows: list[TruncationRow] = []
     second: list[TruncationRow] = []
-    oob = {"full": oob_full, "truncated": 0, "second": 0}
+    oob = {"full": int(paths.parked.sum()), "truncated": 0, "second": 0}
+    reflowed, second_reflowed = {}, {}
     for N in sorted(N_list):
         roof_t = roof.truncated(float(N))
         keep = st0.u < roof_t(st0.pos)
-        cut, parked = _flow_series(SuspensionModel(base_tower, roof_t),
-                                   _restrict(st0, keep), v0[keep], w, ts)
+        cut, parked, reflowed[int(N)] = _cut_series(
+            SuspensionModel(base_tower, roof_t), st0, v0, keep, paths, w, ts)
         oob["truncated"] += parked
         for t, (rho_f, e_f), (rho_t, e_t) in zip(ts, full, cut):
             rows.append(TruncationRow(int(N), float(t),
@@ -535,8 +619,8 @@ def roof_truncation_experiment(ind: InducedMap, roof: RoofFunction,
         # second truncation: also cap tower columns at q ln N
         tt2 = truncate(base_tower, max(1, int(q_log_trunc * math.log(N))))
         keep2 = keep & (st0.level < tt2.heights[st0.col])
-        cut2, parked = _flow_series(SuspensionModel(tt2, roof_t),
-                                    _restrict(st0, keep2), v0[keep2], w, ts)
+        cut2, parked, second_reflowed[int(N)] = _cut_series(
+            SuspensionModel(tt2, roof_t), st0, v0, keep2, paths, w, ts)
         oob["second"] += parked
         rate = _exp_rate(ind)
         for t, (rho_t, e_t), (rho_2, e_2) in zip(ts, cut, cut2):
@@ -545,10 +629,11 @@ def roof_truncation_experiment(ind: InducedMap, roof: RoofFunction,
                 t * float(N) ** (-(rate * q_log_trunc - 1.0))))
     fitted, spread, _ = _ratio_stability(rows)
     out = {"rows": rows, "fitted_C": fitted, "stable_within": spread,
-           "oob": oob}
+           "oob": oob, "reflowed": reflowed}
     if q_log_trunc is not None:
         f2, s2, _ = _ratio_stability(second)
         out["second_rows"] = second
+        out["second_reflowed"] = second_reflowed
         out["second_fitted_C"] = f2
         out["second_stable_within"] = s2
     return out

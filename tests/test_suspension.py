@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as hs
 from numpy.polynomial.legendre import leggauss
 from scipy import stats
 
@@ -28,6 +29,8 @@ def test_roof_positive():
 def test_roof_truncation_caps():
     roof = sp.power_singularity_roof(1.0)
     r5 = roof.truncated(5.0)
+    assert roof.name == "singular(beta=1)"
+    assert r5.name == "singular(beta=1)|min(5)"
     x = np.array([1e-6, 0.2, 0.9])
     assert np.all(r5(x) <= 5.0)
     assert np.all(r5(x) <= roof(x))
@@ -94,12 +97,25 @@ def test_flow_rejects_bad_height(doubling_const):
         sp.flow(doubling_const, st, 1.0)
 
 
-def test_flow_semigroup(pm_model):
-    st = sp.sample_stationary(pm_model, 2000, seed=5)
-    a = sp.flow(pm_model, sp.flow(pm_model, st, 0.7), 1.3)
-    b = sp.flow(pm_model, st, 2.0)
-    assert np.max(np.abs(a.u - b.u)) <= 1e-9
-    assert np.max(np.abs(a.pos - b.pos)) <= 1e-9
+@settings(max_examples=25, deadline=None)
+@given(seed=hs.integers(0, 2 ** 32 - 1), t=hs.floats(0.0, 20.0),
+       frac=hs.floats(0.0, 1.0))
+def test_flow_semigroup(seed, t, frac):
+    # the few-cell pm tower parks landings, so the parked counts take part
+    model = sp.SuspensionModel(tw.build_tower(_small_pm()), sp.cosine_roof())
+    st = sp.sample_stationary(model, 2000, seed=seed)
+    a = frac * t
+    two = sp.flow(model, sp.flow(model, st, a), t - a)
+    one = sp.flow(model, st, t)
+    assert np.array_equal(two.col, one.col)
+    assert np.array_equal(two.level, one.level)
+    assert np.array_equal(two.pos, one.pos)
+    # the two routes subtract the remaining time differently
+    assert np.max(np.abs(two.u - one.u)) <= 1e-12
+    for rec in ("top", "hmax", "parked"):
+        assert np.array_equal(getattr(two, rec), getattr(one, rec))
+    assert np.all(one.top >= np.maximum(st.level, one.level))
+    assert np.all(one.hmax >= model.roof(one.pos))
 
 
 def test_sampler_uniform_under_constant_roof(doubling_const):
@@ -168,6 +184,7 @@ def test_truncation_experiment_noop_above_support():
                                          [N], [3.0], 50_000, seed=13)
     for row in tab.rows:
         assert row.measured <= 3 * row.stderr + 1e-12
+    assert tab.reflowed == {N: 0}
 
 
 def test_truncation_experiment_bound_monotone_in_N():
@@ -433,6 +450,85 @@ def test_roof_truncation_experiment_matches_reflow():
     assert out["oob"] == oob
     assert out["second_stable_within"] == \
         sp._ratio_stability(out["second_rows"])[1]
+
+
+def _coupled_matches_reflow(kind, seed, N_list, ts, q_log, n=1000):
+    """Whether a truncation experiment (tower cut on the few-cell pm tower,
+    or roof and second cut at q_log ln N on the doubling tower) equals the
+    reflow oracle exactly: rows, second rows and parked counts."""
+    v = sp.coordinate_observable()
+    if kind == "tower":
+        ind, roof, q_log = _small_pm(), sp.cosine_roof(), None
+        tab = sp.truncation_error_experiment(ind, roof, v, v, N_list, ts, n,
+                                             seed=seed)
+        got = (_as_tuples(tab.rows), [], tab.oob)
+    else:
+        ind, roof = systems.doubling_induced(), sp.power_singularity_roof(1.0)
+        out = sp.roof_truncation_experiment(ind, roof, v, v, N_list, ts, n,
+                                            seed=seed, q_log_trunc=q_log)
+        got = (_as_tuples(out["rows"]), _as_tuples(out["second_rows"]),
+               out["oob"])
+    rows, second, oob = _reflow_experiment(ind, roof, sorted(N_list),
+                                           sorted(ts), n, seed, q_log=q_log)
+    if kind == "tower":
+        del oob["second"]
+    return got == (rows, second, oob)
+
+
+@pytest.mark.parametrize("kind", ["tower", "roof"])
+@settings(max_examples=12, deadline=None)
+@given(seed=hs.integers(0, 2 ** 32 - 1),
+       N_list=hs.lists(hs.integers(1, 100), min_size=1, max_size=3,
+                       unique=True),
+       ts=hs.lists(hs.floats(0.0, 12.0), min_size=1, max_size=3),
+       q_log=hs.floats(0.5, 6.0))
+# almost every kept point diverges at N = 1 and 2; none above the support
+@example(seed=7, N_list=[1, 2, 10 ** 6], ts=[0.5, 6.0], q_log=5.0)
+def test_coupled_cuts_match_reflow(kind, seed, N_list, ts, q_log):
+    assert _coupled_matches_reflow(kind, seed, N_list, ts, q_log)
+
+
+def _counts_level_n_undiverted(diverted):
+    """Defect: a point that reached the cut level but no higher is taken
+    as following the full flow (top > N in place of top >= N)."""
+    return lambda cut, top, hmax: diverted(cut, top - 1, hmax)
+
+
+def _drops_level_under_roof_cap(diverted):
+    """Defect: under a capped roof only the roof test runs, so the second
+    cut misses the points that reached level [q ln N]."""
+    def defect(cut, top, hmax):
+        if cut.roof.cap is not None:
+            top = np.zeros_like(top)
+        return diverted(cut, top, hmax)
+    return defect
+
+
+@pytest.mark.parametrize("kind, defect", [
+    ("tower", _counts_level_n_undiverted),
+    ("roof", _drops_level_under_roof_cap)])
+def test_divergence_defect_fails_reflow_property(monkeypatch, kind, defect):
+    # at q ln N = 2 and 3 under roof caps 10 and 20, many points reach the
+    # second cut's level without meeting h > N
+    args = (kind, 3, [10, 20], [5.0, 12.0], 1.0)
+    assert _coupled_matches_reflow(*args)
+    monkeypatch.setattr(sp, "_diverted", defect(sp._diverted))
+    assert not _coupled_matches_reflow(*args)
+
+
+def test_reflowed_counts_the_diverted_kept_points():
+    ind = _small_pm()
+    v = sp.coordinate_observable()
+    model = sp.SuspensionModel(tw.build_tower(ind), sp.cosine_roof())
+    st0 = sp.sample_stationary(model, 3000, seed=4)
+    top = sp.flow(model, st0, 8.0).top
+    tab = sp.truncation_error_experiment(ind, sp.cosine_roof(), v, v,
+                                         [1, 5, 200], [2.0, 8.0], 3000,
+                                         seed=4)
+    for N, count in tab.reflowed.items():
+        keep = st0.level < np.minimum(ind.r, N)[st0.col]
+        assert count == int(np.sum(keep & (top >= N)))
+    assert tab.reflowed[200] == 0 < tab.reflowed[5] < tab.reflowed[1]
 
 
 def test_flow_visit_measure_unchanged():

@@ -249,7 +249,7 @@ def test_land_parks_tail_landings(pm_tower):
     y = ind.F_inverse(2, x)
     deep = int(np.argmax(ind.r))
     cell, p, parked = ind.land(j, 0, y)
-    assert cell[0] == deep and parked == 1
+    assert cell[0] == deep and parked.tolist() == [True]
     assert ind.lo[deep] <= p[0] < ind.hi[deep]
     # the tower map lands through the same policy, never in column -1
     j2, lv2, y2 = pm_tower.step(j, ind.r[j] - 1, y)
@@ -263,5 +263,6 @@ def test_land_from_any_level_matches_return_map(pm_tower):
     y = ind.lo[j] + rng.random(500) * ind.widths[j]
     lv = rng.integers(0, ind.r[j])
     cell, p, parked = ind.land(j, lv, ind.model.advance(y, lv))
-    assert np.array_equal(p, ind.F(j, y)) and parked == 0
+    assert np.array_equal(p, ind.F(j, y))
+    assert parked.tolist() == [False] * 500
     assert np.array_equal(cell, ind.cell_of(p))
