@@ -604,6 +604,7 @@ def roof_truncation_experiment(ind: InducedMap, roof: RoofFunction,
     second: list[TruncationRow] = []
     oob = {"full": int(paths.parked.sum()), "truncated": 0, "second": 0}
     reflowed, second_reflowed = {}, {}
+    rate = _exp_rate(ind) if q_log_trunc is not None else None
     for N in sorted(N_list):
         roof_t = roof.truncated(float(N))
         keep = st0.u < roof_t(st0.pos)
@@ -622,7 +623,6 @@ def roof_truncation_experiment(ind: InducedMap, roof: RoofFunction,
         cut2, parked, second_reflowed[int(N)] = _cut_series(
             SuspensionModel(tt2, roof_t), st0, v0, keep2, paths, w, ts)
         oob["second"] += parked
-        rate = _exp_rate(ind)
         for t, (rho_t, e_t), (rho_2, e_2) in zip(ts, cut, cut2):
             second.append(TruncationRow(
                 int(N), float(t), abs(rho_t - rho_2), math.hypot(e_t, e_2),

@@ -197,10 +197,13 @@ class CylinderBasis:
 
     # -- norms ------------------------------------------------------------------
 
-    def sup_norm(self, v: np.ndarray) -> float:
-        return float(np.max(np.abs(v)))
+    # Each norm takes v of shape (n,) and returns a float, or a column
+    # stack of shape (n, P) and returns the P norms of its columns.
 
-    def theta_seminorm(self, v: np.ndarray, theta: float) -> float:
+    def sup_norm(self, v: np.ndarray):
+        return np.max(np.abs(v), axis=0)
+
+    def theta_seminorm(self, v: np.ndarray, theta: float):
         """|v|_theta = sup |v(x)-v(y)| / theta^(separation of x, y).
 
         Exact for real and complex v: the largest prefix-group diameter
@@ -208,10 +211,10 @@ class CylinderBasis:
         """
         return self._diameters.value(v, theta)
 
-    def norm_b(self, v: np.ndarray, b: float, C6: float, theta: float) -> float:
+    def norm_b(self, v: np.ndarray, b: float, C6: float, theta: float):
         """max(sup norm, theta seminorm / (2 C6 |b|))."""
-        return max(self.sup_norm(v),
-                   self.theta_seminorm(v, theta) / (2.0 * C6 * abs(b)))
+        return np.maximum(self.sup_norm(v),
+                          self.theta_seminorm(v, theta) / (2.0 * C6 * abs(b)))
 
     # -- diagnostics ---------------------------------------------------------------
 

@@ -116,6 +116,9 @@ def lasota_yorke_check(basis: CylinderBasis, roof, b_list, omega_list,
               for _ in range(n_probes - 2)]
     probes.append(np.exp(2j * np.pi * basis.mid))
     probes.append(basis.mid.astype(complex))
+    P0 = np.stack(probes, axis=1)        # the probes, stepped as columns
+    sup0 = basis.sup_norm(P0)
+    sem0 = basis.theta_seminorm(P0, theta)
     constants = {}
     rows = []
     for N in N_list:
@@ -126,17 +129,16 @@ def lasota_yorke_check(basis: CylinderBasis, roof, b_list, omega_list,
                 raise ValueError("the inequality regime needs |b| > 1")
             for om in omega_list:
                 op = assemble_twisted(grid, 1j * b, 1j * om)
-                for p in probes:
-                    sup0 = basis.sup_norm(p)
-                    sem0 = basis.theta_seminorm(p, theta)
-                    v = p
-                    for n in range(1, n_max + 1):
-                        v = op.apply(v)
-                        sem = basis.theta_seminorm(v, theta)
-                        bound = abs(b) * sup0 + theta ** n * sem0
-                        ratio = sem / bound
-                        worst = max(worst, ratio)
-                        rows.append((N, b, om, n, ratio))
+                V = P0
+                ratio = np.empty((n_max, len(probes)))
+                for n in range(1, n_max + 1):
+                    V = op.apply(V)
+                    sem = basis.theta_seminorm(V, theta)
+                    ratio[n - 1] = sem / (abs(b) * sup0 + theta ** n * sem0)
+                worst = max(worst, float(np.max(ratio)))
+                rows += [(N, b, om, n, float(r))
+                         for col in ratio.T
+                         for n, r in enumerate(col, start=1)]
         constants[N] = worst
     vals = list(constants.values())
     return IterateInequalityReport(constants=constants, C=max(vals),
@@ -166,19 +168,14 @@ class ResolventScan:
                          f"{self.alpha_fit:.17g}\n")
 
 
-def _unit_b_probes(basis: CylinderBasis, b: float, C6: float, theta: float,
-                   n_random: int, rng) -> list[np.ndarray]:
-    """Unit-norm probes: a smooth oscillatory family (depth-stable, carries
+def _b_probes(basis: CylinderBasis, b: float, n_random: int,
+              rng) -> np.ndarray:
+    """Probe columns: a smooth oscillatory family (depth-stable, carries
     the resonance physics) plus random rough ones."""
-    out = []
-    for k in (1, 2, 3, 5, 8, 13):
-        for c in (1.0, b / (2.0 * np.pi)):
-            v = np.exp(2j * np.pi * k * c * basis.mid)
-            out.append(v / basis.norm_b(v, b, C6, theta))
-    for _ in range(n_random):
-        v = rng.standard_normal(basis.n) + 1j * rng.standard_normal(basis.n)
-        out.append(v / basis.norm_b(v, b, C6, theta))
-    return out
+    smooth = [np.exp(2j * np.pi * k * c * basis.mid)
+              for k in (1, 2, 3, 5, 8, 13) for c in (1.0, b / (2.0 * np.pi))]
+    rough = rng.standard_normal((n_random, 2, basis.n))
+    return np.column_stack(smooth + list(rough[:, 0] + 1j * rough[:, 1]))
 
 
 def resolvent_scan(basis: CylinderBasis, roof, b_grid, omega_grid,
@@ -221,21 +218,20 @@ def resolvent_scan(basis: CylinderBasis, roof, b_grid, omega_grid,
                 norms.append(math.inf)
                 continue
             flags.append(False)
-            probes = _unit_b_probes(basis, b, C6, theta, n_random, rng)
-            i_max = int(np.argmax(np.abs(x)))
+            # the probes as the columns of one block: the smooth and random
+            # families, the one-hot at the near-kernel's peak and the
+            # adversarial chain from it; each is scaled to unit b-norm
             e = np.zeros(basis.n, dtype=complex)
-            e[i_max] = 1.0
-            probes.append(e / basis.norm_b(e, b, C6, theta))
-            y = x.copy()
-            for _ in range(n_adversarial):
-                probes.append(y / basis.norm_b(y, b, C6, theta))
-                y = A.conj().T @ y
-                y /= np.linalg.norm(y)
-            best = 0.0
-            for p in probes:
-                sol = lu_solve(lu, p)
-                best = max(best, basis.norm_b(sol, b, C6, theta))
-            norms.append(best)
+            e[int(np.argmax(np.abs(x)))] = 1.0
+            chain = [x]
+            for _ in range(n_adversarial - 1):
+                y = A.conj().T @ chain[-1]
+                chain.append(y / np.linalg.norm(y))
+            block = np.column_stack([_b_probes(basis, b, n_random, rng), e]
+                                    + chain[:n_adversarial])
+            block /= basis.norm_b(block, b, C6, theta)
+            sol = lu_solve(lu, block)
+            norms.append(float(np.max(basis.norm_b(sol, b, C6, theta))))
     bs = np.array(bs)
     norms = np.array(norms)
     flags = np.array(flags)

@@ -287,16 +287,15 @@ def _interior_norm(grid: TowerGrid, cum, s: complex, nn: int) -> float:
 def _b_norm_probe(grid: TowerGrid, k: int, B_apply, rng,
                   n_probes: int = 8) -> float:
     """Largest ||B_k V||_b / ||V||_b over random tower probes V, drawn one
-    after another and descended together as the columns of one product."""
+    after another and descended together as the columns of one product;
+    each norm is taken of all columns at once."""
     basis = grid.basis
     theta = basis.ind.model.theta
     flat = np.stack([np.concatenate(
         [rng.standard_normal(len(a)) + 1j * rng.standard_normal(len(a))
          for a in grid.active]) for _ in range(n_probes)], axis=1)
     U = B_apply(flat, k)
-    best = 0.0
-    for v, u in zip(flat.T, U.T):
-        denom = max(grid.sup_norm([v]), grid.theta_seminorm([v], theta))
-        num = max(basis.sup_norm(u), basis.theta_seminorm(u, theta))
-        best = max(best, num / denom)
-    return best
+    denom = np.maximum(np.max(np.abs(flat), axis=0),
+                       grid.theta_seminorm([flat], theta))
+    num = np.maximum(basis.sup_norm(U), basis.theta_seminorm(U, theta))
+    return float(np.max(num / denom))

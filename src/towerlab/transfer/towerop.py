@@ -160,10 +160,11 @@ class TowerGrid:
         return GroupDiameters({d: level * basis.n + basis._groups[d][act]
                                for d in range(1, basis.depth)})
 
-    def theta_seminorm(self, V: list, theta: float) -> float:
+    def theta_seminorm(self, V: list, theta: float):
         """Symbolic seminorm of a tower function: pairs separate unless they
         sit on the same level with a common column prefix.  Exact for real
-        and complex V, all levels in one pass."""
+        and complex V, all levels in one pass.  Levels of shape (len, P)
+        hold P tower functions as columns and give their P seminorms."""
         return self._diameters.value(np.concatenate(V), theta)
 
 

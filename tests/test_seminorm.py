@@ -172,3 +172,80 @@ def test_circle_group_hits_the_antipodal_pair(bases):
     v = np.exp(2j * np.pi * np.arange(basis.n) / basis.n)
     assert basis.n % 2 == 0
     assert basis.theta_seminorm(v, 1.0) == pytest.approx(2.0, rel=1e-12)
+
+
+def nested_labels(rng, n, n_depths):
+    """Labels of nested contiguous groups over n entries: each deeper depth
+    cuts every group of the one above further.  Few first cuts leave
+    groups of more than 64 entries; the deepest depth has singletons."""
+    cuts = set()
+    labels = {}
+    keys = np.sort(rng.choice(8, n_depths, replace=False))
+    for i, d in enumerate(keys):
+        extra = 2 if i == 0 else int(rng.integers(1, max(2, n // 3)))
+        cuts |= set(rng.integers(1, n, extra).tolist()) if n > 1 else set()
+        if i == n_depths - 1:
+            cuts |= set(range(1, n, 7))
+        mark = np.zeros(n, dtype=int)
+        mark[sorted(cuts)] = 1
+        labels[int(d)] = np.cumsum(mark)
+    return labels
+
+
+def column_stack(rng, n, P, real):
+    """Columns of several kinds, including constant and zero ones."""
+    cols = []
+    for k in range(P):
+        kind = rng.integers(6)
+        if kind == 0:
+            c = np.zeros(n)
+        elif kind == 1:
+            c = np.full(n, rng.standard_normal())
+        elif kind == 2:
+            c = rng.standard_normal(n)
+        elif kind == 3:
+            c = np.exp(2j * np.pi * rng.uniform(0.5, 9) * np.linspace(0, 1, n))
+        elif kind == 4:
+            c = (rng.integers(-2, 3, n) + 1j * rng.integers(-2, 3, n)) * 1.0
+        else:
+            c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        cols.append(c.real if real else c)
+    return np.stack(cols, axis=1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 300),
+       n_depths=st.integers(1, 4), P=st.integers(1, 7), real=st.booleans())
+def test_column_stack_is_exact_per_column(seed, n, n_depths, P, real):
+    rng = np.random.default_rng(seed)
+    gd = GroupDiameters(nested_labels(rng, n, n_depths))
+    V = column_stack(rng, n, P, real)
+    for theta in (0.5, 1.0):
+        got = gd.value(V, theta)
+        assert got.shape == (P,)
+        assert np.array_equal(got, [gd.value(V[:, k], theta)
+                                    for k in range(P)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 300),
+       n_depths=st.integers(2, 4))
+def test_groups_that_do_not_nest_are_refused(seed, n, n_depths):
+    rng = np.random.default_rng(seed)
+    labels = nested_labels(rng, n, n_depths)
+    keys = sorted(labels)
+    coarse, fine = labels[keys[0]], labels[keys[-1]]
+    # move one boundary of the shallowest groups inside the deepest ones
+    cut = int(rng.choice(np.flatnonzero(np.diff(coarse)) + 1)) \
+        if np.any(np.diff(coarse)) else None
+    if cut is None:                  # one shallow group: split it instead
+        cut = int(rng.integers(1, n))
+        labels[keys[0]] = np.r_[np.zeros(cut), np.ones(n - cut)]
+        if np.diff(fine)[cut - 1]:
+            return                   # the split is one of the deep cuts
+    else:
+        merged = fine.copy()
+        merged[cut:] -= int(fine[cut] - fine[cut - 1])
+        labels[keys[-1]] = merged
+    with pytest.raises(ValueError, match="nest"):
+        GroupDiameters(labels)

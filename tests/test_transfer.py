@@ -237,6 +237,81 @@ def test_resolvent_constant_roof_flags(bd):
     assert np.all(np.isfinite(sc.norm_estimate[~sc.resonance]))
 
 
+def _resolvent_reference(basis, roof, b_grid, C6, n_random, n_adversarial,
+                         seed, resonance_tol=1e-10):
+    """resolvent_scan as a loop over single probes: each probe is drawn,
+    scaled, solved and measured on its own.  lu_solve of one vector takes
+    LAPACK's triangular-vector path, which threaded OpenBLAS may round
+    differently from the matrix path; each probe is therefore solved beside
+    a copy of itself, through the matrix path, like the scan's block."""
+    from scipy.linalg import lu_factor, lu_solve
+    theta = basis.ind.model.theta
+    rng = np.random.default_rng(seed)
+    grid = TowerGrid(basis, roof, None)
+    n = basis.n
+    norms, flags, resids = [], [], []
+    for b in b_grid:
+        A = np.eye(n, dtype=complex) - assemble_twisted(grid, 1j * b, 0.0).mat
+        lu = lu_factor(A)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x /= np.linalg.norm(x)
+        for _ in range(8):
+            x = lu_solve(lu, x)
+            x = lu_solve(lu, x.conj(), trans=2).conj()
+            nx = np.linalg.norm(x)
+            if not np.isfinite(nx) or nx == 0:
+                break
+            x /= nx
+        smin = np.linalg.norm(A @ x)
+        resids.append(float(smin))
+        if not np.isfinite(smin) or smin < resonance_tol * n:
+            flags.append(True)
+            norms.append(math.inf)
+            continue
+        flags.append(False)
+        probes = []
+        for k in (1, 2, 3, 5, 8, 13):
+            for c in (1.0, b / (2.0 * np.pi)):
+                probes.append(np.exp(2j * np.pi * k * c * basis.mid))
+        for _ in range(n_random):
+            probes.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        e = np.zeros(n, dtype=complex)
+        e[int(np.argmax(np.abs(x)))] = 1.0
+        probes.append(e)
+        y = x.copy()
+        for _ in range(n_adversarial):
+            probes.append(y)
+            y = A.conj().T @ y
+            y = y / np.linalg.norm(y)
+        best = 0.0
+        for p in probes:
+            p = p / basis.norm_b(p, b, C6, theta)
+            sol = lu_solve(lu, np.column_stack([p, p]))[:, 0]
+            best = max(best, basis.norm_b(sol, b, C6, theta))
+        norms.append(best)
+    return np.array(norms), np.array(flags), np.array(resids)
+
+
+@pytest.mark.parametrize("roof", [sp.constant_roof(1.0), sp.cosine_roof()],
+                         ids=["constant", "cosine"])
+def test_resolvent_scan_equals_probe_loop(roof):
+    basis = CylinderBasis(systems.doubling_full(), depth=5, refine_symbols=2)
+    b_grid = [0.5, 2.0 * np.pi, 7.0, 13.0, 4.0 * np.pi, 29.0]
+    sc = resolvent_scan(basis, roof, b_grid, [0.0], C6=2.0, n_random=9,
+                        n_adversarial=3, seed=5)
+    norms, flags, resids = _resolvent_reference(basis, roof, b_grid, 2.0, 9,
+                                                3, seed=5)
+    assert np.array_equal(sc.resonance, flags)
+    assert np.array_equal(sc.residuals, resids)
+    assert np.array_equal(sc.norm_estimate, norms)
+    ok = ~flags & (np.array(b_grid) > 1.0)
+    coef = np.linalg.lstsq(np.column_stack([np.ones(ok.sum()),
+                                            np.log(np.array(b_grid)[ok])]),
+                           np.log(norms[ok]), rcond=None)[0]
+    assert sc.alpha_fit == float(coef[1])
+    assert flags.any() == roof.name.startswith("const")
+
+
 def test_resolvent_coboundary_invariance(bd):
     # shifting the roof by a small coboundary moves norms by < 5 percent
     eps = 1e-3
