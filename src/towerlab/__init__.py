@@ -8,7 +8,6 @@ from towerlab.maps import (
     doubling_map,
     InducedMap,
     induce,
-    evaluate,
     return_time_tail,
     fit_tail_exponent,
 )
@@ -20,7 +19,6 @@ from towerlab.suspension import (
     sample_stationary,
     flow,
     correlation_mc,
-    fit_decay,
 )
 from towerlab.periodic import FiniteSubsystem, enumerate_periodic
 

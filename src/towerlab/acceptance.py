@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import io
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
 from dataclasses import dataclass
 
@@ -250,20 +254,36 @@ def check_rate_budget() -> CheckResult:
                    f"factor {ex.log_factor_fit:.2f}", t0)
 
 
+def _determinism_output() -> bytes:
+    """Criterion 11's correlation run, as the exact bytes of its rows."""
+    model = sp.SuspensionModel(tw.build_tower(systems.pm_induced(0.5)),
+                               sp.cosine_roof())
+    v = sp.coordinate_observable()
+    cs = sp.correlation_mc(model, v, v, [0, 5, 10], 100_000, seed=7)
+    buf = io.StringIO()
+    for tt, r, e in zip(cs.t, cs.rho, cs.stderr):
+        buf.write(f"{tt:.17g},{r:.17g},{e:.17g}\n")
+    return buf.getvalue().encode()
+
+
+def _determinism_output_fresh_process() -> bytes:
+    """The same run in a fresh interpreter under another PYTHONHASHSEED,
+    which one process cannot vary for itself."""
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = "2" if env.get("PYTHONHASHSEED") == "1" else "1"
+    src = str(pathlib.Path(__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys; from towerlab.acceptance import _determinism_output; "
+            "sys.stdout.buffer.write(_determinism_output())")
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True).stdout
+
+
 def check_determinism() -> CheckResult:
     t0 = time.time()
-    ind = systems.pm_induced(0.5)
-    model = sp.SuspensionModel(tw.build_tower(ind), sp.cosine_roof())
-    v = sp.coordinate_observable()
-
-    def run() -> bytes:
-        cs = sp.correlation_mc(model, v, v, [0, 5, 10], 100_000, seed=7)
-        buf = io.StringIO()
-        for tt, r, e in zip(cs.t, cs.rho, cs.stderr):
-            buf.write(f"{tt:.17g},{r:.17g},{e:.17g}\n")
-        return buf.getvalue().encode()
-
-    outs = {run(), run(), run()}
+    outs = {_determinism_output(), _determinism_output(),
+            _determinism_output_fresh_process()}
     ok = len(outs) == 1
     return _result("bit-identical output across repeated runs",
                    ok, f"{3} runs, {len(outs)} distinct outputs", t0)
@@ -293,7 +313,6 @@ def run_all(out_dir: str | None = None) -> list[CheckResult]:
         print(f"[{status}] criterion {num}: {res.name} "
               f"({res.detail}) [{res.seconds:.1f}s]", flush=True)
     if out_dir is not None:
-        import os
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "acceptance.csv"), "w") as fh:
             fh.write("criterion,passed,detail,seconds\n")

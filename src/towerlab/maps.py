@@ -26,7 +26,6 @@ __all__ = [
     "InducedMap",
     "TailValue",
     "TailFit",
-    "evaluate",
     "induce",
     "return_time_tail",
     "fit_tail_exponent",
@@ -248,15 +247,6 @@ def doubling_map() -> MapModel:
     )
     return MapModel(name="doubling", branches=branches, eta=1.0,
                     dist_const=2.0, expansion=2.0)
-
-
-def evaluate(model: MapModel, x: float) -> float:
-    """Apply the map once.  Raises on points outside [0, 1]."""
-    if not (0.0 <= x <= 1.0):
-        raise ValueError(f"point {x} outside the domain [0, 1]")
-    if x == 1.0:
-        x = np.nextafter(1.0, 0.0)
-    return float(model.apply(np.array([x]))[0])
 
 
 # ---------------------------------------------------------------------------

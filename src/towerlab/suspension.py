@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from math import comb
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -39,9 +38,6 @@ __all__ = [
     "correlation_mc",
     "truncation_error_experiment",
     "roof_truncation_experiment",
-    "buffer_modify",
-    "fit_decay",
-    "roof_tail_profile",
 ]
 
 
@@ -112,7 +108,6 @@ class Observable:
 
     name: str
     func: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    smoothness: int = 2   # flow-direction derivatives assumed bounded
 
     def __call__(self, pos, u, h) -> np.ndarray:
         return self.func(np.asarray(pos, dtype=float),
@@ -122,50 +117,21 @@ class Observable:
     def eval_state(self, model: "SuspensionModel", st: "FlowState") -> np.ndarray:
         return self(st.pos, st.u, model.roof(st.pos))
 
-    def norm_surrogate(self, model: "SuspensionModel", n_grid: int = 400,
-                       seed: int = 7) -> float:
-        """Sampled sup of |v| and its flow derivatives up to ``smoothness``."""
-        st = sample_stationary(model, n_grid, seed=seed)
-        h = model.roof(st.pos)
-        tot = float(np.max(np.abs(self(st.pos, st.u, h))))
-        dt = 1e-3
-        for k in range(1, self.smoothness + 1):
-            # central difference of order k along u, clipped inside [0, h)
-            offs = np.arange(-k, k + 1)
-            coef = np.array([_fd_weight(k, i, offs) for i in range(len(offs))])
-            base = np.clip(st.u, k * dt, h * (1 - 1e-9) - k * dt)
-            val = sum(c * self(st.pos, base + o * dt, h)
-                      for c, o in zip(coef, offs))
-            tot = max(tot, float(np.max(np.abs(val / dt ** k))))
-        return tot
-
-
-def _fd_weight(order: int, i: int, offs: np.ndarray) -> float:
-    """Finite-difference weight for the ``order``-th derivative at 0."""
-    n = len(offs)
-    A = np.vander(offs, n, increasing=True).T.astype(float)
-    b = np.zeros(n)
-    b[order] = math.factorial(order)
-    return float(np.linalg.solve(A, b)[i])
-
 
 def coordinate_observable(center: float = 0.5) -> Observable:
-    return Observable(name="coordinate",
-                      func=lambda x, u, h: x - center, smoothness=3)
+    return Observable(name="coordinate", func=lambda x, u, h: x - center)
 
 
 def trig_flow_observable() -> Observable:
     """sin(2*pi*u/h(x)): smooth along each flight, aligned with the roof."""
     return Observable(name="trig_flow",
-                      func=lambda x, u, h: np.sin(2.0 * np.pi * u / h),
-                      smoothness=3)
+                      func=lambda x, u, h: np.sin(2.0 * np.pi * u / h))
 
 
 def flow_periodic_observable() -> Observable:
     """cos(2*pi*u): period-1 in flow time; rigid under a constant roof 1."""
     return Observable(name="flow_periodic",
-                      func=lambda x, u, h: np.cos(2.0 * np.pi * u),
-                      smoothness=3)
+                      func=lambda x, u, h: np.cos(2.0 * np.pi * u))
 
 
 def smoothed_indicator_observable(a: float = 0.25, b: float = 0.75,
@@ -177,7 +143,7 @@ def smoothed_indicator_observable(a: float = 0.25, b: float = 0.75,
     def f(x, u, h):
         return smooth01((x - a) / width) * smooth01((b - x) / width)
 
-    return Observable(name="indicator_smoothed", func=f, smoothness=3)
+    return Observable(name="indicator_smoothed", func=f)
 
 
 OBSERVABLES = {
@@ -522,14 +488,13 @@ class TruncationTable:
                          f"{r.stderr:.17g},{r.bound:.17g},{r.ratio:.17g}\n")
 
 
-def _ratio_stability(rows: list[TruncationRow]) -> tuple[float, float, float]:
+def _ratio_stability(rows: list[TruncationRow]) -> tuple[float, float]:
     """Fitted constant and spread over noise-significant grid points."""
     sig = [r.ratio for r in rows if r.measured > 2.0 * r.stderr and r.bound > 0]
     if not sig:
-        return 0.0, 1.0, 0.0
+        return 0.0, 1.0
     fitted = float(np.exp(np.mean(np.log(sig))))
-    spread = max(sig) / min(sig)
-    return fitted, spread, max(sig)
+    return fitted, max(sig) / min(sig)
 
 
 def truncation_error_experiment(ind: InducedMap, roof: RoofFunction,
@@ -570,7 +535,7 @@ def truncation_error_experiment(ind: InducedMap, roof: RoofFunction,
             rows.append(TruncationRow(int(N), float(t), abs(rho_f - rho_t),
                                       math.hypot(e_f, e_t),
                                       tail_gt + (N + t) * tail_ge))
-    fitted, spread, _ = _ratio_stability(rows)
+    fitted, spread = _ratio_stability(rows)
     return TruncationTable(rows=rows, fitted_C=fitted, stable_within=spread,
                            kept_fraction=kept_min, oob=oob, reflowed=reflowed)
 
@@ -627,11 +592,11 @@ def roof_truncation_experiment(ind: InducedMap, roof: RoofFunction,
             second.append(TruncationRow(
                 int(N), float(t), abs(rho_t - rho_2), math.hypot(e_t, e_2),
                 t * float(N) ** (-(rate * q_log_trunc - 1.0))))
-    fitted, spread, _ = _ratio_stability(rows)
+    fitted, spread = _ratio_stability(rows)
     out = {"rows": rows, "fitted_C": fitted, "stable_within": spread,
            "oob": oob, "reflowed": reflowed}
     if q_log_trunc is not None:
-        f2, s2, _ = _ratio_stability(second)
+        f2, s2 = _ratio_stability(second)
         out["second_rows"] = second
         out["second_reflowed"] = second_reflowed
         out["second_fitted_C"] = f2
@@ -646,14 +611,6 @@ def _exp_rate(ind: InducedMap) -> float:
     keep = vals > 0
     c, _ = np.polyfit(ns[keep], np.log(vals[keep]), 1)
     return -float(c)
-
-
-def roof_tail_profile(model: SuspensionModel, n_grid) -> np.ndarray:
-    """mu_Delta(cells where the cell sup of h exceeds n), per n."""
-    sup_cell = model.hmax_cell / 1.05
-    out = np.array([float(model.cell_mass[sup_cell >= n].sum())
-                    for n in n_grid])
-    return out
 
 
 def flow_visit_measure(model: SuspensionModel, N: float, k: float,
@@ -705,150 +662,3 @@ def flow_visit_measure(model: SuspensionModel, N: float, k: float,
     big = h0 > N
     bound = float(np.sum(w * h0 * big)) + k * float(np.sum(w * big))
     return measured / model.hbar, bound / model.hbar
-
-
-# ---------------------------------------------------------------------------
-# Buffered observables across the truncation seam
-# ---------------------------------------------------------------------------
-
-def _smoothstep(m: int, t: np.ndarray) -> np.ndarray:
-    """Polynomial step with m vanishing derivatives at both ends."""
-    t = np.clip(t, 0.0, 1.0)
-    acc = np.zeros_like(t)
-    for k in range(m + 1):
-        acc += comb(m + k, k) * comb(2 * m + 1, m - k) * (-t) ** k
-    return t ** (m + 1) * acc
-
-
-@dataclass(frozen=True)
-class BufferedObservable:
-    """Observable modified on the top strip of truncated tall columns so
-    that flow smoothness holds across the new identification."""
-
-    base: Observable
-    model: "SuspensionModel"
-    blend_fraction: float = 0.25
-    name: str = "buffered"
-
-    @property
-    def smoothness(self) -> int:
-        return self.base.smoothness
-
-    def __call__(self, pos, u, h) -> np.ndarray:
-        # off-strip evaluation falls back to the base observable
-        return self.base(pos, u, h)
-
-    def eval_state(self, model: "SuspensionModel", st: FlowState) -> np.ndarray:
-        vals = self.base.eval_state(model, st)
-        tower = self.model.tower
-        if not isinstance(tower, TruncatedTower):
-            return vals
-        h = model.roof(st.pos)
-        on_strip = tower.tall[st.col] & (st.level == tower.heights[st.col] - 1)
-        tau = (st.u - (1 - self.blend_fraction) * h) / (self.blend_fraction * h)
-        sel = np.nonzero(on_strip & (tau > 0))[0]
-        if len(sel) == 0:
-            return vals
-        m = self.base.smoothness
-        chi = _smoothstep(m, tau[sel])
-        vals[sel] = vals[sel] + chi * self._seam_correction(
-            st, sel, st.u[sel] - h[sel])
-        return vals
-
-    def _seam_correction(self, st: FlowState, sel: np.ndarray,
-                         dt: np.ndarray) -> np.ndarray:
-        """Taylor polynomial of the flow-derivative mismatch at the seam.
-
-        Orders 1..m of d/dt v(flow) from the post-drop point minus the
-        one-sided derivatives at the strip top; the order-0 profile of v is
-        untouched (observables that are independent of the flow height pass
-        through unchanged)."""
-        ind = self.model.ind
-        ynew = ind.F(st.col[sel], st.y[sel])
-        hn = self.model.roof(ynew)
-        pos = st.pos[sel]
-        h = self.model.roof(pos)
-        m = self.base.smoothness
-        step = 1e-3
-        ones = np.ones_like(ynew)
-        out = np.zeros(len(sel))
-        for k in range(1, m + 1):
-            offs = np.arange(0, k + 2)
-            cs = [_fd_weight(k, i, offs) for i in range(len(offs))]
-            fwd = sum(c * self.base(ynew, o * step * ones, hn)
-                      for c, o in zip(cs, offs)) / step ** k
-            back = sum(c * self.base(pos, h - o * step, h)
-                       for c, o in zip(cs, offs)) / (-step) ** k
-            out += (fwd - back) * dt ** k / math.factorial(k)
-        return out
-
-
-def buffer_modify(v: Observable, model: SuspensionModel,
-                  blend_fraction: float = 0.25) -> tuple[BufferedObservable, dict]:
-    """Blend v on the top strip of truncated columns toward its continuation
-    past the new identification.  Returns the modified observable and a
-    report (norm ratio, measure of the modified region)."""
-    tower = model.tower
-    if not isinstance(tower, TruncatedTower):
-        raise ValueError("buffering applies to truncated towers")
-    buffered = BufferedObservable(base=v, model=model,
-                                  blend_fraction=blend_fraction,
-                                  name=f"buffered({v.name})")
-    strip_cells = tower.tall
-    strip_mass = float(tower.column_mass[strip_cells].sum())
-    base_norm = v.norm_surrogate(model)
-    buf_norm = _buffered_norm_surrogate(buffered, model)
-    report = {
-        "strip_mass_tower": strip_mass,
-        "strip_mass_matches_tail": tower.ind.tail_sums(tower.N)[0] / tower.rbar,
-        "modified_fraction_of_strip": blend_fraction,
-        "norm_ratio": buf_norm / base_norm if base_norm > 0 else 1.0,
-    }
-    return buffered, report
-
-
-def _buffered_norm_surrogate(b: BufferedObservable, model: SuspensionModel,
-                             n_grid: int = 400, seed: int = 7) -> float:
-    st = sample_stationary(model, n_grid, seed=seed)
-    tot = float(np.max(np.abs(b.eval_state(model, st))))
-    return tot
-
-
-# ---------------------------------------------------------------------------
-# Decay fitting
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DecayFit:
-    beta: float
-    gamma: float
-    residual: float
-    window: tuple[float, float]
-
-
-def fit_decay(series: CorrelationSeries, window: tuple[float, float],
-              fit_log_power: bool = False) -> DecayFit:
-    """Regression of log |rho| on log t (optionally with a log log t term).
-
-    Refuses when the window is dominated by noise (|rho| below three
-    standard errors)."""
-    t, rho, err = series.t, series.rho, series.stderr
-    sel = (t >= window[0]) & (t <= window[1]) & (t > 1.0)
-    if not np.any(sel):
-        raise ValueError("empty fit window")
-    noisy = np.abs(rho[sel]) <= 3.0 * err[sel]
-    if np.mean(noisy) > 0.2:
-        raise ValueError("window dominated by noise; refuse to fit")
-    tt, rr = t[sel], np.abs(rho[sel])
-    keep = rr > 0
-    tt, rr = tt[keep], rr[keep]
-    L = np.log(tt)
-    cols = [np.ones_like(L), -L]
-    if fit_log_power:
-        cols.append(np.log(L))
-    A = np.column_stack(cols)
-    coef, res, *_ = np.linalg.lstsq(A, np.log(rr), rcond=None)
-    resid = float(np.sqrt(res[0] / len(L))) if len(res) else 0.0
-    return DecayFit(beta=float(coef[1]),
-                    gamma=float(coef[2]) if fit_log_power else 0.0,
-                    residual=resid, window=(float(window[0]), float(window[1])))

@@ -21,14 +21,11 @@ __all__ = [
     "build_tower",
     "truncate",
     "visit_measure",
-    "separation_time",
-    "d_theta",
 ]
 
 
 class Tower:
-    """Tower over an induced map; its symbolic metric d_theta takes theta
-    from the map model.
+    """Tower over an induced map.
 
     Cell (j, l), 0 <= l < r(j), carries invariant measure mu_Y(Y_j)/rbar,
     where rbar is the mean return time over represented cells.  Tail mass
@@ -66,17 +63,6 @@ class Tower:
             out[start[order[:n]] + ell] = vals
         return out
 
-    def step(self, j, level, y):
-        """One application of the tower map to (column, level, base coord)."""
-        j = np.asarray(j, dtype=int).copy()
-        level = np.asarray(level, dtype=int) + 1
-        y = np.asarray(y, dtype=float).copy()
-        drop = level >= self.heights[j]
-        if np.any(drop):
-            j[drop], y[drop], _ = self.ind.land(j[drop], 0, y[drop])
-            level = np.where(drop, 0, level)
-        return j, level, y
-
     def to_csv(self, path) -> None:
         ind = self.ind
         ends = iter(self.column_positions(np.column_stack([ind.lo, ind.hi])))
@@ -105,7 +91,6 @@ class TruncatedTower(Tower):
         self.column_mass = ind.muY / self.rbar
         self.n_cells = int(self.heights.sum())
         self.tall = ind.r >= N        # columns forming the tall part of Delta
-        self.short = ~self.tall
 
     def tall_part_mass(self) -> float:
         """mu_Delta of the tall-column part of the untruncated tower."""
@@ -180,41 +165,3 @@ def visit_measure(tower: Tower, N: int, k: int) -> tuple[float, float]:
     tail_ge, s = ind.tail_sums(N)
     bound = (s + (N + k) * tail_ge) / tower.rbar
     return measured, bound
-
-
-# ---------------------------------------------------------------------------
-# Separation time and the symbolic metric
-# ---------------------------------------------------------------------------
-
-#: separation cap: pairs still together after this many returns are treated
-#: as never separating (theta^60 is below double precision resolution).
-SEPARATION_CAP = 60
-
-
-def separation_time(tower: Tower, p: tuple[int, int, float],
-                    q: tuple[int, int, float]) -> int | float:
-    """Number of induced-map iterates before two tower points separate.
-
-    Points are (column, level, base coordinate).  Points in different cells
-    or on different levels separate immediately (s = 0); equal points never
-    separate (s = inf).
-    """
-    j1, l1, y1 = p
-    j2, l2, y2 = q
-    if j1 != j2 or l1 != l2:
-        return 0
-    if y1 == y2:
-        return math.inf
-    ind = tower.ind
-    a = np.array([y1, y2])
-    for s in range(SEPARATION_CAP):
-        cells = ind.cell_of(a)
-        if cells[0] != cells[1] or cells[0] < 0:
-            return s
-        a = ind.F(int(cells[0]), a)
-    return math.inf
-
-
-def d_theta(tower: Tower, p, q) -> float:
-    s = separation_time(tower, p, q)
-    return 0.0 if math.isinf(s) else tower.ind.model.theta ** s

@@ -10,7 +10,6 @@ Perron pair so that R1 = 1 and the discrete measure is exactly stationary.
 
 from __future__ import annotations
 
-import math
 import numpy as np
 
 from towerlab.maps import InducedMap

@@ -24,8 +24,6 @@ __all__ = [
     "assemble_twisted",
     "lasota_yorke_check",
     "resolvent_scan",
-    "twist_perturbation_check",
-    "tail_moment_sum",
 ]
 
 
@@ -193,11 +191,10 @@ def resolvent_scan(basis: CylinderBasis, roof, b_grid, omega_grid,
     rng = np.random.default_rng(seed)
     grid = TowerGrid(basis, roof, N)
     bs, oms, norms, flags, resids = [], [], [], [], []
-    eye = np.eye(basis.n, dtype=complex)
     for b in np.atleast_1d(b_grid):
         for om in np.atleast_1d(omega_grid):
-            op = assemble_twisted(grid, 1j * b, 1j * om)
-            A = eye - op.mat
+            A = -assemble_twisted(grid, 1j * b, 1j * om).mat
+            A[np.diag_indices_from(A)] += 1.0
             lu = lu_factor(A)
             # smallest singular value by inverse power iteration on A^H A
             x = rng.standard_normal(basis.n) + 1j * rng.standard_normal(basis.n)
@@ -225,7 +222,7 @@ def resolvent_scan(basis: CylinderBasis, roof, b_grid, omega_grid,
             e[int(np.argmax(np.abs(x)))] = 1.0
             chain = [x]
             for _ in range(n_adversarial - 1):
-                y = A.conj().T @ chain[-1]
+                y = (chain[-1].conj() @ A).conj()   # A^H chain[-1]
                 chain.append(y / np.linalg.norm(y))
             block = np.column_stack([_b_probes(basis, b, n_random, rng), e]
                                     + chain[:n_adversarial])
@@ -245,74 +242,3 @@ def resolvent_scan(basis: CylinderBasis, roof, b_grid, omega_grid,
     return ResolventScan(b=bs, omega=np.array(oms), norm_estimate=norms,
                          resonance=flags, alpha_fit=alpha,
                          residuals=np.array(resids))
-
-
-# ---------------------------------------------------------------------------
-# Real-part perturbation of the twist
-# ---------------------------------------------------------------------------
-
-def tail_moment_sum(ind, N: int) -> float:
-    """d_N = sum_{k<=N} k mu_Y(r >= k) including the extrapolated tail."""
-    from towerlab.maps import return_time_tail
-    total = 0.0
-    for k in range(1, N + 1):
-        total += k * (return_time_tail(ind, k - 1).total if k > 1
-                      else 1.0)
-    return total
-
-
-@dataclass
-class PerturbationReport:
-    s: complex
-    z: complex
-    measured: float
-    bound_core: float          # d_N (|a| + |sigma|) e^{(|a||h|_inf+|sigma|)N}
-    fitted_C: float
-    rows: list = field(default_factory=list)
-
-
-def twist_perturbation_check(basis: CylinderBasis, roof, s: complex,
-                             z: complex = 0.0, N: int | None = None,
-                             C6: float = 1.0, n_probes: int = 40,
-                             seed: int = 0, unbounded_variant: bool = False,
-                             q_log: float = 4.0) -> PerturbationReport:
-    """Probe norm of R_{s,z} - R_{ib,iw} against the tail-moment bound.
-
-    The bounded-roof bound is d_N (|a|+|sigma|) e^{(|a| |h|_inf + |sigma|) N};
-    with ``unbounded_variant`` the exponential factor is
-    e^{q (|a| N + |sigma|) ln N} as appropriate for log-truncated towers.
-    """
-    theta = basis.ind.model.theta
-    grid = TowerGrid(basis, roof, N)
-    Nval = N if N is not None else int(grid.max_h)
-    a, sg = s.real, z.real
-    b, om = s.imag, z.imag
-    op_full = assemble_twisted(grid, s, z)
-    op_imag = assemble_twisted(grid, 1j * b, 1j * om)
-    D = op_full.mat - op_imag.mat
-    rng = np.random.default_rng(seed)
-    beff = max(abs(b), 1.0)
-    measured = 0.0
-    for _ in range(n_probes):
-        v = rng.standard_normal(basis.n) + 1j * rng.standard_normal(basis.n)
-        v /= basis.norm_b(v, beff, C6, theta)
-        measured = max(measured, basis.norm_b(D @ v, beff, C6, theta))
-    h_inf = float(np.max([h.max() if len(h) else 0.0 for h in grid.h_at]))
-    if unbounded_variant:
-        # roof-sum tail moment sum_k k mu_Y(columns with H >= k), with the
-        # exponential factor of the log-truncated setting; the cap is the
-        # roof truncation level (the sup of the capped roof sums)
-        Hsup = np.zeros(basis.ind.J)
-        np.maximum.at(Hsup, basis.col, grid.H_col)
-        cap = int(math.ceil(Hsup.max()))
-        muY = basis.ind.muY
-        dN = sum(k * float(muY[Hsup >= k].sum()) for k in range(1, cap + 1))
-        core = dN * (abs(a) + abs(sg)) * math.exp(
-            q_log * (abs(a) * h_inf + abs(sg)) * math.log(max(Nval, 2)))
-    else:
-        dN = tail_moment_sum(basis.ind, Nval)
-        core = dN * (abs(a) + abs(sg)) * math.exp(
-            (abs(a) * h_inf + abs(sg)) * Nval)
-    fitted = measured / core if core > 0 else (0.0 if measured == 0 else math.inf)
-    return PerturbationReport(s=s, z=z, measured=measured, bound_core=core,
-                              fitted_C=fitted)

@@ -146,9 +146,6 @@ class TowerGrid:
         out[self.active[0]] = V[0]
         return out
 
-    def sup_norm(self, V: list) -> float:
-        return max(float(np.max(np.abs(v))) if len(v) else 0.0 for v in V)
-
     @cached_property
     def _diameters(self) -> GroupDiameters:
         """Seminorm groups of the flattened tower vector: one level and one

@@ -12,25 +12,6 @@ def pm05():
     return systems.pm_induced(0.5)
 
 
-def test_evaluate_pm_right_branch():
-    pm = maps.pomeau_manneville(0.5)
-    assert maps.evaluate(pm, 0.75) == pytest.approx(2 * 0.75 - 1, abs=1e-15)
-
-
-def test_evaluate_fixed_point():
-    pm = maps.pomeau_manneville(0.5)
-    assert maps.evaluate(pm, 0.0) == 0.0
-
-
-def test_evaluate_doubling():
-    assert maps.evaluate(maps.doubling_map(), 0.3) == pytest.approx(0.6)
-
-
-def test_evaluate_domain_error():
-    with pytest.raises(ValueError):
-        maps.evaluate(maps.doubling_map(), 1.5)
-
-
 def test_pm_alpha_validation():
     with pytest.raises(ValueError):
         maps.pomeau_manneville(1.0)

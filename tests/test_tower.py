@@ -16,10 +16,6 @@ def pm_tower():
 def test_theta_default_from_expansion(pm_tower):
     # theta = expansion^-eta = 2^-1, exactly
     assert pm_tower.ind.model.theta == 0.5
-    p, q = (3, 0, 0.6), (3, 0, 0.6 + 1e-9)
-    s = tw.separation_time(pm_tower, p, q)
-    assert 0 < s < tw.SEPARATION_CAP
-    assert tw.d_theta(pm_tower, p, q) == 0.5 ** s
 
 
 def test_theta_validation():
@@ -46,19 +42,6 @@ def test_doubling_single_level_tower():
     assert t.n_cells == 2
     assert t.rbar == pytest.approx(1.0)
     assert np.allclose(t.column_mass, t.ind.muY)
-
-
-def test_projection_semiconjugacy(pm_tower):
-    # T(pi(y, l)) = pi(f(y, l)) on sample points
-    ind = pm_tower.ind
-    rng = np.random.default_rng(3)
-    j = np.array([5, 17, 40])
-    y = ind.lo[j] + rng.random(3) * ind.widths[j]
-    lv = np.array([2, 6, 12])
-    left = ind.model.apply(ind.model.advance(y, lv))
-    j2, lv2, y2 = pm_tower.step(j, lv, y)
-    right = ind.model.advance(y2, lv2)
-    assert np.allclose(left, right, atol=1e-9)
 
 
 @pytest.mark.parametrize("N", [10, 20, 50, 100])
@@ -138,43 +121,6 @@ def test_visit_measure_against_path_enumeration():
     assert m <= b
 
 
-def test_separation_time_cases(pm_tower):
-    same_cell = ((1, 0, 0.70), (1, 0, 0.71))
-    assert tw.separation_time(pm_tower, *same_cell) >= 1
-    assert tw.separation_time(pm_tower, (0, 0, 0.8), (1, 0, 0.7)) == 0
-    assert tw.d_theta(pm_tower, (0, 0, 0.8), (1, 0, 0.7)) == 1.0
-    p = (2, 1, 0.68)
-    assert math.isinf(tw.separation_time(pm_tower, p, p))
-    assert tw.d_theta(pm_tower, p, p) == 0.0
-
-
-def test_separation_oracle_direct_iteration(pm_tower):
-    # separation by explicit iteration of F with cell lookup
-    ind = pm_tower.ind
-    y1, y2 = 0.71, 0.712
-    s = 0
-    a, b = np.array([y1]), np.array([y2])
-    while True:
-        c1, c2 = ind.cell_of(a)[0], ind.cell_of(b)[0]
-        if c1 != c2:
-            break
-        a, b = ind.F(int(c1), a), ind.F(int(c2), b)
-        s += 1
-    assert tw.separation_time(pm_tower, (1, 0, y1), (1, 0, y2)) == s
-
-
-def test_d_theta_ultrametric_within_column(pm_tower):
-    rng = np.random.default_rng(7)
-    ind = pm_tower.ind
-    for _ in range(40):
-        j = int(rng.integers(0, 30))
-        ys = ind.lo[j] + rng.random(3) * ind.widths[j]
-        p, q, r = ((j, 0, float(y)) for y in ys)
-        dpr = tw.d_theta(pm_tower, p, r)
-        assert dpr <= max(tw.d_theta(pm_tower, p, q),
-                          tw.d_theta(pm_tower, q, r)) + 1e-15
-
-
 def test_tower_csv(tmp_path):
     t = tw.build_tower(systems.doubling_induced())
     path = tmp_path / "tower.csv"
@@ -251,9 +197,6 @@ def test_land_parks_tail_landings(pm_tower):
     cell, p, parked = ind.land(j, 0, y)
     assert cell[0] == deep and parked.tolist() == [True]
     assert ind.lo[deep] <= p[0] < ind.hi[deep]
-    # the tower map lands through the same policy, never in column -1
-    j2, lv2, y2 = pm_tower.step(j, ind.r[j] - 1, y)
-    assert j2[0] == deep and lv2[0] == 0 and y2[0] == p[0]
 
 
 def test_land_from_any_level_matches_return_map(pm_tower):

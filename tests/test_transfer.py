@@ -9,9 +9,7 @@ from towerlab.transfer.basis import BIG, CylinderBasis
 from towerlab.transfer.towerop import TowerGrid, laplace_series, \
     map_correlation_operator
 from towerlab.transfer.operators import (assemble_R, assemble_twisted,
-                                         lasota_yorke_check, resolvent_scan,
-                                         tail_moment_sum,
-                                         twist_perturbation_check)
+                                         lasota_yorke_check, resolvent_scan)
 
 
 @pytest.fixture(scope="module")
@@ -332,29 +330,6 @@ def test_resolvent_coboundary_invariance(bd):
     assert np.all(np.abs(s1.norm_estimate / s2.norm_estimate - 1.0) < 0.05)
 
 
-def test_twist_perturbation_zero_at_imaginary(bp):
-    rep = twist_perturbation_check(bp, sp.cosine_roof(), 2j, 0.0, N=20)
-    assert rep.measured <= 1e-12
-
-
-def test_twist_perturbation_bound_and_linearity(bp):
-    N = 20
-    a = 0.01 / N
-    r1 = twist_perturbation_check(bp, sp.cosine_roof(), a + 2j, 0.0, N=N)
-    assert r1.measured <= 1.0 * r1.bound_core  # C <= 1 comfortably
-    r2 = twist_perturbation_check(bp, sp.cosine_roof(), a / 2 + 2j, 0.0, N=N)
-    ratio = r1.measured / r2.measured
-    assert 1.0 < ratio < 4.0  # within factor 2 of proportional
-
-
-def test_tail_moment_sum(bp):
-    ind = bp.ind
-    d5 = tail_moment_sum(ind, 5)
-    direct = 1.0 + sum(k * (ind.muY[ind.r >= k].sum() + ind.tail_mass)
-                       for k in range(2, 6))
-    assert d5 == pytest.approx(direct, rel=1e-9)
-
-
 # -- tower operator -----------------------------------------------------------------
 
 def test_tower_integral_conserved(bp):
@@ -624,17 +599,6 @@ def test_roof_sum_tail_gap():
     assert ex.log_factor_fit <= 2.5    # clear of the bound's exponent 3
 
 
-def test_twist_perturbation_unbounded_variant():
-    ind = systems.doubling_induced()
-    basis = CylinderBasis(ind, depth=2, refine_symbols=8)
-    roof = sp.power_singularity_roof(1.0).truncated(20.0)
-    L = max(1, int(4.0 * math.log(20.0)))
-    rep = twist_perturbation_check(basis, roof, 0.001 + 2j, 0.0, N=L,
-                                   unbounded_variant=True, q_log=4.0)
-    assert np.isfinite(rep.fitted_C)
-    assert rep.measured <= rep.bound_core  # C <= 1 with margin
-
-
 def test_resolvent_refinement_stability():
     # doubling the cylinder depth moves resolvent norms by < 10 percent
     b_grid = [3.0, 9.0]
@@ -646,15 +610,3 @@ def test_resolvent_refinement_stability():
                             C6=2.0, n_random=30, seed=5)
         norms[depth] = sc.norm_estimate
     assert np.all(np.abs(norms[12] / norms[6] - 1.0) < 0.10)
-
-
-def test_observable_norm_surrogate():
-    import towerlab.tower as tw
-    model = sp.SuspensionModel(tw.build_tower(systems.doubling_full()),
-                               sp.cosine_roof())
-    v = sp.coordinate_observable()
-    n = v.norm_surrogate(model)
-    assert 0.4 <= n <= 0.6  # sup|x - 1/2| with zero flow derivatives
-    w = sp.flow_periodic_observable()
-    nw = w.norm_surrogate(model)
-    assert nw >= (2 * math.pi) ** 2 * 0.8  # second flow derivative peaks
