@@ -216,6 +216,9 @@ def cmd_induce(run: Run) -> None:
 
 
 def cmd_tail(run: Run) -> None:
+    horizon = run["map", "tail_horizon"]
+    if horizon <= 400:  # the fit window [100, horizon - 1] needs 4x range
+        raise ValueError(f"[map] tail_horizon = {horizon}: not above 400")
     ind = _build_induced(run)
     path = _out(run, "tail.csv")
     ns = np.unique(np.geomspace(1, ind.tail_horizon - 1, 200).astype(int))
@@ -381,8 +384,10 @@ def cmd_laplace(run: Run) -> None:
 
 
 def cmd_budget(run: Run) -> None:
-    b = rates.rate_budget(beta=run["grids", "beta"],
-                          gamma=run["grids", "gamma"])
+    beta = run["grids", "beta"]
+    if not beta > 0:  # p, eps and q are derived from beta > 0
+        raise ValueError(f"[grids] beta = {beta}: not > 0")
+    b = rates.rate_budget(beta=beta, gamma=run["grids", "gamma"])
     path = _out(run, "budget.csv")
     b.to_csv(path)
     _plot_script(run, "budget", path, "t",

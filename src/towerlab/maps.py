@@ -49,7 +49,6 @@ class Branch:
     fwd: Callable[[np.ndarray], np.ndarray]
     inv: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
-    indifferent_left: bool = False  # neutral fixed point at the left endpoint
 
 
 def climb_order(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -226,7 +225,7 @@ def pomeau_manneville(alpha: float, dist_const: float = 24.0) -> PomeauMannevill
         return _solve_increasing(left, dleft, y, 0.0, 0.5)
 
     branches = (
-        Branch(0.0, 0.5, left, ileft, dleft, indifferent_left=True),
+        Branch(0.0, 0.5, left, ileft, dleft),
         Branch(0.5, 1.0, lambda x: 2.0 * np.asarray(x, dtype=float) - 1.0,
                lambda y: 0.5 * (np.asarray(y, dtype=float) + 1.0),
                lambda x: np.full_like(np.asarray(x, dtype=float), 2.0)),
@@ -573,14 +572,15 @@ class InducedMap:
 
 
 def induce(model: MapModel, Y: tuple[float, float], branch_cutoff: int = 400,
-           tail_horizon: int = 12000, beta_declared: float | None = None,
-           gamma_declared: float = 0.0) -> InducedMap:
+           tail_horizon: int = 12000, gamma_declared: float = 0.0
+           ) -> InducedMap:
     """Build the first-return map of ``model`` on the interval Y.
 
     Y must be a union of branch-domain closures, and the escape region must
     be swept through single branches (true for the maps provided here).  The
     sweep continues past the cell cutoff so that exact Lebesgue tail widths
-    are available out to ``tail_horizon``.
+    are available out to ``tail_horizon``.  The declared tail exponent is
+    the model's beta for a Pomeau-Manneville map and none otherwise.
     """
     a, b = float(Y[0]), float(Y[1])
     if not (0.0 <= a < b <= 1.0):
@@ -678,8 +678,8 @@ def induce(model: MapModel, Y: tuple[float, float], branch_cutoff: int = 400,
     if not cells:
         raise ValueError("no first-return cells found below the cutoff")
     cells.sort(key=lambda c: (c.r, c.lo))
-    if beta_declared is None and isinstance(model, PomeauManneville):
-        beta_declared = model.beta
+    beta_declared = model.beta if isinstance(model, PomeauManneville) \
+        else None
     out = InducedMap(model, (a, b), cells, width_by_r[1: tail_horizon + 1],
                      beta_declared=beta_declared, gamma_declared=gamma_declared)
     out._ladder = np.array(ladder) if ladder is not None else None
@@ -701,7 +701,6 @@ class TailValue:
 @dataclass(frozen=True)
 class TailFit:
     exponent: float           # fitted beta + 1
-    log_power: float          # fitted gamma, 0.0 unless requested
     residual: float
     exponential_flag: bool
 
@@ -725,33 +724,21 @@ def return_time_tail(ind: InducedMap, n: int) -> TailValue:
     return TailValue(total=raw + extra, raw=raw, extrapolated=extra)
 
 
-def fit_tail_exponent(ind: InducedMap, n_min: int, n_max: int,
-                      fit_log_power: bool = False,
-                      use_exact_widths: bool = True) -> TailFit:
+def fit_tail_exponent(ind: InducedMap, n_min: int, n_max: int) -> TailFit:
     """Least-squares fit of log tail against log n on [n_min, n_max].
 
-    With ``use_exact_widths`` the fit runs on the exact Lebesgue tail from
-    the endpoint recursion (available far beyond the cell cutoff); otherwise
-    on the represented invariant-mass tail.
+    The fit runs on the exact Lebesgue tail from the endpoint recursion,
+    which is available far beyond the cell cutoff.
     """
     if n_min < 1 or n_max < 4 * n_min:
         raise ValueError("window must satisfy n_max >= 4*n_min >= 4")
     ns = np.unique(np.round(np.geomspace(n_min, n_max, 80)).astype(int))
-    if use_exact_widths:
-        vals = np.array([ind.mu0_tail(int(n)) for n in ns])
-    else:
-        vals = np.array([ind.muY_tail_represented(int(n)) for n in ns])
+    vals = np.array([ind.mu0_tail(int(n)) for n in ns])
     if np.any(vals <= 0.0):
-        return TailFit(math.inf, 0.0, 0.0, exponential_flag=True)
+        return TailFit(math.inf, 0.0, exponential_flag=True)
     L = np.log(ns.astype(float))
-    V = np.log(vals)
-    cols = [np.ones_like(L), -L]
-    if fit_log_power:
-        cols.append(np.log(L))
-    A = np.column_stack(cols)
-    coef, res, *_ = np.linalg.lstsq(A, V, rcond=None)
+    A = np.column_stack([np.ones_like(L), -L])
+    coef, res, *_ = np.linalg.lstsq(A, np.log(vals), rcond=None)
     resid = float(np.sqrt(res[0] / len(L))) if len(res) else 0.0
-    gamma = float(coef[2]) if fit_log_power else 0.0
-    return TailFit(exponent=float(coef[1]), log_power=gamma,
-                   residual=resid, exponential_flag=False)
-
+    return TailFit(exponent=float(coef[1]), residual=resid,
+                   exponential_flag=False)

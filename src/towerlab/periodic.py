@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+PHI_GRID = 1024   # phase grid of the alignment scan
 
 
 @dataclass(frozen=True)
@@ -98,13 +99,13 @@ def _necklace_representatives(symbols, q: int):
 
 
 def enumerate_periodic(sub: FiniteSubsystem, q_max: int,
-                       roof: RoofFunction | None = None,
-                       tol: float = 1e-13) -> list[PeriodicTriple]:
+                       roof: RoofFunction | None = None
+                       ) -> list[PeriodicTriple]:
     """All primitive periodic orbits of word length <= q_max.
 
     The periodic point of a word is the fixed point of the composed inverse
-    branches, found by contraction; tau sums the roof along the full base
-    orbit (tau = d when no roof is given, i.e. roof 1).
+    branches, found by contraction to within 1e-13; tau sums the roof along
+    the full base orbit (tau = d when no roof is given, i.e. roof 1).
     """
     if len(sub.symbols) ** q_max > 1_000_000:
         raise ValueError("word space too large")
@@ -117,7 +118,7 @@ def enumerate_periodic(sub: FiniteSubsystem, q_max: int,
                 prev = x.copy()
                 for sym in reversed(word):
                     x = ind.F_inverse(sym, x)
-                if abs(float(x[0] - prev[0])) < tol:
+                if abs(float(x[0] - prev[0])) < 1e-13:
                     break
             else:
                 raise ArithmeticError(
@@ -168,7 +169,6 @@ class AlignmentReport:
     rows: list[AlignmentRow]
     alpha: float
     C: float
-    beta0: float
     degenerate: bool      # fewer than two independent triples
 
     @property
@@ -194,15 +194,14 @@ def _dist_mod_2pi(x: np.ndarray) -> np.ndarray:
     return np.minimum(y, TWO_PI - y)
 
 
-def diophantine_check(triples, b_grid, omega_grid, beta0: float = 1.0,
-                      alpha: float = 2.0, C: float = 1.0,
-                      phi_grid: int = 1024) -> AlignmentReport:
+def diophantine_check(triples, b_grid, omega_grid, alpha: float = 2.0,
+                      C: float = 1.0) -> AlignmentReport:
     """Scan for frequencies aligning every orbit's phases near 2 pi Z.
 
-    For each (b, omega) the phase offset phi is optimised on a grid with
-    golden-section refinement; the pair passes when
+    For each (b, omega) the phase offset phi is optimised on a grid of
+    PHI_GRID points with golden-section refinement; the pair passes when
     dist(b n tau + omega n d + q phi, 2 pi Z) <= C q |b|^-alpha holds for
-    every triple, with n = [beta0 ln |b|].  A nonempty passing set at large
+    every triple, with n = [ln |b|].  A nonempty passing set at large
     |b| is evidence toward the degenerate alternative; with fewer than two
     distinct triples the test is vacuous and flagged.
     """
@@ -217,7 +216,7 @@ def diophantine_check(triples, b_grid, omega_grid, beta0: float = 1.0,
     degenerate = len({t.key() for t in triples}) < 2
     rows = []
     for b in np.atleast_1d(b_grid):
-        n = max(1, int(beta0 * math.log(max(abs(b), math.e))))
+        n = max(1, int(math.log(max(abs(b), math.e))))
         tolv = C * qs * abs(b) ** (-alpha)
         for om in np.atleast_1d(omega_grid):
             base = b * n * taus + om * n * ds
@@ -225,13 +224,13 @@ def diophantine_check(triples, b_grid, omega_grid, beta0: float = 1.0,
             def worst_at(phi: float) -> float:
                 return float(np.max(_dist_mod_2pi(base + qs * phi) / tolv))
 
-            phis = np.linspace(0.0, TWO_PI, phi_grid, endpoint=False)
+            phis = np.linspace(0.0, TWO_PI, PHI_GRID, endpoint=False)
             vals = np.max(_dist_mod_2pi(base[:, None]
                                         + qs[:, None] * phis[None, :])
                           / tolv[:, None], axis=0)
             i0 = int(np.argmin(vals))
-            lo = phis[i0] - TWO_PI / phi_grid
-            hi = phis[i0] + TWO_PI / phi_grid
+            lo = phis[i0] - TWO_PI / PHI_GRID
+            hi = phis[i0] + TWO_PI / PHI_GRID
             gr = (math.sqrt(5.0) - 1.0) / 2.0
             a_, b_ = lo, hi
             c_ = b_ - gr * (b_ - a_)
@@ -247,7 +246,7 @@ def diophantine_check(triples, b_grid, omega_grid, beta0: float = 1.0,
             w = worst_at(phi)
             rows.append(AlignmentRow(b=float(b), omega=float(om), phi=phi,
                                      worst=w, passes=w <= 1.0))
-    return AlignmentReport(rows=rows, alpha=alpha, C=C, beta0=beta0,
+    return AlignmentReport(rows=rows, alpha=alpha, C=C,
                            degenerate=degenerate)
 
 
@@ -269,7 +268,6 @@ class EigenfunctionRow:
 class EigenfunctionReport:
     rows: list[EigenfunctionRow]
     alpha: float
-    beta0: float
     depth: int
 
     def to_csv(self, path) -> None:
@@ -281,8 +279,8 @@ class EigenfunctionReport:
 
 
 def approx_eigenfunction_search(sub: FiniteSubsystem, roof: RoofFunction,
-                                b_grid, omega_grid, beta0: float = 1.0,
-                                alpha: float = 2.0, depth: int = 3,
+                                b_grid, omega_grid, alpha: float = 2.0,
+                                depth: int = 3,
                                 iters: int = 400) -> EigenfunctionReport:
     """Minimise sup |M^n u - e^{i phi} u| over unimodular cylinder functions.
 
@@ -312,7 +310,7 @@ def approx_eigenfunction_search(sub: FiniteSubsystem, roof: RoofFunction,
     rows = []
     rng = np.random.default_rng(11)
     for b in np.atleast_1d(b_grid):
-        n = max(1, int(beta0 * math.log(max(abs(b), math.e))))
+        n = max(1, int(math.log(max(abs(b), math.e))))
         for om in np.atleast_1d(omega_grid):
             w1 = np.exp(-1j * (b * H + om * rr))
             # M^n u = W_n * u o F^n with the accumulated weight along n steps
@@ -347,5 +345,4 @@ def approx_eigenfunction_search(sub: FiniteSubsystem, roof: RoofFunction,
                 b=float(b), omega=float(om), phi=float(phi % TWO_PI),
                 residual=res, scaled=res * abs(b) ** alpha,
                 converged=bool(stopped)))
-    return EigenfunctionReport(rows=rows, alpha=alpha, beta0=beta0,
-                               depth=depth)
+    return EigenfunctionReport(rows=rows, alpha=alpha, depth=depth)

@@ -118,8 +118,9 @@ class Observable:
         return self(st.pos, st.u, model.roof(st.pos))
 
 
-def coordinate_observable(center: float = 0.5) -> Observable:
-    return Observable(name="coordinate", func=lambda x, u, h: x - center)
+def coordinate_observable() -> Observable:
+    """x - 1/2: the centred position, constant along each flight."""
+    return Observable(name="coordinate", func=lambda x, u, h: x - 0.5)
 
 
 def trig_flow_observable() -> Observable:
@@ -134,14 +135,14 @@ def flow_periodic_observable() -> Observable:
                       func=lambda x, u, h: np.cos(2.0 * np.pi * u))
 
 
-def smoothed_indicator_observable(a: float = 0.25, b: float = 0.75,
-                                  width: float = 0.1) -> Observable:
+def smoothed_indicator_observable() -> Observable:
+    """Indicator of [1/4, 3/4] with smoothstep edges of width 0.1."""
     def smooth01(t):
         t = np.clip(t, 0.0, 1.0)
         return t * t * (3.0 - 2.0 * t)
 
     def f(x, u, h):
-        return smooth01((x - a) / width) * smooth01((b - x) / width)
+        return smooth01((x - 0.25) / 0.1) * smooth01((0.75 - x) / 0.1)
 
     return Observable(name="indicator_smoothed", func=f)
 
@@ -543,10 +544,11 @@ def truncation_error_experiment(ind: InducedMap, roof: RoofFunction,
 def roof_truncation_experiment(ind: InducedMap, roof: RoofFunction,
                                v: Observable, w: Observable,
                                N_list, t_grid, n_samples: int, seed: int,
-                               q_log_trunc: float | None = None) -> dict:
+                               q_log_trunc: float) -> dict:
     """Pathwise |rho - rho'| for the roof truncation h' = min(h, N) against
-    the bound N^-beta + t N^-(beta+1); optionally also applies the second
-    truncation r' = min(r, [q ln N]) and reports its extra error.
+    the bound N^-beta + t N^-(beta+1); also applies the second truncation
+    r' = min(r, [q ln N]) with q = ``q_log_trunc`` and reports its extra
+    error against t N^-(c q - 1), c the exponential tail rate.
 
     Requires an unbounded roof with a declared tail exponent and an induced
     map with exponential return tails.  As in truncation_error_experiment,
@@ -569,7 +571,7 @@ def roof_truncation_experiment(ind: InducedMap, roof: RoofFunction,
     second: list[TruncationRow] = []
     oob = {"full": int(paths.parked.sum()), "truncated": 0, "second": 0}
     reflowed, second_reflowed = {}, {}
-    rate = _exp_rate(ind) if q_log_trunc is not None else None
+    rate = _exp_rate(ind)
     for N in sorted(N_list):
         roof_t = roof.truncated(float(N))
         keep = st0.u < roof_t(st0.pos)
@@ -580,8 +582,6 @@ def roof_truncation_experiment(ind: InducedMap, roof: RoofFunction,
             rows.append(TruncationRow(int(N), float(t),
                                       abs(rho_f - rho_t), math.hypot(e_f, e_t),
                                       N ** (-beta) + t * N ** (-(beta + 1.0))))
-        if q_log_trunc is None:
-            continue
         # second truncation: also cap tower columns at q ln N
         tt2 = truncate(base_tower, max(1, int(q_log_trunc * math.log(N))))
         keep2 = keep & (st0.level < tt2.heights[st0.col])
@@ -593,15 +593,11 @@ def roof_truncation_experiment(ind: InducedMap, roof: RoofFunction,
                 int(N), float(t), abs(rho_t - rho_2), math.hypot(e_t, e_2),
                 t * float(N) ** (-(rate * q_log_trunc - 1.0))))
     fitted, spread = _ratio_stability(rows)
-    out = {"rows": rows, "fitted_C": fitted, "stable_within": spread,
-           "oob": oob, "reflowed": reflowed}
-    if q_log_trunc is not None:
-        f2, s2 = _ratio_stability(second)
-        out["second_rows"] = second
-        out["second_reflowed"] = second_reflowed
-        out["second_fitted_C"] = f2
-        out["second_stable_within"] = s2
-    return out
+    f2, s2 = _ratio_stability(second)
+    return {"rows": rows, "fitted_C": fitted, "stable_within": spread,
+            "oob": oob, "reflowed": reflowed, "second_rows": second,
+            "second_reflowed": second_reflowed, "second_fitted_C": f2,
+            "second_stable_within": s2}
 
 
 def _exp_rate(ind: InducedMap) -> float:
@@ -613,21 +609,22 @@ def _exp_rate(ind: InducedMap) -> float:
     return -float(c)
 
 
-def flow_visit_measure(model: SuspensionModel, N: float, k: float,
-                       nodes_per_cell: int = 12) -> tuple[float, float]:
+def flow_visit_measure(model: SuspensionModel, N: float, k: float
+                       ) -> tuple[float, float]:
     """Measure of suspension points reaching the region {h > N} within
     flow time k, with the explicit excursion bound.
 
-    Returns (measured, bound): measured integrates, per cell and position,
-    the exact u-interval that enters within time k (points starting inside
-    the region count at time 0); the bound is
+    Returns (measured, bound): measured integrates, per cell and position
+    (12 Gauss-Legendre nodes per cell), the exact u-interval that enters
+    within time k (points starting inside the region count at time 0); the
+    bound is
     (1/hbar) { int h 1_{h>N} dmu + k mu(h > N) }.
     """
     if k < 0 or N <= 0:
         raise ValueError("need k >= 0 and N > 0")
     tower = model.tower
     ind = model.ind
-    qn, qw = leggauss(nodes_per_cell)
+    qn, qw = leggauss(12)
     wts = 0.5 * qw  # weights of the normalised within-cell average
     # flat ensemble: every tower cell carries its quadrature nodes
     x = ind.lo[:, None] + (0.5 + 0.5 * qn) * ind.widths[:, None]

@@ -10,7 +10,7 @@ its designed single-logarithm gap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,17 +34,12 @@ def tail_moments(tails: np.ndarray) -> np.ndarray:
 class RateBudget:
     beta: float
     gamma: float
-    p: float
-    d: float
-    q: float
-    eps: float
     t: np.ndarray
     N: np.ndarray
     terms: np.ndarray            # (4, len(t)): the four error terms
     dominant: np.ndarray         # index of the dominant term per t
     predicted_rate: str
     dN_class: str
-    constraints: dict = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -82,50 +77,43 @@ def classify_dN(beta: float, gamma: float, dN: np.ndarray,
     return cls, defect
 
 
-def rate_budget(beta: float, gamma: float = 0.0, p: float | None = None,
-                d: float = 0.01, q: float | None = None,
-                h_sup: float = 3.0, eps: float | None = None,
-                tail_data: np.ndarray | None = None,
-                t_grid: np.ndarray | None = None,
-                horizon: int = 200_000) -> RateBudget:
+# the budget's fixed constants: the spectral margin d, the bound on sup |h|
+# and the horizon of the synthetic tail
+D = 0.01
+H_SUP = 3.0
+HORIZON = 200_000
+
+
+def rate_budget(beta: float, gamma: float = 0.0) -> RateBudget:
     """Evaluate the truncated-operator error terms on the N = [t/q] schedule.
 
     The four terms are the truncation pair (ln N)^g N^-b and
     t (ln N)^g N^-(b+1), the spectral term d_N N^(1+d) exp(-eps ln N / N t),
-    and the contour term (d_N N^d)^(p+2) t^-p.  Parameters violating the
-    admissibility constraints (p > beta, p > (2-beta)/beta, eps < d/(sup h
-    + 1)) are rejected.
+    and the contour term (d_N N^d)^(p+2) t^-p, evaluated on the synthetic
+    tail (ln k)^g k^-(b+1) over 60 log-spaced t in [10 q, 4000 q].  The
+    parameters are derived from beta > 0, so they are admissible by
+    construction: p = max(beta, (2-beta)/beta) + 1, eps = 0.99 d/(sup h
+    + 1) and q = ceil((1+d+beta)/eps).  A term that is not finite (p
+    overflows the contour term as beta -> 0) raises ArithmeticError.
     """
-    if p is None:
-        p = max(beta, (2.0 - beta) / beta) + 1.0
-    constraints = {
-        "p > beta": p > beta,
-        "p > (2-beta)/beta": p > (2.0 - beta) / beta,
-    }
-    if eps is None:
-        eps = 0.99 * d / (h_sup + 1.0)
-    constraints["eps < d/(|h|+1)"] = eps < d / (h_sup + 1.0)
-    if q is None:
-        q = math.ceil((1.0 + d + beta) / eps)
-    constraints["q >= (1+d+beta)/eps"] = q >= (1.0 + d + beta) / eps
-    if not all(constraints.values()):
-        bad = [k for k, v in constraints.items() if not v]
-        raise ValueError(f"rate parameters violate constraints: {bad}")
-    if t_grid is None:
-        t_grid = np.geomspace(10 * q, 4000 * q, 60)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if tail_data is None:
-        tail_data = _synthetic_tails(beta, gamma, horizon)
-    dN_all = tail_moments(tail_data)
+    if not beta > 0:
+        raise ValueError(f"beta = {beta!r}: not > 0")
+    p = max(beta, (2.0 - beta) / beta) + 1.0
+    eps = 0.99 * D / (H_SUP + 1.0)
+    q = math.ceil((1.0 + D + beta) / eps)
+    t_grid = np.geomspace(10 * q, 4000 * q, 60)
+    dN_all = tail_moments(_synthetic_tails(beta, gamma, HORIZON))
     N = np.maximum((t_grid / q).astype(int), 2)
     N = np.minimum(N, len(dN_all))
     dN = dN_all[N - 1]
     LN = np.log(N.astype(float))
     term1 = LN ** gamma * N ** (-beta)
     term2 = t_grid * LN ** gamma * N ** (-(beta + 1.0))
-    term3 = dN * N ** (1.0 + d) * np.exp(-eps * LN / N * t_grid)
-    term4 = (dN * N ** d) ** (p + 2.0) * t_grid ** (-p)
+    term3 = dN * N ** (1.0 + D) * np.exp(-eps * LN / N * t_grid)
+    term4 = (dN * N ** D) ** (p + 2.0) * t_grid ** (-p)
     terms = np.vstack([term1, term2, term3, term4])
+    if not np.isfinite(terms).all():
+        raise ArithmeticError(f"budget term not finite at beta = {beta:g}")
     dominant = np.argmax(terms, axis=0)
     if gamma == 0:
         predicted = f"t^-{beta:g}"
@@ -133,10 +121,9 @@ def rate_budget(beta: float, gamma: float = 0.0, p: float | None = None,
         predicted = f"(ln t)^{gamma:g} t^-{beta:g}"
     Ng = np.unique(np.geomspace(8, len(dN_all), 40).astype(int))
     cls, _ = classify_dN(beta, gamma, dN_all, Ng)
-    return RateBudget(beta=beta, gamma=gamma, p=p, d=d, q=q, eps=eps,
-                      t=t_grid, N=N, terms=terms, dominant=dominant,
-                      predicted_rate=predicted, dN_class=cls,
-                      constraints=constraints)
+    return RateBudget(beta=beta, gamma=gamma, t=t_grid, N=N, terms=terms,
+                      dominant=dominant, predicted_rate=predicted,
+                      dN_class=cls)
 
 
 def budget_matches_rate(budget: RateBudget) -> float:
@@ -159,44 +146,40 @@ def budget_matches_rate(budget: RateBudget) -> float:
 @dataclass
 class RoofSumTailExample:
     beta: float
-    n_grid: np.ndarray
     measured: np.ndarray          # mu_Y(columns with roof-sum norm >= n)
     bound: np.ndarray             # (ln n)^(beta+2) n^-(beta+1), scaled
-    designed: np.ndarray          # (ln n)^(beta+1) n^-(beta+1), scaled
     log_factor_fit: float         # fitted exponent of the log factor
     respects_bound: bool
 
 
-def roof_sum_tail_example(beta: float = 1.0, s_max: int = 200_000,
-                          n_points: int = 30) -> RoofSumTailExample:
+def roof_sum_tail_example(beta: float) -> RoofSumTailExample:
     """Synthetic tower whose roof sums are constant along columns.
 
     Exponential column-height masses e^{-m} with roof values
     (m^{-1} e^m)^{1/(beta+2)} along height-m columns put, per unit roof-sum
     value S, column mass (ln S)^{beta+1} S^{-(beta+2)} (the height-m family
     smears over S in [S(m), S(m+1))).  The example is built directly from
-    that roof-sum value profile.  The resulting tail of the roof-sum
+    that roof-sum value profile for S <= 200000 and read at 30 log-spaced
+    n in [10, 20000].  The resulting tail of the roof-sum
     distribution is (ln n)^{beta+1} n^-(beta+1): one logarithm below the
     general (ln n)^{beta+2} n^-(beta+1) bound, by design.
     """
+    s_max = 200_000
     S = np.arange(2, s_max + 1).astype(float)
     atom = np.log(S) ** (beta + 1.0) * S ** (-(beta + 2.0))
     atom /= atom.sum()
     tail = np.concatenate([np.cumsum(atom[::-1])[::-1], [0.0]])
-    n_grid = np.unique(np.geomspace(10, s_max / 10, n_points)).astype(int)
+    n_grid = np.unique(np.geomspace(10, s_max / 10, 30)).astype(int)
     measured = tail[n_grid - 2]
     L = np.log(n_grid.astype(float))
     bound = L ** (beta + 2.0) * n_grid.astype(float) ** (-(beta + 1.0))
-    designed = L ** (beta + 1.0) * n_grid.astype(float) ** (-(beta + 1.0))
     bound *= measured[0] / bound[0] * (1.0 + 1e-9)
-    designed *= measured[0] / designed[0]
     # slope in ln ln n, with the first-order incomplete-gamma correction
     # 1/ln n absorbed so the finite window does not bias the log exponent
     y = np.log(measured) + (beta + 1.0) * L
     A = np.column_stack([np.ones_like(L), np.log(L), 1.0 / L])
     fit = np.linalg.lstsq(A, y, rcond=None)[0][1]
     respects = bool(np.all(measured <= bound * (1.0 + 1e-6)))
-    return RoofSumTailExample(beta=beta, n_grid=n_grid.astype(float),
-                              measured=measured, bound=bound,
-                              designed=designed, log_factor_fit=float(fit),
+    return RoofSumTailExample(beta=beta, measured=measured, bound=bound,
+                              log_factor_fit=float(fit),
                               respects_bound=respects)

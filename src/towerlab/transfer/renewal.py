@@ -11,7 +11,7 @@ series does not converge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ def _cum_roof(grid: TowerGrid) -> list[np.ndarray]:
 
 @dataclass
 class RenewalData:
-    grid: TowerGrid
     s: complex
     horizon: int
     z_points: np.ndarray
@@ -38,7 +37,6 @@ class RenewalData:
     raw_residuals: np.ndarray      # plain truncated-sum residual per z
     raw_tail: float                # size of the last recorded coefficient
     recursion_residual: float      # coefficient-form renewal residual
-    level_twists: list = field(default_factory=list)  # diag of R_{s,n}
 
     @property
     def max_residual(self) -> float:
@@ -133,10 +131,9 @@ def renewal_build(grid: TowerGrid, s: complex, horizon: int = 96,
         residuals[m] = float(np.abs(lhs - U).max() / scale)
         raw_residuals[m] = float(np.abs(AS - U).max()
                                  / max(np.abs(AS).max(), 1.0))
-    return RenewalData(grid=grid, s=s, horizon=H, z_points=zs,
-                       residuals=residuals, raw_residuals=raw_residuals,
-                       raw_tail=raw_tail, recursion_residual=rec_resid,
-                       level_twists=level_twists)
+    return RenewalData(s=s, horizon=H, z_points=zs, residuals=residuals,
+                       raw_residuals=raw_residuals, raw_tail=raw_tail,
+                       recursion_residual=rec_resid)
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +281,15 @@ def _interior_norm(grid: TowerGrid, cum, s: complex, nn: int) -> float:
     return tot / grid.rbar
 
 
-def _b_norm_probe(grid: TowerGrid, k: int, B_apply, rng,
-                  n_probes: int = 8) -> float:
-    """Largest ||B_k V||_b / ||V||_b over random tower probes V, drawn one
-    after another and descended together as the columns of one product;
+def _b_norm_probe(grid: TowerGrid, k: int, B_apply, rng) -> float:
+    """Largest ||B_k V||_b / ||V||_b over eight random tower probes V, drawn
+    one after another and descended together as the columns of one product;
     each norm is taken of all columns at once."""
     basis = grid.basis
     theta = basis.ind.model.theta
     flat = np.stack([np.concatenate(
         [rng.standard_normal(len(a)) + 1j * rng.standard_normal(len(a))
-         for a in grid.active]) for _ in range(n_probes)], axis=1)
+         for a in grid.active]) for _ in range(8)], axis=1)
     U = B_apply(flat, k)
     denom = np.maximum(np.max(np.abs(flat), axis=0),
                        grid.theta_seminorm([flat], theta))

@@ -249,12 +249,13 @@ class LaplaceValue:
 
 
 def laplace_series(grid: TowerGrid, v: Observable, w: Observable,
-                   s: complex, tol: float = 1e-10,
-                   max_terms: int = 20000) -> LaplaceValue:
+                   s: complex) -> LaplaceValue:
     """Laplace transform of the flow correlation of v, w at Re s > 0.
 
     Sums the operator series over return blocks plus the same-flight
-    quadrature term, minus the mean product pole 1/s.  Divergence (Re s
+    quadrature term, minus the mean product pole 1/s.  The series stops
+    once a term falls below 1e-10 of the running total, after at most
+    20000 terms (then ``converged`` is False).  Divergence (Re s
     outside the contraction region) is detected from the term growth and
     reported through ``abscissa_estimate``.  A weighted state or series
     term that is not finite (e.g. e^{s u} overflowing under an unbounded
@@ -293,7 +294,7 @@ def laplace_series(grid: TowerGrid, v: Observable, w: Observable,
     growth = []
     n = 0
     converged = False
-    for n in range(1, max_terms + 1):
+    for n in range(1, 20001):
         V = grid.step(V, -s)
         term = sum(m @ (a * b) for m, a, b in zip(grid.mu_at, V, w_s)) \
             / grid.rbar
@@ -305,7 +306,7 @@ def laplace_series(grid: TowerGrid, v: Observable, w: Observable,
             growth.append(mag / prev_mag)
         prev_mag = mag
         scale = max(scale, abs(total))
-        if mag < tol * scale and n > 4:
+        if mag < 1e-10 * scale and n > 4:
             converged = True
             break
         if n > 40 and len(growth) >= 20 and \

@@ -5,6 +5,7 @@ order); the same checks back the ``towerlab accept`` subcommand.
 """
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,9 @@ def test_acceptance_criterion(num, check):
     print(f"\n[{status}] criterion {num}: {res.name} "
           f"({res.detail}) [{res.seconds:.1f}s]")
     assert res.passed, f"criterion {num}: {res.name} -- {res.detail}"
+    # the time is in ``seconds``; a detail that held it would differ
+    # between runs of unchanged code
+    assert not re.search(r"\d\s*s\b", res.detail), res.detail
 
 
 # -- criterion 11 can fail -----------------------------------------------------

@@ -261,6 +261,8 @@ def test_seed_flag_overrides(pm_config, tmp_path):
     ("corr-map", "grids", "n_max", "10"),
     ("resolvent", "grids", "b_grid", "1:100:0"),  # was a ZeroDivisionError
     ("eigenfun", "grids", "b_grid", "200:10:10"),  # an empty range
+    ("budget", "grids", "beta", "0"),           # was a ZeroDivisionError
+    ("budget", "grids", "beta", "-1"),          # exit 2 on rate "t^--1"
 ])
 def test_ill_typed_value_is_config_error(sub, section, key, value, tmp_path,
                                          capsys):
@@ -304,6 +306,30 @@ def test_default_section_is_config_error(text, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "[DEFAULT]" in err
     assert "[grids] J" not in err
+    assert not out.exists()
+
+
+def test_budget_overflow_is_numerical_error(tmp_path, capsys):
+    # p = (2 - beta)/beta + 1 overflows the contour term: this wrote nan
+    # terms and passed, since nan > 0.1 is False
+    cfg = tmp_path / "budget.ini"
+    cfg.write_text("[grids]\nbeta = 0.0001\n")
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(["budget", "--config", str(cfg), "--out", str(out)])
+    assert code == 4
+    assert "numerical error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_short_tail_horizon_names_its_key(tmp_path, capsys):
+    # the fit window [100, tail_horizon - 1] needs n_max >= 400; the error
+    # used to name only the window
+    cfg = tmp_path / "tail.ini"
+    cfg.write_text("[map]\nkind = doubling\nJ = 30\ntail_horizon = 400\n")
+    out = tmp_path / "out"
+    assert run(["tail", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "[map] tail_horizon = 400" in capsys.readouterr().err
     assert not out.exists()
 
 

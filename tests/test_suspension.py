@@ -210,7 +210,8 @@ def test_roof_truncation_rejects_bounded_roof():
     v = sp.coordinate_observable()
     with pytest.raises(ValueError):
         sp.roof_truncation_experiment(ind, sp.cosine_roof(), v, v,
-                                      [10], [5.0], 1000, seed=0)
+                                      [10], [5.0], 1000, seed=0,
+                                      q_log_trunc=5.0)
 
 
 def test_unbounded_roof_tail_exponent():

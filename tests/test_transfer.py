@@ -587,8 +587,13 @@ def test_rate_budget_cases():
     assert rates.budget_matches_rate(b) < 0.05
     for beta, want in ((0.5, "N^0.5"), (1.0, "(ln N)^1"), (2.0, "bounded")):
         assert want in rates.rate_budget(beta=beta).dN_class
+    # p, eps and q are derived from beta, which must be positive; as beta
+    # falls to 0, p grows past what the contour term can hold
     with pytest.raises(ValueError):
-        rates.rate_budget(beta=1.0, p=0.5)
+        rates.rate_budget(beta=0.0)
+    with pytest.raises(ArithmeticError), \
+            np.errstate(over="ignore", invalid="ignore"):
+        rates.rate_budget(beta=1e-4)
 
 
 def test_roof_sum_tail_gap():
