@@ -42,7 +42,7 @@ class CheckResult:
 
 def _result(name, passed, detail, t0) -> CheckResult:
     return CheckResult(name=name, passed=bool(passed), detail=detail,
-                       seconds=time.time() - t0)
+                       seconds=time.monotonic() - t0)
 
 
 # -- shared lazily-built objects ---------------------------------------------
@@ -67,16 +67,16 @@ def _doubling_basis() -> CylinderBasis:
 # -- criteria -------------------------------------------------------------------
 
 def check_tail_exponent() -> CheckResult:
-    t0 = time.time()
+    t0 = time.monotonic()
     ind = systems.pm_induced(0.5)
     fit = maps.fit_tail_exponent(ind, 100, 10_000)
-    ok = 1.85 <= fit.exponent <= 2.15 and time.time() - t0 < 60.0
+    ok = 1.85 <= fit.exponent <= 2.15 and time.monotonic() - t0 < 60.0
     return _result("tail exponent pm(0.5) in [1.85, 2.15]", ok,
                    f"fitted {fit.exponent:.4f}", t0)
 
 
 def check_map_decay() -> CheckResult:
-    t0 = time.time()
+    t0 = time.monotonic()
     ind = systems.pm_induced(0.6)
     basis = CylinderBasis(ind, depth=2, refine_symbols=50)
     c = map_correlation_operator(basis, lambda x: x - 0.5,
@@ -84,13 +84,13 @@ def check_map_decay() -> CheckResult:
     ns = np.unique(np.round(np.geomspace(10, 500, 40)).astype(int))
     coef = np.polyfit(np.log(ns), np.log(np.abs(c[ns])), 1)
     beta_hat = -float(coef[0])
-    ok = abs(beta_hat - 2.0 / 3.0) <= 0.25 and time.time() - t0 < 300.0
+    ok = abs(beta_hat - 2.0 / 3.0) <= 0.25 and time.monotonic() - t0 < 300.0
     return _result("map-level decay pm(0.6) exponent 2/3 +- 0.25", ok,
                    f"fitted {beta_hat:.4f}", t0)
 
 
 def check_measure_identities() -> CheckResult:
-    t0 = time.time()
+    t0 = time.monotonic()
     ind = systems.pm_induced(0.5)
     t = tw.build_tower(ind)
     worst = 0.0
@@ -122,7 +122,7 @@ def check_measure_identities() -> CheckResult:
 
 
 def check_truncation_error() -> CheckResult:
-    t0 = time.time()
+    t0 = time.monotonic()
     v = sp.coordinate_observable()
     tab = sp.truncation_error_experiment(
         systems.pm_induced(0.5), sp.cosine_roof(), v, v,
@@ -134,14 +134,14 @@ def check_truncation_error() -> CheckResult:
         [10, 20, 40], [5, 10, 20], MC_SAMPLES, seed=2026, q_log_trunc=5.0)
     db_ok = out["stable_within"] <= 3.0 and \
         all(r.measured <= r.bound for r in out["rows"])
-    ok = pm_ok and db_ok and time.time() - t0 < 600.0
+    ok = pm_ok and db_ok and time.monotonic() - t0 < 600.0
     return _result("truncation error bounds (bounded and unbounded roof)",
                    ok, f"stability {tab.stable_within:.2f} / "
                    f"{out['stable_within']:.2f}", t0)
 
 
 def check_renewal() -> CheckResult:
-    t0 = time.time()
+    t0 = time.monotonic()
     grid = TowerGrid(_pm05_basis(), sp.cosine_roof(), 30)
     worst = 0.0
     for s in (0.0, 0.1j, 0.3 + 2.0j):
@@ -153,7 +153,7 @@ def check_renewal() -> CheckResult:
 
 
 def check_decomposition() -> CheckResult:
-    t0 = time.time()
+    t0 = time.monotonic()
     grid = TowerGrid(_pm05_basis(), sp.cosine_roof(), 20)
     worst = 0.0
     vanish = True
@@ -167,7 +167,7 @@ def check_decomposition() -> CheckResult:
 
 
 def check_iterate_inequality() -> CheckResult:
-    t0 = time.time()
+    t0 = time.monotonic()
     rep = lasota_yorke_check(_pm05_basis(), sp.cosine_roof(),
                              b_list=[2, 10, 50], omega_list=[0.0, 1.3],
                              n_max=20, N_list=[20, 50, 100], n_probes=6)
@@ -177,7 +177,7 @@ def check_iterate_inequality() -> CheckResult:
 
 
 def check_resonance_contrast() -> CheckResult:
-    t0 = time.time()
+    t0 = time.monotonic()
     basis = _doubling_basis()
     b_grid = sorted(set(list(np.arange(1.0, 101.0, 4.0))
                         + [2.0 * np.pi * k for k in range(1, 16)]))
@@ -214,7 +214,7 @@ def check_resonance_contrast() -> CheckResult:
 
 
 def check_mixing_contrast() -> CheckResult:
-    t0 = time.time()
+    t0 = time.monotonic()
     ind = systems.doubling_full()
     t = tw.build_tower(ind)
     v = sp.coordinate_observable()
@@ -233,7 +233,7 @@ def check_mixing_contrast() -> CheckResult:
 
 
 def check_rate_budget() -> CheckResult:
-    t0 = time.time()
+    t0 = time.monotonic()
     b12 = rates.rate_budget(beta=1.0, gamma=2.0)
     sched_ok = b12.predicted_rate == "(ln t)^2 t^-1" \
         and rates.budget_matches_rate(b12) < 0.05
@@ -278,7 +278,7 @@ def _determinism_output_fresh_process() -> bytes:
 
 
 def check_determinism() -> CheckResult:
-    t0 = time.time()
+    t0 = time.monotonic()
     outs = {_determinism_output(), _determinism_output(),
             _determinism_output_fresh_process()}
     ok = len(outs) == 1

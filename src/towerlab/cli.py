@@ -374,6 +374,10 @@ def cmd_decomp(run: Run) -> None:
 def cmd_laplace(run: Run) -> None:
     s = run["grids", "s"]
     lv = laplace_series(_tower_grid(run), *_build_obs(run), s)
+    if not lv.converged:
+        raise ArithmeticError(
+            f"Laplace series not converged at s={s} after {lv.n_terms} "
+            f"terms (abscissa estimate {lv.abscissa_estimate})")
     path = _out(run, "laplace.csv")
     with open(path, "w") as fh:
         fh.write("s_re,s_im,value_re,value_im,n_terms,converged\n")

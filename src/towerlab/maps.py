@@ -175,15 +175,44 @@ class PomeauManneville(MapModel):
 
 
 def _solve_increasing(f, df, y, lo: float, hi: float) -> np.ndarray:
-    """Invert an increasing C^1 function on [lo, hi] by bisection + Newton."""
+    """Invert an increasing C^1 function on [lo, hi], bit for bit as 46
+    bisection steps followed by 3 clipped Newton steps would.
+
+    The bisection is not run: its bracket is found directly.  This needs
+    every grid point lo + k h, h = (hi - lo) 2^-46, to be an exact double
+    (so every bisection midpoint is exact; true for the only caller's
+    [0, 1/2]), and the computed f to be strictly increasing on that grid.
+    Then 46 halvings always end on the unique adjacent pair a = lo + k h,
+    b = a + h with (k = 0 or f(a) < y) and (b = hi or not f(b) < y).
+    Newton from clip(y) locates k (for a convex f with f(x) >= x, as the
+    Pomeau-Manneville left branch, the iterates fall monotonically); the
+    bracket test is exact and moves k by one where Newton's x sat within
+    rounding of a grid point.
+    """
     y = np.asarray(y, dtype=float)
-    a = np.full_like(y, lo)
-    b = np.full_like(y, hi)
-    for _ in range(46):
-        mid = 0.5 * (a + b)
-        take_hi = f(mid) < y
-        a = np.where(take_hi, mid, a)
-        b = np.where(take_hi, b, mid)
+    h = (hi - lo) / 2.0 ** 46
+    top = 2.0 ** 46 - 1
+    x = np.clip(y, lo, hi)
+    for _ in range(100):
+        nx = np.clip(x - (f(x) - y) / df(x), lo, hi)
+        far = np.abs(nx - x) > h  # NaN y: never far
+        x = nx
+        if not far.any():
+            break
+    else:
+        raise ArithmeticError("inverse branch: Newton did not settle")
+    # fmin/fmax send a NaN x to lo; its polish below still returns NaN
+    k = np.clip(np.floor((np.fmin(np.fmax(x, lo), hi) - lo) / h), 0.0, top)
+    for _ in range(4):
+        a = lo + k * h
+        b = a + h
+        down = (k > 0) & ~(f(a) < y)
+        up = (k < top) & (f(b) < y)
+        if not (down.any() or up.any()):
+            break
+        k = k - down + up
+    else:
+        raise ArithmeticError("inverse branch: no bisection bracket")
     x = 0.5 * (a + b)
     for _ in range(3):  # Newton polish to ~1e-15
         x = np.clip(x - (f(x) - y) / df(x), lo, hi)

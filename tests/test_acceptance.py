@@ -4,13 +4,16 @@ Each test prints one PASS/FAIL line (run pytest with -s to see them all in
 order); the same checks back the ``towerlab accept`` subcommand.
 """
 
+import itertools
+import math
 import os
 import re
+import time
 
 import numpy as np
 import pytest
 
-from towerlab import acceptance
+from towerlab import acceptance, systems, tower as tw
 
 
 @pytest.mark.parametrize("num,check", acceptance.CHECKS,
@@ -24,6 +27,39 @@ def test_acceptance_criterion(num, check):
     # the time is in ``seconds``; a detail that held it would differ
     # between runs of unchanged code
     assert not re.search(r"\d\s*s\b", res.detail), res.detail
+
+
+def test_wall_clock_step_moves_no_gate(monkeypatch):
+    # the wall clock jumps an hour on every read; the 60 s gate and
+    # ``seconds`` run on the monotonic clock
+    jumps = itertools.count()
+    monkeypatch.setattr(time, "time", lambda: 3600.0 * next(jumps))
+    res = acceptance.check_tail_exponent()
+    assert res.passed, res.detail
+    assert 0.0 <= res.seconds < 60.0
+
+
+# -- criteria 1 and 3 can fail -------------------------------------------------
+
+def test_wrong_alpha_fails_criterion_1(monkeypatch):
+    # a request for pm(0.5) builds pm(0.6), whose tail exponent is 1/0.6
+    pm_induced = systems.pm_induced
+    monkeypatch.setattr(systems, "pm_induced", lambda alpha, **kw:
+                        pm_induced(0.6 if alpha == 0.5 else alpha, **kw))
+    res = acceptance.check_tail_exponent()
+    assert not res.passed, res.detail
+    assert res.detail.startswith("fitted 1.6"), res.detail
+
+
+def test_dropped_n_term_fails_criterion_3(monkeypatch):
+    # sum_{n>N} mu_Y(r >= n) without its n = N + 1 term
+    identity = tw.TruncatedTower.identity_mean_defect
+    monkeypatch.setattr(
+        tw.TruncatedTower, "identity_mean_defect",
+        lambda self: (identity(self)[0],
+                      math.fsum(self.ind.tail_ge[self.N + 2:])))
+    res = acceptance.check_measure_identities()
+    assert not res.passed, res.detail
 
 
 # -- criterion 11 can fail -----------------------------------------------------

@@ -239,6 +239,19 @@ def test_laplace_overflow_is_numerical_error(doubling_config, tmp_path,
     assert not (out / "laplace.csv").exists()
 
 
+def test_laplace_divergence_is_numerical_error(pm_config, tmp_path, capsys):
+    # s = -0.4 lies left of the abscissa: the series diverges, and its
+    # value was written as nan with exit 0
+    cfg = tmp_path / "diverge.ini"
+    cfg.write_text(open(pm_config).read().replace("s = 0.1j", "s = -0.4"))
+    out = tmp_path / "out"
+    assert run(["laplace", "--config", str(cfg), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "numerical error" in err and "s=(-0.4+0j)" in err
+    assert "abscissa estimate" in err
+    assert not (out / "laplace.csv").exists()
+
+
 def test_seed_flag_overrides(pm_config, tmp_path):
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
     run(["corr-flow", "--config", pm_config, "--out", str(out1),

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -66,6 +67,86 @@ def test_pm_mu0_tail_matches_oracle(pm05):
     xi = _preimage_recursion_oracle(0.5, 12)
     for n in (2, 5, 10):
         assert pm05.mu0_tail(n) == pytest.approx(xi[n - 1], rel=1e-6)
+
+
+def _bisection_inverse(f, df, y, lo, hi):
+    """The inverse branch by 46 bisection steps and 3 Newton steps, as
+    maps._solve_increasing must reproduce it bit for bit."""
+    y = np.asarray(y, dtype=float)
+    a = np.full_like(y, lo)
+    b = np.full_like(y, hi)
+    for _ in range(46):
+        mid = 0.5 * (a + b)
+        take_hi = f(mid) < y
+        a = np.where(take_hi, mid, a)
+        b = np.where(take_hi, b, mid)
+    x = 0.5 * (a + b)
+    for _ in range(3):
+        x = np.clip(x - (f(x) - y) / df(x), lo, hi)
+    return x
+
+
+INVERSE_EDGES = [0.0, 5e-324, 1.0, 1.0 + 1e-12, math.nan]  # 1.0 = L(1/2)
+
+
+def _inverse_mismatches(solve, alpha, seed):
+    """Points where ``solve`` differs from the bisection on the left branch
+    of pm(alpha): y uniform on [0, 1], log-uniform down to 1e-300, images
+    of bisection grid points (where the bracket is decided by f(a) < y
+    alone) and the edges."""
+    br = maps.pomeau_manneville(alpha).branches[0]
+    rng = np.random.default_rng(seed)
+    grid = rng.integers(0, 2 ** 46, 500) * 2.0 ** -47
+    y = np.concatenate([rng.random(500), 10.0 ** rng.uniform(-300, 0, 500),
+                        br.fwd(grid), INVERSE_EDGES])
+    want = _bisection_inverse(br.fwd, br.deriv, y, 0.0, 0.5)
+    got = solve(br.fwd, br.deriv, y, 0.0, 0.5)
+    return int(((got != want) & ~(np.isnan(got) & np.isnan(want))).sum())
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.floats(0.05, 0.99), seed=st.integers(0, 2 ** 32 - 1))
+@example(alpha=0.05, seed=0)
+@example(alpha=0.99, seed=0)
+def test_inverse_branch_is_the_bisection(alpha, seed):
+    assert _inverse_mismatches(maps._solve_increasing, alpha, seed) == 0
+    br = maps.pomeau_manneville(alpha).branches[0]
+    y = np.array(INVERSE_EDGES)
+    assert np.array_equal(
+        br.inv(y), _bisection_inverse(br.fwd, br.deriv, y, 0.0, 0.5),
+        equal_nan=True)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.99])
+def test_inverse_chain_is_the_bisection(alpha):
+    # 400 pullbacks through the left branch, as InducedMap.inverse_chain
+    # takes base midpoints up the escape ladder
+    br = maps.pomeau_manneville(alpha).branches[0]
+    want = got = 0.5 + (np.arange(200) + 0.5) / 400
+    for _ in range(400):
+        want = _bisection_inverse(br.fwd, br.deriv, want, 0.0, 0.5)
+        got = br.inv(got)
+        assert np.array_equal(got, want)
+
+
+def _planted_solver(old, new):
+    src = inspect.getsource(maps._solve_increasing)
+    assert src.count(old) == 1
+    scope = dict(vars(maps))
+    exec(src.replace(old, new), scope)
+    return scope["_solve_increasing"]
+
+
+@pytest.mark.parametrize("old,new", [
+    # k off by one: the polish starts in the next bracket up
+    ("x = 0.5 * (a + b)\n", "x = 0.5 * (a + b) + h\n"),
+    # the bracket check skipped: Newton's k is taken as it is
+    ("if not (down.any() or up.any()):", "if True:"),
+], ids=["k-off-by-one", "bracket-check-skipped"])
+def test_inverse_property_catches_planted_defects(old, new):
+    solve = _planted_solver(old, new)
+    for alpha in (0.05, 0.5, 0.99):
+        assert _inverse_mismatches(solve, alpha, seed=0) > 0
 
 
 def test_pm_tail_power_law(pm05):
