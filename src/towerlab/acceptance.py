@@ -237,18 +237,24 @@ def check_rate_budget() -> CheckResult:
     b12 = rates.rate_budget(beta=1.0, gamma=2.0)
     sched_ok = b12.predicted_rate == "(ln t)^2 t^-1" \
         and rates.budget_matches_rate(b12) < 0.05
-    classes_ok = True
+    # d_N must fit its class; at beta = 2 (bounded) the fit defect does
+    # not tell a wrong d_N apart, so only the label is checked there
+    classes_ok, dN_defect = True, 0.0
     for beta, want in ((0.5, "N^0.5"), (1.0, "(ln N)^1"), (2.0, "bounded")):
         bb = rates.rate_budget(beta=beta, gamma=0.0)
         classes_ok &= want in bb.dN_class
+        if beta < 2.0:
+            dN_defect = max(dN_defect, bb.dN_defect)
+    classes_ok &= dN_defect <= 0.05
     ex = rates.roof_sum_tail_example(1.0)
     yn_ok = ex.respects_bound and abs(ex.log_factor_fit - 2.0) <= 0.25 \
         and ex.log_factor_fit <= 3.0 - 0.5
     ok = sched_ok and classes_ok and yn_ok
     return _result("rate budget: schedule, tail-moment classes, designed "
                    "log gap", ok,
-                   f"defect {rates.budget_matches_rate(b12):.4f}, log "
-                   f"factor {ex.log_factor_fit:.2f}", t0)
+                   f"defect {rates.budget_matches_rate(b12):.4f}, d_N fit "
+                   f"defect {dN_defect:.4f}, log factor "
+                   f"{ex.log_factor_fit:.2f}", t0)
 
 
 def _determinism_output() -> bytes:

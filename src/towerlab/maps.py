@@ -8,7 +8,6 @@ the invariant density of the induced map.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -294,20 +293,26 @@ class InducedCell:
 class InducedMap:
     """First-return map F = T^r on a base interval Y.
 
-    Cells are stored up to a cutoff; beyond it the return-time tail is kept
-    two ways: exact Lebesgue widths of {r = n} out to ``tail_horizon`` from
-    the endpoint recursion, and an aggregate invariant tail mass obtained by
-    scaling those widths with the density at the accumulation edge.  The
-    invariant density of F is represented by one value per cell.
+    The first-return structure is one orbit o of the escape inverse e^-1
+    (see ``induce``): the cell of depth d is inv_j of the points between
+    o[d-1] and o[d].  ``escape`` is the branch e, None when Y is all of
+    [0, 1).  Cells are stored up to a cutoff; beyond it the return-time
+    tail is kept two ways: exact Lebesgue widths of {r = n} out to
+    ``tail_horizon`` from the orbit, and an aggregate invariant tail mass
+    obtained by scaling those widths with the density at the accumulation
+    edge.  The invariant density of F is represented by one value per cell.
     """
 
     def __init__(self, model: MapModel, Y: tuple[float, float],
                  cells: list[InducedCell], mu0_r_width: np.ndarray,
+                 orbit: np.ndarray, escape: Branch | None,
                  beta_declared: float | None = None,
                  gamma_declared: float = 0.0) -> None:
         self.model = model
         self.Y = (float(Y[0]), float(Y[1]))
         self.cells = cells
+        self.orbit = orbit
+        self.escape = escape
         self.J = len(cells)
         self.r = np.array([c.r for c in cells], dtype=int)
         self.lo = np.array([c.lo for c in cells])
@@ -324,8 +329,6 @@ class InducedMap:
         order = np.argsort(self.lo, kind="stable")
         self._sorted_lo = self.lo[order]
         self._sorted_idx = order
-        self._ladder: np.ndarray | None = None
-        self._ladder_branch = 0
         self._compute_invariant_density()
 
     # -- construction of mu_Y ------------------------------------------------
@@ -415,30 +418,20 @@ class InducedMap:
         return x
 
     def inverse_chain(self, x):
-        """Yield (j, F_j^{-1}(x), F'(F_j^{-1}x)) for every cell, sharing work.
+        """Yield (j, F_j^{-1}(x), F'(F_j^{-1}x)) for every cell, in order of r.
 
-        Inner-word suffixes are cached so that the usual first-return
-        structure (a fixed escape branch repeated up the word) costs one
-        inverse-branch application per cell.
+        The word of cell j is (j_0, e, ..., e), so the points are pulled
+        back through e^-1 once per depth, then through the entry branch j_0
+        once per cell.
         """
-        x = np.asarray(x, dtype=float)
-        cache: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {
-            (): (x, np.ones_like(x))}
-        for j in sorted(range(self.J), key=lambda i: len(self.cells[i].word)):
-            word = self.cells[j].word
-            suffix = word[1:]
-            if suffix not in cache:
-                k = len(suffix)
-                while k > 0 and suffix[-k:] not in cache:
-                    k -= 1
-                z, p = cache[suffix[-k:] if k else ()]
-                for i in range(len(suffix) - k - 1, -1, -1):
-                    br = self.model.branches[suffix[i]]
-                    z = br.inv(z)
-                    p = p * br.deriv(z)
-                    cache[suffix[i:]] = (z, p)
-            z, p = cache[suffix]
-            b0 = self.model.branches[word[0]]
+        z = np.asarray(x, dtype=float)
+        p, depth = np.ones_like(z), 1
+        for j, cell in enumerate(self.cells):
+            for _ in range(cell.r - depth):
+                z = self.escape.inv(z)
+                p = p * self.escape.deriv(z)
+            depth = cell.r
+            b0 = self.model.branches[cell.word[0]]
             y = b0.inv(z)
             yield j, y, p * b0.deriv(y)
 
@@ -498,20 +491,21 @@ class InducedMap:
         the tail horizon, muY are extrapolated invariant cell masses, and
         the positions are collocation midpoints: base_mid[i] for level 0 of
         column r[i], ladder_mid[d] for any level l >= 1 with r - l = d.
-        None when the escape sweep branched (no single ladder exists).
+        Level l of column r lies between o[d] and o[d+1] of the escape
+        orbit, in either orientation of the base.  None when Y has no
+        escape region.
         """
-        if self._ladder is None or len(self._ladder) < 3:
+        if self.escape is None:
             return None
-        rmax = int(self.r.max())
-        lad = self._ladder
-        horizon = min(len(self._mu0_r_width), len(lad))
-        rs = np.arange(rmax + 1, horizon + 1)
+        o = self.orbit
+        horizon = len(o) - 1
+        rs = np.arange(int(self.r.max()) + 1, horizon + 1)
         ylen = self.Y[1] - self.Y[0]
         muY = self._edge_rho * self._mu0_r_width[rs - 1] / ylen
         ladder_mid = np.empty(horizon)
         ladder_mid[0] = np.nan  # depth 0 is the base itself
-        ladder_mid[1:] = 0.5 * (lad[1:horizon] + lad[:horizon - 1])
-        br = self.model.branches[self._ladder_branch]
+        ladder_mid[1:] = 0.5 * (o[2:] + o[1:-1])
+        br = self.model.branches[self.cells[0].word[0]]  # the entry branch
         base_mid = br.inv(ladder_mid[rs - 1])
         return rs, muY, np.asarray(base_mid), ladder_mid
 
@@ -605,115 +599,64 @@ def induce(model: MapModel, Y: tuple[float, float], branch_cutoff: int = 400,
            ) -> InducedMap:
     """Build the first-return map of ``model`` on the interval Y.
 
-    Y must be a union of branch-domain closures, and the escape region must
-    be swept through single branches (true for the maps provided here).  The
-    sweep continues past the cell cutoff so that exact Lebesgue tail widths
-    are available out to ``tail_horizon``.  The declared tail exponent is
-    the model's beta for a Pomeau-Manneville map and none otherwise.
+    Y must be a union of branch-domain closures, and the region outside Y
+    one branch e or empty: every cell of depth d then has the word
+    (j, e, ..., e), and its ends are inv_j of two consecutive points
+    o[d-1], o[d] of one orbit of e^-1, where o[0], o[1] are the ends of Y
+    (e^-1 must take o[0] to o[1] bit for bit).  The orbit runs on past the
+    cell cutoff, so exact Lebesgue tail widths are available out to
+    ``tail_horizon``.  The declared tail exponent is the model's beta for a
+    Pomeau-Manneville map and none otherwise.
     """
     a, b = float(Y[0]), float(Y[1])
     if not (0.0 <= a < b <= 1.0):
         raise ValueError("base interval must be a nondegenerate subinterval")
-    edges = [bb.lo for bb in model.branches] + [1.0]
+    if tail_horizon < 1:
+        raise ValueError(f"tail horizon {tail_horizon}: below 1")
+    edges = model.branch_edges
     if not any(abs(a - e) < 1e-12 for e in edges) or \
        not any(abs(b - e) < 1e-12 for e in edges):
         raise ValueError("base must be a union of branch-domain closures")
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    entry = np.flatnonzero((a < mid) & (mid < b))
+    esc = tuple(int(k) for k in np.flatnonzero((mid < a) | (b < mid)))
+    if esc and (len(esc) > 1 or entry.size > 1):
+        raise ValueError("induction needs Y to be one branch and the region "
+                         "outside it another, or Y = [0, 1]")
 
+    orbit, escape = np.array([a, b]), None
+    if esc:
+        escape = model.branches[esc[0]]
+        o0, x = (b, a) if escape.lo < a else (a, b)
+        if _invert_warm(escape, o0, o0) != x:
+            raise ValueError("the escape inverse does not take one end of Y "
+                             "to the other")
+        orbit = np.empty(tail_horizon + 1)
+        orbit[:2] = o0, x
+        for d in range(2, tail_horizon + 1):
+            orbit[d] = x = _invert_warm(escape, x, x)
+
+    # cell ends by depth: inv_j(min(o[d-1], o[d])), inv_j(max(o[d-1], o[d]))
+    rise = orbit[:-1] <= orbit[1:]
     cells: list[InducedCell] = []
-    width_by_r = np.zeros(tail_horizon + 2)
-
-    # pieces: (word, img_lo, img_hi, pa, pb) where (pa, pb) is the pullback
-    # of the base endpoints (a, b) through the word's inner chain, so that a
-    # return at the next step has base endpoints inv_{w0}(pa, pb).  Words
-    # grow only up to the cutoff: deeper returns are never stored as cells,
-    # so they carry their first symbol and take r from the depth.
-    pieces: list[tuple[tuple[int, ...], float, float, float, float]] = []
-
-    def record(word: tuple[int, ...], r: int, pa: float, pb: float) -> None:
-        clo, chi = map(float, model.branches[word[0]].inv(np.array([pa, pb])))
-        width_by_r[min(r, tail_horizon + 1)] += chi - clo
-        resolvable = chi - clo > max(4e-16 * abs(chi), 1e-300)
-        if r <= branch_cutoff and len(cells) < branch_cutoff and resolvable:
-            cells.append(InducedCell(word=word, r=r, lo=clo, hi=chi))
-
-    # depth 1: branches intersecting Y directly
-    for j, br in enumerate(model.branches):
-        s_lo, s_hi = max(a, br.lo), min(b, br.hi)
-        if s_hi - s_lo <= 0.0:
-            continue
-        t_lo = float(br.fwd(np.array([s_lo]))[0])
-        t_hi = float(br.fwd(np.array([s_hi]))[0])
-        if t_hi <= a + 1e-12 or t_lo >= b - 1e-12:
-            pieces.append(((j,), t_lo, t_hi, a, b))
-            continue
-        if t_lo > a + 1e-12 or t_hi < b - 1e-12:
-            raise ValueError("non-Markov base: a branch image straddles Y")
-        record((j,), 1, a, b)
-        if t_lo < a - 1e-12:
-            pieces.append(((j,), t_lo, a, a, b))
-        if t_hi > b + 1e-12:
-            pieces.append(((j,), b, t_hi, a, b))
-
-    # ladder of escape-region images: ladder[d] is the pullback of the base
-    # lower endpoint through d escape steps, so T^l(Y_r) = [ladder[r-l],
-    # ladder[r-l-1]) for single-chain sweeps; None if the sweep branches
-    ladder: list[float] | None = [a] if len(pieces) == 1 else None
-    ladder_branch = pieces[0][0][0] if pieces else 0
-
-    # inversions of the previous depth, keyed (branch, y): on a single-chain
-    # sweep the upper endpoint pb is the previous depth's lower endpoint pa,
-    # so each depth solves once.  _invert_warm depends on (branch, y) only.
-    solved: dict[tuple[int, float], float] = {}
-
-    # deeper sweeps: each escape piece must sit inside one branch domain
-    depth = 1
-    while pieces and depth < tail_horizon:
-        depth += 1
-        if len(pieces) != 1:
-            ladder = None
-        last, solved = solved, {}
-        nxt = []
-        for word, ilo, ihi, pa, pb in pieces:
-            if ihi - ilo <= 1e-300:
-                continue
-            # branch of ilo, ties to the right (MapModel.branch_index)
-            js = min(max(bisect.bisect_right(edges, ilo) - 1, 0),
-                     len(model.branches) - 1)
-            br = model.branches[js]
-            if ihi > br.hi + 1e-12:
-                raise ValueError(
-                    "escape piece spans several branches; induction for this "
-                    "base is not supported")
-            t_lo = float(br.fwd(ilo))
-            t_hi = float(br.fwd(min(ihi, br.hi)))
-            pa2, pb2 = (last[js, y] if (js, y) in last
-                        else _invert_warm(br, y, y) for y in (pa, pb))
-            solved[js, pa], solved[js, pb] = pa2, pb2
-            new_word = word + (js,) if depth <= branch_cutoff else word
-            if t_hi <= a + 1e-12 or t_lo >= b - 1e-12:
-                nxt.append((new_word, t_lo, t_hi, pa2, pb2))
-                continue
-            if t_lo > a + 1e-12 or t_hi < b - 1e-12:
-                raise ValueError("non-Markov base: an image straddles Y")
-            record(new_word, depth, pa2, pb2)
-            if ladder is not None:
-                ladder.append(pa2)
-            if t_lo < a - 1e-12:
-                nxt.append((new_word, t_lo, a, pa2, pb2))
-            if t_hi > b + 1e-12:
-                nxt.append((new_word, b, t_hi, pa2, pb2))
-        pieces = nxt
-
+    width = np.zeros(tail_horizon)
+    for j in entry:
+        pre = model.branches[j].inv(orbit)
+        clo = np.where(rise, pre[:-1], pre[1:])
+        chi = np.where(rise, pre[1:], pre[:-1])
+        w = chi - clo
+        width[:w.size] += w
+        resolvable = w > np.maximum(4e-16 * np.abs(chi), 1e-300)
+        cells += [InducedCell(word=(int(j),) + esc * d, r=d + 1,
+                              lo=float(clo[d]), hi=float(chi[d]))
+                  for d in np.flatnonzero(resolvable[:branch_cutoff])]
     if not cells:
         raise ValueError("no first-return cells found below the cutoff")
-    cells.sort(key=lambda c: (c.r, c.lo))
     beta_declared = model.beta if isinstance(model, PomeauManneville) \
         else None
-    out = InducedMap(model, (a, b), cells, width_by_r[1: tail_horizon + 1],
-                     beta_declared=beta_declared, gamma_declared=gamma_declared)
-    out._ladder = np.array(ladder) if ladder is not None else None
-    out._ladder_branch = ladder_branch
-    return out
+    return InducedMap(model, (a, b), cells[:branch_cutoff], width, orbit,
+                      escape, beta_declared=beta_declared,
+                      gamma_declared=gamma_declared)
 
 
 # ---------------------------------------------------------------------------

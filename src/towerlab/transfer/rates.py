@@ -40,6 +40,7 @@ class RateBudget:
     dominant: np.ndarray         # index of the dominant term per t
     predicted_rate: str
     dN_class: str
+    dN_defect: float             # fit defect of d_N against its class
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -120,10 +121,10 @@ def rate_budget(beta: float, gamma: float = 0.0) -> RateBudget:
     else:
         predicted = f"(ln t)^{gamma:g} t^-{beta:g}"
     Ng = np.unique(np.geomspace(8, len(dN_all), 40).astype(int))
-    cls, _ = classify_dN(beta, gamma, dN_all, Ng)
+    cls, defect = classify_dN(beta, gamma, dN_all, Ng)
     return RateBudget(beta=beta, gamma=gamma, t=t_grid, N=N, terms=terms,
                       dominant=dominant, predicted_rate=predicted,
-                      dN_class=cls)
+                      dN_class=cls, dN_defect=defect)
 
 
 def budget_matches_rate(budget: RateBudget) -> float:

@@ -257,7 +257,9 @@ def laplace_series(grid: TowerGrid, v: Observable, w: Observable,
     once a term falls below 1e-10 of the running total, after at most
     20000 terms (then ``converged`` is False).  Divergence (Re s
     outside the contraction region) is detected from the term growth and
-    reported through ``abscissa_estimate``.  A weighted state or series
+    reported through ``abscissa_estimate`` = Re s + log(rate) / hbar: the
+    terms grow by ``rate`` per term, and one term is one tower step, a
+    flight of mean length hbar in flow time.  A weighted state or series
     term that is not finite (e.g. e^{s u} overflowing under an unbounded
     roof) raises ArithmeticError.
     """
@@ -314,6 +316,7 @@ def laplace_series(grid: TowerGrid, v: Observable, w: Observable,
             rate = float(np.median(growth[-20:]))
             return LaplaceValue(s=s, value=np.nan + 0j, n_terms=n,
                                 converged=False,
-                                abscissa_estimate=s.real + math.log(rate))
+                                abscissa_estimate=s.real
+                                + math.log(rate) / grid.hbar)
     value = (term0 + total) / grid.hbar - vbar * wbar / s
     return LaplaceValue(s=s, value=value, n_terms=n, converged=converged)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from towerlab import acceptance, systems, tower as tw
+from towerlab.transfer import rates
 
 
 @pytest.mark.parametrize("num,check", acceptance.CHECKS,
@@ -59,6 +60,24 @@ def test_dropped_n_term_fails_criterion_3(monkeypatch):
         lambda self: (identity(self)[0],
                       math.fsum(self.ind.tail_ge[self.N + 2:])))
     res = acceptance.check_measure_identities()
+    assert not res.passed, res.detail
+
+
+# -- criterion 10 can fail -----------------------------------------------------
+
+def test_dropped_k_weight_fails_criterion_10(monkeypatch):
+    # d_N = sum_{k<=N} mu_Y(r >= k) without its weight k
+    monkeypatch.setattr(rates, "tail_moments", lambda tails: np.cumsum(tails))
+    res = acceptance.check_rate_budget()
+    assert not res.passed, res.detail
+
+
+def test_shifted_tail_exponent_fails_criterion_10(monkeypatch):
+    # the synthetic tail decays as k^-(beta + 1.5) instead of k^-(beta + 1)
+    tails = rates._synthetic_tails
+    monkeypatch.setattr(rates, "_synthetic_tails", lambda beta, gamma, h:
+                        tails(beta + 0.5, gamma, h))
+    res = acceptance.check_rate_budget()
     assert not res.passed, res.detail
 
 

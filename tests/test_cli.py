@@ -252,6 +252,20 @@ def test_laplace_divergence_is_numerical_error(pm_config, tmp_path, capsys):
     assert not (out / "laplace.csv").exists()
 
 
+@pytest.mark.parametrize("s", ["-0.2", "-0.1"])
+def test_laplace_abscissa_is_in_flow_time(pm_config, tmp_path, capsys, s):
+    # the series converges at Re s = 0; one term is one flight of mean
+    # length hbar, so its growth per term read in flow time puts the
+    # abscissa near 0 (read per unit time it was 0.24 at s = -0.2)
+    cfg = tmp_path / "diverge.ini"
+    cfg.write_text(open(pm_config).read().replace("s = 0.1j", f"s = {s}"))
+    out = tmp_path / "out"
+    assert run(["laplace", "--config", str(cfg), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    estimate = float(err.split("abscissa estimate ")[1].split(")")[0])
+    assert abs(estimate) < 0.02, err
+
+
 def test_seed_flag_overrides(pm_config, tmp_path):
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
     run(["corr-flow", "--config", pm_config, "--out", str(out1),

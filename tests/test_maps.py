@@ -372,6 +372,9 @@ SWEEPS = [
     ("doubling", None, (0.0, 1.0), 4, 16),
     ("doubling", None, (0.5, 1.0), 40, 1200),
     ("doubling", None, (0.5, 1.0), 30, 600),
+    ("pm", 0.5, (0.0, 0.5), 120, 3000),
+    ("doubling", None, (0.0, 0.5), 30, 600),
+    ("pm", 0.5, (0.0, 1.0), 120, 3000),
 ]
 
 
@@ -382,21 +385,81 @@ def _induced(kind, alpha, Y, J, H):
         return systems.doubling_full()
     if (kind, Y) == ("doubling", (0.5, 1.0)):
         return systems.doubling_induced(J, H)
-    raise AssertionError("unlisted sweep")
+    model = maps.doubling_map() if kind == "doubling" \
+        else maps.pomeau_manneville(alpha)
+    return maps.induce(model, Y, J, H)
 
 
-@pytest.mark.parametrize("kind,alpha,Y,J,H", SWEEPS, ids=[
-    f"{k}{'' if al is None else al}-Y{y[0]}-J{j}-H{h}"
-    for k, al, y, j, h in SWEEPS])
+def _sweep_id(sweep):
+    k, al, y, j, h = sweep
+    return f"{k}{'' if al is None else al}-Y{y[0]}-J{j}-H{h}"
+
+
+@pytest.mark.parametrize("kind,alpha,Y,J,H", SWEEPS,
+                         ids=[_sweep_id(s) for s in SWEEPS])
 def test_induce_matches_reference_sweep(kind, alpha, Y, J, H):
     ind = _induced(kind, alpha, Y, J, H)
     cells, width, ladder = _reference_sweep(ind.model, Y, J, H)
     assert [(c.word, c.r, c.lo, c.hi) for c in ind.cells] == cells
     assert ind._mu0_r_width.tobytes() == width.tobytes()
+    # the reference ladder holds the lower end of each depth's interval:
+    # min(o[d], o[d+1]) along the escape orbit o
+    o = ind.orbit
     if ladder is None:
-        assert ind._ladder is None
+        assert ind.escape is None and o.tolist() == list(Y)
     else:
-        assert ind._ladder.tobytes() == np.array(ladder).tobytes()
+        assert np.minimum(o[:-1], o[1:]).tobytes() == \
+            np.array(ladder).tobytes()
+
+
+def _entry_time(model, Y, x, top):
+    """Smallest k <= top with T^k x in [Y[0], Y[1]), point by point (-1 if
+    there is none)."""
+    out = np.full(x.shape, -1)
+    for k in range(top + 1):
+        out[(out < 0) & (Y[0] <= x) & (x < Y[1])] = k
+        x = model.apply(x)
+    return out
+
+
+ESCAPES = [s for s in SWEEPS if s[2] != (0.0, 1.0)]
+
+
+@pytest.mark.parametrize("kind,alpha,Y,J,H", ESCAPES,
+                         ids=[_sweep_id(s) for s in ESCAPES])
+def test_tail_ladder_in_both_orientations(kind, alpha, Y, J, H):
+    # T^l of the midpoint of Y_r lies in the depth r - l interval, which
+    # is where tail_columns puts ladder_mid[r - l]: both enter Y after
+    # exactly r - l steps.  Tail column r's base point returns at r,
+    # checked where the cutoff J, not the double-precision resolution of
+    # the cells (pm on [0, 1/2] stops at r = 50), ends the cells.
+    ind = _induced(kind, alpha, Y, J, H)
+    rs, _, base_mid, ladder_mid = ind.tail_columns()
+    depth = np.arange(1, 13)
+    assert np.array_equal(
+        _entry_time(ind.model, Y, ladder_mid[depth], 12), depth)
+    for j in range(1, 8):
+        r = int(ind.r[j])
+        steps = np.arange(1, r)
+        pts = ind.model.advance(np.full(r - 1, ind.midpoints()[j]), steps)
+        assert np.array_equal(_entry_time(ind.model, Y, pts, r), r - steps)
+    if ind.r.max() == J:
+        top, back = rs[:6], ind.model.apply(base_mid[:6])
+        assert np.array_equal(
+            1 + _entry_time(ind.model, Y, back, int(top.max())), top)
+
+
+def test_induce_refuses_an_escape_region_of_two_branches():
+    # x -> 3x mod 1 on [1/3, 2/3]: the region outside Y is two branches
+    model = maps.MapModel("tripling", tuple(
+        maps.Branch(k / 3, (k + 1) / 3,
+                    lambda x, k=k: 3.0 * np.asarray(x, dtype=float) - k,
+                    lambda y, k=k: (np.asarray(y, dtype=float) + k) / 3.0,
+                    lambda x: np.full_like(np.asarray(x, dtype=float), 3.0))
+        for k in range(3)), dist_const=1.0, expansion=3.0)
+    assert maps.induce(model, (0.0, 1.0), 4, 16).J == 3
+    with pytest.raises(ValueError, match="one branch"):
+        maps.induce(model, (1 / 3, 2 / 3), 4, 16)
 
 
 def test_induce_solves_once_per_depth(monkeypatch):
@@ -424,6 +487,8 @@ def test_fixed_point_iterations_kept(pm05):
 def test_induce_rejects_bad_base():
     with pytest.raises(ValueError):
         maps.induce(maps.doubling_map(), (0.3, 0.9))
+    with pytest.raises(ValueError, match="tail horizon 0"):
+        maps.induce(maps.doubling_map(), (0.5, 1.0), 30, 0)
 
 
 def test_induced_csv_roundtrip(tmp_path, pm05):
