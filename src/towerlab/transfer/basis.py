@@ -98,6 +98,23 @@ class CylinderBasis:
             node = child_of[node, syms[:, t, None]]
         self._colmap = np.array(node_leaf, dtype=np.int32)[node]
         self._assemble()
+        # Mhat by its cylinder structure, for apply: every row hits the
+        # leaves of the J - refine unrefined cells, the last ones in tree
+        # order (kept as a column view); each run of rows that hit the same
+        # refined leaves is one (rows x refine) block, and the blocks of
+        # one height are stacked for one batched matmul
+        self._mhat_dense = self.Mhat[:, self.n - (ind.J - self.refine):]
+        hit = self._colmap[:, :self.refine]
+        starts = np.flatnonzero(
+            np.r_[True, np.any(hit[1:] != hit[:-1], axis=1)])
+        sizes = np.diff(np.r_[starts, self.n])
+        self._mhat_blocks = []
+        for h in np.unique(sizes):
+            first = starts[sizes == h]
+            rows = first[:, None] + np.arange(h)
+            cols = hit[first]
+            self._mhat_blocks.append(
+                (rows, cols, self.Mhat[rows[:, :, None], cols[:, None, :]]))
 
     # -- geometry ------------------------------------------------------------
 
@@ -183,16 +200,24 @@ class CylinderBasis:
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Mhat @ u for a real or complex u of shape (n,) or (n, w).
 
-        Mhat is real, so a complex u is multiplied as its interleaved
-        (re, im) pairs: one real product of Mhat with the (n, 2w) float
-        view of a C-contiguous u, viewed back as complex.  Mhat is never
-        cast to complex.
+        One product with the dense column view plus one batched matmul
+        per block height.  The sums run in another order than in
+        ``Mhat @ u``, so the result is deterministic but not bit-equal to
+        it; both are within rounding of the exact product.  Mhat is real,
+        so a complex u is multiplied as its interleaved (re, im) pairs:
+        the (n, 2w) float view of a C-contiguous u, viewed back as
+        complex.  Mhat is never cast to complex.
         """
-        if not np.iscomplexobj(u):
-            return self.Mhat @ u
-        u = np.ascontiguousarray(u, dtype=complex)
-        out = self.Mhat @ u.reshape(self.n, -1).view(np.float64)
-        return out.view(complex).reshape(u.shape)
+        cplx = np.iscomplexobj(u)
+        if cplx:
+            u = np.ascontiguousarray(u, dtype=complex)
+        x = u.reshape(self.n, -1)
+        if cplx:
+            x = x.view(np.float64)
+        out = self._mhat_dense @ x[self.n - self._mhat_dense.shape[1]:]
+        for rows, cols, vals in self._mhat_blocks:
+            out[rows] += vals @ x[cols]
+        return (out.view(complex) if cplx else out).reshape(u.shape)
 
     # -- norms ------------------------------------------------------------------
 

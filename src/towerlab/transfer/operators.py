@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -31,17 +32,26 @@ RESONANCE_TOL = 1e-10   # flag threshold of the resolvent scan, per dimension
 
 @dataclass
 class OperatorMatrix:
-    """Dense operator on cylinder collocation values."""
+    """Operator v -> Mhat (tw v) on cylinder collocation values; the twist
+    tw is None for the untwisted R."""
 
-    mat: np.ndarray
     basis: CylinderBasis
     s: complex = 0.0
     z: complex = 0.0
+    tw: np.ndarray | None = None
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        """The dense matrix Mhat diag(tw), built on first use."""
+        if self.tw is None:
+            return self.basis.Mhat
+        return self.basis.Mhat * self.tw[None, :]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        if self.mat is self.basis.Mhat:
+        if self.tw is None:
             return self.basis.apply(v)
-        return self.mat @ v
+        return self.basis.apply(
+            self.tw[(slice(None),) + (None,) * (v.ndim - 1)] * v)
 
     def duality_defect(self, n_pairs: int = 20, seed: int = 0) -> float:
         """max |<Rv, w>_mu - <v, w o F>_mu| over random pairs, where the
@@ -77,7 +87,7 @@ class OperatorMatrix:
 
 def assemble_R(basis: CylinderBasis) -> OperatorMatrix:
     """The untwisted base transfer operator, normalised so R1 = 1."""
-    return OperatorMatrix(mat=basis.Mhat, basis=basis)
+    return OperatorMatrix(basis=basis)
 
 
 def assemble_twisted(grid: TowerGrid, s: complex, z: complex = 0.0
@@ -86,9 +96,9 @@ def assemble_twisted(grid: TowerGrid, s: complex, z: complex = 0.0
     truncation level."""
     basis = grid.basis
     if s == 0 and z == 0:
-        return OperatorMatrix(mat=basis.Mhat, basis=basis, s=s, z=z)
-    tw = np.exp(s * grid.H_col + z * grid.heights)
-    return OperatorMatrix(mat=basis.Mhat * tw[None, :], basis=basis, s=s, z=z)
+        return OperatorMatrix(basis=basis, s=s, z=z)
+    return OperatorMatrix(basis=basis, s=s, z=z,
+                          tw=np.exp(s * grid.H_col + z * grid.heights))
 
 
 # ---------------------------------------------------------------------------

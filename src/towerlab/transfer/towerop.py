@@ -108,32 +108,42 @@ class TowerGrid:
 
     # -- dynamics ----------------------------------------------------------------
 
-    def _twists(self, s: complex) -> list:
-        """The level twists e^{s h}, computed once per s: the last s and
-        its twists are kept.  A real and a complex s of equal value give
-        twists of different dtype, so the key tells them apart."""
+    def _twists(self, s: complex) -> tuple[list, list]:
+        """The level twists e^{s h}, split into the cells that shift up
+        (``sel_next``) and the column tops (``top_mask``), computed once
+        per s: the last s and its twists are kept.  A real and a complex s
+        of equal value give twists of different dtype, so the key tells
+        them apart."""
         key = (s, np.iscomplexobj(s))
         if self._twist_key != key:
-            self._twist = [np.exp(s * h) for h in self.h_at]
+            tw = [np.exp(s * h) for h in self.h_at]
+            self._twist = ([t[i] for t, i in zip(tw, self.sel_next)],
+                           [t[i] for t, i in zip(tw, self.top_mask)])
             self._twist_key = key
         return self._twist
 
     def step(self, V: list, s: complex | None = None) -> list:
-        """One application of L_s: twist by e^{s h}, shift, drop tops."""
-        if s is None or s == 0:
-            W = V
+        """One application of L_s: twist by e^{s h}, shift, drop tops.
+        Only the cells a step moves are twisted, after they are gathered:
+        the same products as twisting the whole tower first."""
+        twist = s is not None and s != 0
+        col = (slice(None),) + (None,) * (V[0].ndim - 1)
+        if twist:
+            up_tw, top_tw = self._twists(s)
+            dtype = np.result_type(V[0].dtype, up_tw[0].dtype)
         else:
-            W = [t[(slice(None),) + (None,) * (v.ndim - 1)] * v
-                 for v, t in zip(V, self._twists(s))]
-        shape = (self.basis.n,) + W[0].shape[1:]
-        u = np.zeros(shape, dtype=W[0].dtype)
+            dtype = V[0].dtype
+        u = np.zeros((self.basis.n,) + V[0].shape[1:], dtype=dtype)
         for ell in range(self.max_h):
             tops = self.top_mask[ell]
             if len(tops):
-                u[self.active[ell][tops]] = W[ell][tops]
+                top = V[ell][tops]
+                u[self.active[ell][tops]] = top_tw[ell][col] * top \
+                    if twist else top
         out = [self.basis.apply(u)]
         for ell in range(self.max_h - 1):
-            out.append(W[ell][self.sel_next[ell]])
+            up = V[ell][self.sel_next[ell]]
+            out.append(up_tw[ell][col] * up if twist else up)
         return out
 
     def integrate(self, V: list):

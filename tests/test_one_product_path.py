@@ -1,17 +1,21 @@
 """Static guard: one product path for the real transfer matrix ``Mhat``.
 
 ``CylinderBasis.apply`` is the only code under src/ that multiplies by
-Mhat.  It multiplies a complex operand as its real (re, im) pairs, where
-``Mhat @ u`` would cast all of Mhat to a fresh complex copy.  The walk
-fails on:
+Mhat.  It multiplies through the data that ``CylinderBasis`` keeps of
+Mhat (the dense column view ``_mhat_dense`` and the blocks
+``_mhat_blocks``), and it multiplies a complex operand as its real
+(re, im) pairs, where ``Mhat @ u`` would cast all of Mhat to a fresh
+complex copy.  The walk fails on:
 
-- a matrix product with Mhat (or a view of it, e.g. ``Mhat.T``) as an
-  operand: ``@``, ``np.dot``/``matmul``/``einsum``/... or ``.dot``,
+- a matrix product with Mhat data (or a view of it, e.g. ``Mhat.T``) as
+  an operand: ``@``, ``np.dot``/``matmul``/``einsum``/... or ``.dot``,
   outside ``CylinderBasis.apply``;
 - an elementwise product ``Mhat * x``, a dense copy whose only use is a
-  matrix product, outside ``assemble_twisted``, which builds the twisted
-  operator matrix;
-- Mhat bound to another name, which would hide a product from this walk.
+  matrix product, outside ``OperatorMatrix.mat``, which builds the
+  twisted matrix that the resolvent scan factorises;
+- Mhat data bound to another name, which would hide a product from this
+  walk: the data itself anywhere, and a subscript or slice of it, or a
+  loop over it, outside ``CylinderBasis``.
 """
 
 import ast
@@ -19,24 +23,31 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
+MHAT_DATA = {"Mhat", "_mhat_dense", "_mhat_blocks"}
 MATMUL_ALLOWED = {("towerlab/transfer/basis.py", "CylinderBasis.apply")}
-SCALE_ALLOWED = {("towerlab/transfer/operators.py", "assemble_twisted")}
+SCALE_ALLOWED = {("towerlab/transfer/operators.py", "OperatorMatrix.mat")}
+VIEW_ALLOWED = ("towerlab/transfer/basis.py", "CylinderBasis")
 PRODUCT_CALLS = {"dot", "matmul", "einsum", "tensordot", "inner", "vdot",
                  "multi_dot"}
 
 
 def _is_mhat(node) -> bool:
-    """Mhat itself, or an attribute, item or method result of it."""
+    """Mhat data itself, or an attribute, item or method result of it."""
     while isinstance(node, (ast.Attribute, ast.Subscript, ast.Call)):
-        if isinstance(node, ast.Attribute) and node.attr == "Mhat":
+        if isinstance(node, ast.Attribute) and node.attr in MHAT_DATA:
             return True
         node = node.func if isinstance(node, ast.Call) else node.value
-    return isinstance(node, ast.Name) and node.id == "Mhat"
+    return isinstance(node, ast.Name) and node.id in MHAT_DATA
 
 
 def _is_ref(node) -> bool:
-    return (isinstance(node, ast.Attribute) and node.attr == "Mhat") or \
-        (isinstance(node, ast.Name) and node.id == "Mhat")
+    return (isinstance(node, ast.Attribute) and node.attr in MHAT_DATA) or \
+        (isinstance(node, ast.Name) and node.id in MHAT_DATA)
+
+
+def _in_basis(where: tuple[str, str]) -> bool:
+    return where[0] == VIEW_ALLOWED[0] and \
+        where[1].split(".")[0] == VIEW_ALLOWED[1]
 
 
 def _findings(node, where: tuple[str, str]) -> list[str]:
@@ -57,8 +68,15 @@ def _findings(node, where: tuple[str, str]) -> list[str]:
                 where not in MATMUL_ALLOWED:
             return [f"{name} call"]
     if isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr)) and \
-            node.value is not None and _is_ref(node.value):
-        return ["alias"]
+            node.value is not None:
+        if _is_ref(node.value):
+            return ["alias"]
+        if isinstance(node.value, ast.Subscript) and \
+                _is_mhat(node.value) and not _in_basis(where):
+            return ["subscript alias"]
+    if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)) and \
+            _is_mhat(node.iter) and not _in_basis(where):
+        return ["loop alias"]
     return []
 
 
@@ -78,7 +96,9 @@ class _Walker(ast.NodeVisitor):
     def generic_visit(self, node) -> None:
         qual = ".".join(self.scope)
         for what in _findings(node, (self.rel, qual)):
-            self.found.append(f"{self.rel}:{node.lineno} {qual or '<module>'}"
+            line = (node.iter if isinstance(node, ast.comprehension)
+                    else node).lineno
+            self.found.append(f"{self.rel}:{line} {qual or '<module>'}"
                               f": {what}")
         super().generic_visit(node)
 
@@ -101,21 +121,37 @@ def test_guard_flags_every_other_product(tmp_path):
     pkg.mkdir(parents=True)
     (pkg / "basis.py").write_text(
         "class CylinderBasis:\n"
+        "    def __init__(self):\n"
+        "        self._mhat_dense = self.Mhat[:, 3:]\n"
         "    def apply(self, u):\n"
-        "        return self.Mhat @ u\n"
+        "        out = self._mhat_dense @ u[3:]\n"
+        "        for rows, cols, vals in self._mhat_blocks:\n"
+        "            out[rows] += vals @ u[cols]\n"
+        "        return out\n"
         "    def other(self, u):\n"
         "        return u @ self.Mhat.T\n")
     (pkg / "operators.py").write_text(
-        "def assemble_twisted(basis, tw):\n"
-        "    return basis.Mhat * tw\n"
+        "class OperatorMatrix:\n"
+        "    def mat(self):\n"
+        "        return self.basis.Mhat * self.tw\n"
         "def elsewhere(basis, tw, u):\n"
         "    M = basis.Mhat\n"
         "    A = basis.Mhat * tw\n"
-        "    return np.dot(basis.Mhat, u) + basis.Mhat.dot(u) + A @ M\n")
+        "    return np.dot(basis.Mhat, u) + basis.Mhat.dot(u) + A @ M\n"
+        "def blocked(basis, u):\n"
+        "    D = basis.Mhat[:, 3:]\n"
+        "    out = basis._mhat_dense @ u[3:]\n"
+        "    for rows, cols, vals in basis._mhat_blocks:\n"
+        "        out[rows] += vals @ u[cols]\n"
+        "    return [v for _, _, v in basis._mhat_blocks], D\n")
     assert mhat_products(tmp_path) == [
-        "towerlab/transfer/basis.py:5 CylinderBasis.other: matrix product",
-        "towerlab/transfer/operators.py:4 elsewhere: alias",
-        "towerlab/transfer/operators.py:5 elsewhere: elementwise product",
-        "towerlab/transfer/operators.py:6 elsewhere: dot call",
-        "towerlab/transfer/operators.py:6 elsewhere: dot call",
+        "towerlab/transfer/basis.py:10 CylinderBasis.other: matrix product",
+        "towerlab/transfer/operators.py:5 elsewhere: alias",
+        "towerlab/transfer/operators.py:6 elsewhere: elementwise product",
+        "towerlab/transfer/operators.py:7 elsewhere: dot call",
+        "towerlab/transfer/operators.py:7 elsewhere: dot call",
+        "towerlab/transfer/operators.py:9 blocked: subscript alias",
+        "towerlab/transfer/operators.py:10 blocked: matrix product",
+        "towerlab/transfer/operators.py:11 blocked: loop alias",
+        "towerlab/transfer/operators.py:13 blocked: loop alias",
     ]

@@ -111,9 +111,10 @@ def test_measure_stationary(bd, bp):
 
 @pytest.mark.parametrize("width", [None, 1, 6, 16])
 def test_basis_apply_matches_matmul(bp, width):
-    # real operands are multiplied as Mhat @ u, bit for bit; complex ones
-    # as one real product of their (re, im) pairs, within rounding of the
-    # complex product; contiguous or not (a column slice, a transpose)
+    # the product through the dense view and the blocks sums in another
+    # order than Mhat @ u: real and complex operands (complex ones as one
+    # real product of their (re, im) pairs) agree with it within rounding,
+    # contiguous or not (a column slice, a transpose)
     rng = np.random.default_rng(11)
     w = 1 if width is None else width
     wide = rng.standard_normal((bp.n, 3 * w)) \
@@ -128,11 +129,41 @@ def test_basis_apply_matches_matmul(bp, width):
         for x in (u.real, u):
             got, want = bp.apply(x), bp.Mhat @ x
             assert got.shape == want.shape and got.dtype == want.dtype
-            if x is u:
-                bound = 8 * eps * (np.abs(bp.Mhat) @ np.abs(u))
-                assert np.all(np.abs(got - want) <= bound)
-            else:
-                assert np.array_equal(got, want)
+            bound = 8 * eps * (np.abs(bp.Mhat) @ np.abs(x))
+            assert np.all(np.abs(got - want) <= bound)
+
+
+@pytest.mark.parametrize("ind,depth,refine", [
+    ("pm50", 1, 24), ("pm50", 2, 24), ("pm50", 3, 5), ("pm50-J30", 2, 40),
+    ("pm60", 2, 50), ("doubling", 8, 2)])
+def test_blocks_rebuild_Mhat(ind, depth, refine):
+    # the dense column view and the blocks hold Mhat bit for bit: every
+    # stored entry is the Mhat entry at its place, every non-zero of Mhat
+    # is stored exactly once, and the dense columns are a view of Mhat;
+    # the product through them is within rounding of the exactly summed
+    # rows (math.fsum)
+    ind = {"pm50": lambda: systems.pm_induced(0.5),
+           "pm50-J30": lambda: systems.pm_induced(0.5, 30, 3000),
+           "pm60": lambda: systems.pm_induced(0.6),
+           "doubling": systems.doubling_full}[ind]()
+    basis = CylinderBasis(ind, depth=depth, refine_symbols=refine)
+    Mhat, dense = basis.Mhat, basis._mhat_dense
+    assert dense.base is Mhat
+    got = np.zeros_like(Mhat)
+    hits = np.zeros(Mhat.shape, dtype=np.int8)
+    got[:, basis.n - dense.shape[1]:] = dense
+    hits[:, basis.n - dense.shape[1]:] = 1
+    for rows, cols, vals in basis._mhat_blocks:
+        at = (np.broadcast_to(rows[:, :, None], vals.shape),
+              np.broadcast_to(cols[:, None, :], vals.shape))
+        got[at] = vals
+        np.add.at(hits, at, 1)
+    assert np.array_equal(got.view(np.uint64), Mhat.view(np.uint64))
+    assert hits.max() == 1 and np.all(hits[Mhat != 0] == 1)
+    u = np.random.default_rng(7).standard_normal((basis.n, 2))
+    exact = np.array([[math.fsum(row * c) for c in u.T] for row in Mhat])
+    bound = 8 * np.finfo(float).eps * (np.abs(Mhat) @ np.abs(u))
+    assert np.all(np.abs(basis.apply(u) - exact) <= bound)
 
 
 def test_untwisted_operator_is_the_shared_Mhat(bp):
@@ -186,6 +217,21 @@ def test_constant_twist_factors_out(bd):
     op = assemble_twisted(grid, s, z)
     want = np.exp(s + z) * bd.Mhat
     assert np.max(np.abs(op.mat - want)) <= 1e-13
+
+
+def test_twisted_apply_matches_its_matrix(bp):
+    # a twisted operator applies as basis.apply(tw * v), within rounding of
+    # its dense matrix Mhat diag(tw), which is built only when asked for
+    op = assemble_twisted(TowerGrid(bp, sp.cosine_roof(), 30), 2j, 0.5j)
+    rng = np.random.default_rng(4)
+    vs = [rng.standard_normal(bp.n) + 1j * rng.standard_normal(bp.n),
+          rng.standard_normal((bp.n, 3)) + 1j * rng.standard_normal((bp.n, 3))]
+    got = [op.apply(v) for v in vs]
+    assert "mat" not in vars(op)
+    eps = np.finfo(float).eps
+    for v, g in zip(vs, got):
+        bound = 8 * eps * (np.abs(op.mat) @ np.abs(v))
+        assert np.all(np.abs(g - op.mat @ v) <= bound)
 
 
 def test_induced_roof_seminorm_sum(bp):
@@ -540,9 +586,11 @@ def test_step_twists_follow_s(small_pm_grid, monkeypatch):
 
     assert matches_fresh() == [True, True, True]
 
+    twists = TowerGrid._twists
+
     def ignores_s(self, s):
         if self._twist is None:
-            self._twist = [np.exp(s * h) for h in self.h_at]
+            twists(self, s)
         return self._twist
 
     monkeypatch.setattr(TowerGrid, "_twists", ignores_s)
