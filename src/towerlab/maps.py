@@ -301,6 +301,8 @@ class InducedMap:
     ``tail_horizon`` from the orbit, and an aggregate invariant tail mass
     obtained by scaling those widths with the density at the accumulation
     edge.  The invariant density of F is represented by one value per cell.
+    Cells come in order of return time r, which ``inverse_chain`` and the
+    tower levels rely on; cells whose r falls are a ValueError.
     """
 
     def __init__(self, model: MapModel, Y: tuple[float, float],
@@ -315,6 +317,8 @@ class InducedMap:
         self.escape = escape
         self.J = len(cells)
         self.r = np.array([c.r for c in cells], dtype=int)
+        if np.any(np.diff(self.r) < 0):
+            raise ValueError("cells must come in order of return time r")
         self.lo = np.array([c.lo for c in cells])
         self.hi = np.array([c.hi for c in cells])
         self.widths = self.hi - self.lo

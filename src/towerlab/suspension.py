@@ -211,8 +211,8 @@ class SuspensionModel:
 
 @dataclass
 class FlowState:
-    """Point ensemble on the suspension: tower column, level, base
-    coordinate, ambient position T^level(y), and flow height u.
+    """Point ensemble on the suspension: tower column, level, ambient
+    position T^level(y) of a base point y, and flow height u.
 
     From its first flow on, a state also records per point the highest
     level reached (``top``), the largest roof value met (``hmax``) and
@@ -224,7 +224,6 @@ class FlowState:
 
     col: np.ndarray
     level: np.ndarray
-    y: np.ndarray
     pos: np.ndarray
     u: np.ndarray
     top: np.ndarray | None = None
@@ -262,14 +261,12 @@ def sample_stationary(model: SuspensionModel, n: int, seed: int) -> FlowState:
     level = model.cell_level[cells]
     lo, wid = ind.lo[col], ind.widths[col]
     env = model.hmax_cell[cells]
-    y = np.empty(n)
     pos = np.empty(n)
     todo = np.arange(n)
     for _ in range(200):
         cand = lo[todo] + rng.random(len(todo)) * wid[todo]
         cpos = ind.model.advance(cand, level[todo])
         ok = rng.random(len(todo)) * env[todo] <= model.roof(cpos)
-        y[todo[ok]] = cand[ok]
         pos[todo[ok]] = cpos[ok]
         todo = todo[~ok]
         if len(todo) == 0:
@@ -277,7 +274,7 @@ def sample_stationary(model: SuspensionModel, n: int, seed: int) -> FlowState:
     else:
         raise ArithmeticError("rejection sampling failed to terminate")
     u = rng.random(n) * model.roof(pos)
-    return FlowState(col=col, level=level, y=y, pos=pos, u=u)
+    return FlowState(col=col, level=level, pos=pos, u=u)
 
 
 def flow(model: SuspensionModel, st: FlowState, t: float,
@@ -317,7 +314,7 @@ def flow(model: SuspensionModel, st: FlowState, t: float,
                                                 st.pos[dropi])
             st.parked[dropi] += parked
             st.level[dropi] = 0
-            st.y[dropi] = st.pos[dropi] = p
+            st.pos[dropi] = p
         h[cross] = model.roof(st.pos[cross])
         st.hmax[cross] = np.maximum(st.hmax[cross], h[cross])
     else:
@@ -400,8 +397,7 @@ def _flow_series(model: SuspensionModel, st: FlowState, w: Observable,
 # ---------------------------------------------------------------------------
 
 def _restrict(st: FlowState, keep: np.ndarray) -> FlowState:
-    return FlowState(st.col[keep], st.level[keep], st.y[keep],
-                     st.pos[keep], st.u[keep])
+    return FlowState(st.col[keep], st.level[keep], st.pos[keep], st.u[keep])
 
 
 class _FullFlow(NamedTuple):

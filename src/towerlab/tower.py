@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from towerlab.maps import InducedMap, climb_order
+from towerlab.maps import InducedMap
 
 __all__ = [
     "Tower",
@@ -35,7 +35,7 @@ class Tower:
     def __init__(self, ind: InducedMap) -> None:
         self.ind = ind
         self.heights = ind.r.copy()
-        self.rbar = float(np.sum(ind.r * ind.muY))
+        self.rbar = ind.mean_return
         self.column_mass = ind.muY / self.rbar  # per level of each column
         self.n_cells = int(self.heights.sum())
 
@@ -48,19 +48,21 @@ class Tower:
         (J, m), as rows in flat cell order (row heights[:j].sum() + l).
 
         All columns climb together, T applied once per level to the columns
-        still taller.  ``reduce``, if given, maps each level's positions to
-        one row per column; its rows are returned instead."""
-        order, active = climb_order(self.heights)
+        still taller: cells come in order of r, so these are a suffix.
+        ``reduce``, if given, maps each level's positions to one row per
+        column; its rows are returned instead."""
+        first = np.searchsorted(self.heights, np.arange(self.heights.max()),
+                                side="right")
         start = np.cumsum(self.heights) - self.heights
-        cur = np.asarray(y_nodes, dtype=float)[order]
+        cur = np.asarray(y_nodes, dtype=float)
         out = None
-        for ell, n in enumerate(active):
+        for ell, f in enumerate(first):
             if ell:
-                cur = self.ind.model.apply(cur[:n])
+                cur = self.ind.model.apply(cur[f - first[ell - 1]:])
             vals = cur if reduce is None else reduce(cur)
             if out is None:
                 out = np.empty((self.n_cells,) + vals.shape[1:])
-            out[start[order[:n]] + ell] = vals
+            out[start[f:] + ell] = vals
         return out
 
     def to_csv(self, path) -> None:

@@ -21,10 +21,11 @@ __all__ = ["RenewalData", "renewal_build", "tower_operator_decomposition"]
 
 
 def _cum_roof(grid: TowerGrid) -> list[np.ndarray]:
-    """cum[l], aligned with active[l]: roof summed over levels below l."""
-    cum = [np.zeros(len(grid.active[0]))]
+    """cum[l], aligned with level l: roof summed over levels below l."""
+    cum = [np.zeros(grid.basis.n)]
     for ell in range(grid.max_h - 1):
-        cum.append((cum[ell] + grid.h_at[ell])[grid.sel_next[ell]])
+        k = grid.n_top[ell]
+        cum.append(cum[ell][k:] + grid.h_at[ell][k:])
     return cum
 
 
@@ -82,14 +83,14 @@ def renewal_build(grid: TowerGrid, s: complex, horizon: int = 96,
         S = np.zeros((n_z, basis.n, n_probes), dtype=complex)
         term = np.empty_like(S)  # e^{zn} t_n, reused at every step
         V = grid.state_from_base(U.astype(complex))
-        t_n = grid.base_values(V)
+        t_n = V[0]
         rec_resid = 0.0
         ez = np.exp(np.outer(zs, np.arange(H + 1)))
         hist = [t_n]
         for n in range(0, H + 1):
             if n > 0:
                 V = grid.step(V, s)
-                t_n = grid.base_values(V)
+                t_n = V[0]
                 hist.append(t_n)
                 if n in (1, 2, N, N + 1, 2 * N + 1):
                     # coefficient-form renewal identity at spot checks
@@ -173,8 +174,8 @@ def tower_operator_decomposition(grid: TowerGrid, s: complex, n: int,
     cum = _cum_roof(grid)
     rng = np.random.default_rng(seed)
     probes = [
-        [rng.standard_normal(len(a)) + 1j * rng.standard_normal(len(a))
-         for a in grid.active] for _ in range(n_probes)]
+        [rng.standard_normal(len(m)) + 1j * rng.standard_normal(len(m))
+         for m in grid.mu_at] for _ in range(n_probes)]
     V0 = [np.stack(cols, axis=1) for cols in zip(*probes)]
     B_apply = _descent(grid, cum, s)
 
@@ -189,10 +190,10 @@ def tower_operator_decomposition(grid: TowerGrid, s: complex, n: int,
         if m > 0:
             U = grid.step(U, s)
         if m < levels:
-            U[0] = U[0] + B_apply(flat0, m)[grid.active[0]]
+            U[0] = U[0] + B_apply(flat0, m)
         i = n - m
         if i < levels:
-            base = grid.base_values(U)[grid.active[i]]
+            base = U[0][grid.first[i]:]
             rhs[i] = rhs[i] + np.exp(s * cum[i])[:, None] * base
 
     diff = np.zeros(n_probes)
@@ -226,9 +227,8 @@ def _descent(grid: TowerGrid, cum, s: complex):
     positions and phases are tabulated once per k.
     """
     basis = grid.basis
-    sizes = [len(a) for a in grid.active]
-    level = np.repeat(np.arange(grid.max_h), sizes)
-    leaf = np.concatenate(grid.active)
+    level = np.repeat(np.arange(grid.max_h), [len(m) for m in grid.mu_at])
+    leaf = np.concatenate([np.arange(f, basis.n) for f in grid.first[:-1]])
     start = grid.heights[leaf] - level        # k of a start at this cell
     phase = np.exp(s * (grid.H_col[leaf] - np.concatenate(cum)))
     tables = {}
@@ -237,10 +237,9 @@ def _descent(grid: TowerGrid, cum, s: complex):
         tables[k] = (leaf[pos], pos, phase[pos])
 
     def B_apply(flat: np.ndarray, k: int) -> np.ndarray:
-        u = np.zeros((basis.n,) + flat.shape[1:], dtype=complex)
         if k == 0:
-            u[grid.active[0]] = flat[:sizes[0]]
-            return u
+            return flat[:basis.n].astype(complex)
+        u = np.zeros((basis.n,) + flat.shape[1:], dtype=complex)
         if k not in tables:
             return u
         cells, pos, ph = tables[k]
@@ -252,32 +251,28 @@ def _descent(grid: TowerGrid, cum, s: complex):
 
 def _interior(grid: TowerGrid, cum, nn: int):
     """Paths of the interior block E_{s,nn}: per start level ell >= 1, the
-    leaves in active[ell] of height > ell + nn, their positions in
-    active[ell + nn], and the roof they climb on the way."""
+    offset in level ell of the columns taller than ell + nn (they are its
+    suffix, and all of level ell + nn), and the roof they climb on the way."""
     for ell in range(1, grid.max_h - nn):
-        act = grid.active[ell]
-        surv = np.nonzero(grid.heights[act] > ell + nn)[0]
-        if len(surv) == 0:
-            continue
-        pos_t = np.searchsorted(grid.active[ell + nn], act[surv])
-        yield ell, surv, pos_t, cum[ell + nn][pos_t] - cum[ell][surv]
+        off = grid.first[ell + nn] - grid.first[ell]
+        yield ell, off, cum[ell + nn] - cum[ell][off:]
 
 
 def _interior_apply(grid: TowerGrid, cum, s: complex, V: list,
                     nn: int) -> list:
     """Interior block: start at level >= 1, never reach the base."""
     out = grid.zero_state(dtype=complex, width=V[0].shape[1])
-    for ell, surv, pos_t, climbed in _interior(grid, cum, nn):
-        out[ell + nn][pos_t] = np.exp(s * climbed)[:, None] * V[ell][surv]
+    for ell, off, climbed in _interior(grid, cum, nn):
+        out[ell + nn] = np.exp(s * climbed)[:, None] * V[ell][off:]
     return out
 
 
 def _interior_norm(grid: TowerGrid, cum, s: complex, nn: int) -> float:
     """Exact sup-functional L^1 norm of the interior block E_{s,nn}."""
     tot = 0.0
-    for ell, surv, _, climbed in _interior(grid, cum, nn):
+    for ell, _, climbed in _interior(grid, cum, nn):
         tw = np.abs(np.exp(s * climbed))
-        tot += float(np.sum(tw * grid.basis.mu[grid.active[ell][surv]]))
+        tot += float(np.sum(tw * grid.mu_at[ell + nn]))
     return tot / grid.rbar
 
 
@@ -288,8 +283,8 @@ def _b_norm_probe(grid: TowerGrid, k: int, B_apply, rng) -> float:
     basis = grid.basis
     theta = basis.ind.model.theta
     flat = np.stack([np.concatenate(
-        [rng.standard_normal(len(a)) + 1j * rng.standard_normal(len(a))
-         for a in grid.active]) for _ in range(8)], axis=1)
+        [rng.standard_normal(len(m)) + 1j * rng.standard_normal(len(m))
+         for m in grid.mu_at]) for _ in range(8)], axis=1)
     U = B_apply(flat, k)
     denom = np.maximum(np.max(np.abs(flat), axis=0),
                        grid.theta_seminorm([flat], theta))

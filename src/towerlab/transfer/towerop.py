@@ -43,51 +43,39 @@ class TowerGrid:
         self.heights = r if N is None else np.minimum(r, N)
         self.max_h = int(self.heights.max())
         self.rbar = float(np.sum(self.heights * basis.mu))
-        # level-major tables
-        self.active: list[np.ndarray] = []
-        self.mu_at: list[np.ndarray] = []
-        self.pos_at: list[np.ndarray] = []
-        self.h_at: list[np.ndarray] = []
-        self.sel_next: list[np.ndarray] = []
-        self.top_mask: list[np.ndarray] = []
-        pos = basis.mid.copy()
-        act = np.arange(basis.n)
-        for ell in range(self.max_h):
-            keep = self.heights[act] > ell
-            act = act[keep]
-            pos = pos[keep] if ell > 0 else basis.mid[act]
-            self.active.append(act)
-            self.mu_at.append(basis.mu[act])
-            self.pos_at.append(pos.copy())
-            if roof is not None:
-                self.h_at.append(np.asarray(roof(pos), dtype=float))
-            else:
-                self.h_at.append(np.zeros(len(act)))
-            nxt = self.heights[act] > ell + 1
-            self.sel_next.append(np.nonzero(nxt)[0])
-            self.top_mask.append(np.nonzero(~nxt)[0])
-            pos = basis.ind.model.apply(pos)
+        # leaves come in order of r (InducedMap checks it), so the leaves
+        # on level l are the suffix first[l]: and the column tops of level
+        # l are its first first[l + 1] - first[l] entries
+        self.first = np.searchsorted(self.heights, np.arange(self.max_h + 1),
+                                     side="right")
+        self.n_top = np.diff(self.first)
+        self.mu_at = [basis.mu[f:] for f in self.first[:-1]]
+        self.pos_at = [basis.mid]
+        for ell in range(1, self.max_h):
+            self.pos_at.append(basis.ind.model.apply(
+                self.pos_at[-1][self.n_top[ell - 1]:]))
+        self.h_at = [np.zeros(len(p)) if roof is None
+                     else np.asarray(roof(p), dtype=float)
+                     for p in self.pos_at]
         # induced roof sums per column (over truncated heights)
         H = np.zeros(basis.n)
-        for ell in range(self.max_h):
-            H[self.active[ell]] += self.h_at[ell]
+        for f, h in zip(self.first, self.h_at):
+            H[f:] += h
         self.H_col = H
         self.hbar = float(sum(m @ h for m, h in zip(self.mu_at, self.h_at))
                           / self.rbar)
-        self.n_cells = int(self.heights.sum())
         self._twist_key = self._twist = None
 
     # -- states ----------------------------------------------------------------
 
     def zero_state(self, dtype=complex, width: int | None = None) -> list:
-        if width is None:
-            return [np.zeros(len(a), dtype=dtype) for a in self.active]
-        return [np.zeros((len(a), width), dtype=dtype) for a in self.active]
+        shape = () if width is None else (width,)
+        return [np.zeros((len(m),) + shape, dtype=dtype) for m in self.mu_at]
 
     def state_from_base(self, u: np.ndarray) -> list:
         V = self.zero_state(dtype=u.dtype if np.iscomplexobj(u) else float,
                             width=u.shape[1] if u.ndim == 2 else None)
-        V[0] = np.array(u[self.active[0]], copy=True)
+        V[0] = np.array(u, copy=True)
         return V
 
     def state_from_function(self, func) -> list:
@@ -108,63 +96,47 @@ class TowerGrid:
 
     # -- dynamics ----------------------------------------------------------------
 
-    def _twists(self, s: complex) -> tuple[list, list]:
-        """The level twists e^{s h}, split into the cells that shift up
-        (``sel_next``) and the column tops (``top_mask``), computed once
-        per s: the last s and its twists are kept.  A real and a complex s
-        of equal value give twists of different dtype, so the key tells
-        them apart."""
+    def _twists(self, s: complex) -> list:
+        """The level twists e^{s h}, computed once per s: the last s and its
+        twists are kept.  A real and a complex s of equal value give twists
+        of different dtype, so the key tells them apart."""
         key = (s, np.iscomplexobj(s))
         if self._twist_key != key:
-            tw = [np.exp(s * h) for h in self.h_at]
-            self._twist = ([t[i] for t, i in zip(tw, self.sel_next)],
-                           [t[i] for t, i in zip(tw, self.top_mask)])
+            self._twist = [np.exp(s * h) for h in self.h_at]
             self._twist_key = key
         return self._twist
 
     def step(self, V: list, s: complex | None = None) -> list:
         """One application of L_s: twist by e^{s h}, shift, drop tops.
-        Only the cells a step moves are twisted, after they are gathered:
-        the same products as twisting the whole tower first."""
-        twist = s is not None and s != 0
-        col = (slice(None),) + (None,) * (V[0].ndim - 1)
-        if twist:
-            up_tw, top_tw = self._twists(s)
-            dtype = np.result_type(V[0].dtype, up_tw[0].dtype)
+
+        The heads of the levels, concatenated, are the column tops in leaf
+        order: they go through Mhat to the new base.  The tails are the next
+        levels; untwisted they are views of V, so V must not be written to
+        while the result is in use."""
+        if s is None or s == 0:
+            heads = [v[:k] for v, k in zip(V, self.n_top)]
+            tails = [v[k:] for v, k in zip(V[:-1], self.n_top)]
         else:
-            dtype = V[0].dtype
-        u = np.zeros((self.basis.n,) + V[0].shape[1:], dtype=dtype)
-        for ell in range(self.max_h):
-            tops = self.top_mask[ell]
-            if len(tops):
-                top = V[ell][tops]
-                u[self.active[ell][tops]] = top_tw[ell][col] * top \
-                    if twist else top
-        out = [self.basis.apply(u)]
-        for ell in range(self.max_h - 1):
-            up = V[ell][self.sel_next[ell]]
-            out.append(up_tw[ell][col] * up if twist else up)
-        return out
+            col = (slice(None),) + (None,) * (V[0].ndim - 1)
+            heads, tails = [], []
+            for v, t, k in zip(V, self._twists(s), self.n_top):
+                heads.append(t[:k][col] * v[:k])
+                tails.append(t[k:][col] * v[k:])
+            tails.pop()
+        return [self.basis.apply(np.concatenate(heads))] + tails
 
     def integrate(self, V: list):
         """Integral against the tower measure mu_Y x counting / rbar."""
         return sum(m @ v for m, v in zip(self.mu_at, V)) / self.rbar
-
-    def base_values(self, V: list) -> np.ndarray:
-        """Values on the base level, widened to the full basis indexing."""
-        out = np.zeros((self.basis.n,) + V[0].shape[1:], dtype=V[0].dtype)
-        out[self.active[0]] = V[0]
-        return out
 
     @cached_property
     def _diameters(self) -> GroupDiameters:
         """Seminorm groups of the flattened tower vector: one level and one
         depth-d column prefix, d >= 1."""
         basis = self.basis
-        act = np.concatenate(self.active)
-        level = np.repeat(np.arange(self.max_h),
-                          [len(a) for a in self.active])
-        return GroupDiameters({d: level * basis.n + basis._groups[d][act]
+        leaf = np.concatenate([np.arange(f, basis.n) for f in self.first[:-1]])
+        level = np.repeat(np.arange(self.max_h), [len(m) for m in self.mu_at])
+        return GroupDiameters({d: level * basis.n + basis._groups[d][leaf]
                                for d in range(1, basis.depth)})
 
     def theta_seminorm(self, V: list, theta: float):
@@ -193,15 +165,14 @@ def map_correlation_operator(basis: CylinderBasis, v_func, w_func,
     grid = TowerGrid(basis, None, None)
     V = grid.state_from_function(v_func)
     Wv = grid.state_from_function(w_func)
+    int_v = float(np.real(sum(m @ a for m, a in zip(grid.mu_at, V))))
+    int_w = float(np.real(sum(m @ a for m, a in zip(grid.mu_at, Wv))))
     raw = np.empty(n_max + 1)
     for n in range(n_max + 1):
         raw[n] = float(np.real(sum(m @ (a * b) for m, a, b
                                    in zip(grid.mu_at, V, Wv))))
         if n < n_max:
             V = grid.step(V, None)
-    int_v = float(np.real(sum(m @ a for m, a in
-                              zip(grid.mu_at, grid.state_from_function(v_func)))))
-    int_w = float(np.real(sum(m @ a for m, a in zip(grid.mu_at, Wv))))
     rbar = grid.rbar
     tail = basis.ind.tail_columns()
     if tail is None:

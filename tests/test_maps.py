@@ -462,6 +462,14 @@ def test_induce_refuses_an_escape_region_of_two_branches():
         maps.induce(model, (1 / 3, 2 / 3), 4, 16)
 
 
+def test_induced_map_refuses_cells_out_of_order_of_r(pm05):
+    # inverse_chain pulls back along the orbit and the tower levels are
+    # suffixes of the cell order: both need r to never fall
+    with pytest.raises(ValueError, match="order of return time"):
+        maps.InducedMap(pm05.model, pm05.Y, pm05.cells[::-1],
+                        pm05._mu0_r_width, pm05.orbit, pm05.escape)
+
+
 def test_induce_solves_once_per_depth(monkeypatch):
     # the memo of the previous depth's inversions keeps the sweep linear:
     # only the first depth solves both endpoints

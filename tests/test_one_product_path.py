@@ -5,7 +5,9 @@ Mhat.  It multiplies through the data that ``CylinderBasis`` keeps of
 Mhat (the dense column view ``_mhat_dense`` and the blocks
 ``_mhat_blocks``), and it multiplies a complex operand as its real
 (re, im) pairs, where ``Mhat @ u`` would cast all of Mhat to a fresh
-complex copy.  The walk fails on:
+complex copy.  ``OperatorMatrix.mat`` counts as Mhat data too: it is Mhat
+itself for the untwisted operator and Mhat diag(tw) otherwise.  The walk
+fails on:
 
 - a matrix product with Mhat data (or a view of it, e.g. ``Mhat.T``) as
   an operand: ``@``, ``np.dot``/``matmul``/``einsum``/... or ``.dot``,
@@ -15,7 +17,11 @@ complex copy.  The walk fails on:
   twisted matrix that the resolvent scan factorises;
 - Mhat data bound to another name, which would hide a product from this
   walk: the data itself anywhere, and a subscript or slice of it, or a
-  loop over it, outside ``CylinderBasis``.
+  loop over it, outside ``CylinderBasis``; a negated copy, ``-Mhat``,
+  counts as the data.
+
+Only the functions in ``DENSE_ALLOWED`` may use the dense matrix, each for
+the reason given there.
 """
 
 import ast
@@ -23,24 +29,37 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
-MHAT_DATA = {"Mhat", "_mhat_dense", "_mhat_blocks"}
+MHAT_DATA = {"Mhat", "_mhat_dense", "_mhat_blocks", "mat"}
 MATMUL_ALLOWED = {("towerlab/transfer/basis.py", "CylinderBasis.apply")}
 SCALE_ALLOWED = {("towerlab/transfer/operators.py", "OperatorMatrix.mat")}
 VIEW_ALLOWED = ("towerlab/transfer/basis.py", "CylinderBasis")
+DENSE_ALLOWED = {
+    ("towerlab/transfer/operators.py", "resolvent_scan"):
+        "factorises I - R_{ib,iw} by LU and takes the residual A @ x of its "
+        "near-kernel vector",
+    ("towerlab/transfer/operators.py", "OperatorMatrix.duality_defect"):
+        "a diagnostic: builds the mu-adjoint of the matrix and multiplies "
+        "by it",
+}
 PRODUCT_CALLS = {"dot", "matmul", "einsum", "tensordot", "inner", "vdot",
                  "multi_dot"}
 
 
 def _is_mhat(node) -> bool:
-    """Mhat data itself, or an attribute, item or method result of it."""
-    while isinstance(node, (ast.Attribute, ast.Subscript, ast.Call)):
+    """Mhat data itself, or an attribute, item, method result or negation
+    of it."""
+    while isinstance(node, (ast.Attribute, ast.Subscript, ast.Call,
+                            ast.UnaryOp)):
         if isinstance(node, ast.Attribute) and node.attr in MHAT_DATA:
             return True
-        node = node.func if isinstance(node, ast.Call) else node.value
+        node = node.func if isinstance(node, ast.Call) else \
+            node.operand if isinstance(node, ast.UnaryOp) else node.value
     return isinstance(node, ast.Name) and node.id in MHAT_DATA
 
 
 def _is_ref(node) -> bool:
+    while isinstance(node, ast.UnaryOp):
+        node = node.operand
     return (isinstance(node, ast.Attribute) and node.attr in MHAT_DATA) or \
         (isinstance(node, ast.Name) and node.id in MHAT_DATA)
 
@@ -81,8 +100,9 @@ def _findings(node, where: tuple[str, str]) -> list[str]:
 
 
 class _Walker(ast.NodeVisitor):
-    def __init__(self, rel: str) -> None:
+    def __init__(self, rel: str, allowed) -> None:
         self.rel = rel
+        self.allowed = allowed
         self.scope: list[str] = []
         self.found: list[str] = []
 
@@ -95,7 +115,8 @@ class _Walker(ast.NodeVisitor):
 
     def generic_visit(self, node) -> None:
         qual = ".".join(self.scope)
-        for what in _findings(node, (self.rel, qual)):
+        where = (self.rel, qual)
+        for what in [] if where in self.allowed else _findings(node, where):
             line = (node.iter if isinstance(node, ast.comprehension)
                     else node).lineno
             self.found.append(f"{self.rel}:{line} {qual or '<module>'}"
@@ -103,10 +124,11 @@ class _Walker(ast.NodeVisitor):
         super().generic_visit(node)
 
 
-def mhat_products(root: pathlib.Path = SRC) -> list[str]:
+def mhat_products(root: pathlib.Path = SRC,
+                  allowed=tuple(DENSE_ALLOWED)) -> list[str]:
     found = []
     for path in sorted(root.rglob("*.py")):
-        walker = _Walker(path.relative_to(root).as_posix())
+        walker = _Walker(path.relative_to(root).as_posix(), allowed)
         walker.visit(ast.parse(path.read_text(), filename=str(path)))
         found += walker.found
     return found
@@ -155,3 +177,25 @@ def test_guard_flags_every_other_product(tmp_path):
         "towerlab/transfer/operators.py:11 blocked: loop alias",
         "towerlab/transfer/operators.py:13 blocked: loop alias",
     ]
+
+
+def test_dense_matrix_uses_are_each_needed():
+    # without its allowance, each allowed function is flagged
+    flagged = {f.split(" ")[1].rstrip(":") for f in mhat_products(allowed=())}
+    assert flagged == {qual for _, qual in DENSE_ALLOWED}
+
+
+def test_guard_sees_through_operator_matrix(tmp_path):
+    pkg = tmp_path / "towerlab" / "transfer"
+    pkg.mkdir(parents=True)
+    (pkg / "operators.py").write_text(
+        "def elsewhere(op, v):\n"
+        "    return op.mat @ v\n"
+        "def resolvent_scan(op, x):\n"
+        "    A = -op.mat\n"
+        "    return A @ x\n")
+    assert mhat_products(tmp_path) == [
+        "towerlab/transfer/operators.py:2 elsewhere: matrix product"]
+    assert mhat_products(tmp_path, allowed=()) == [
+        "towerlab/transfer/operators.py:2 elsewhere: matrix product",
+        "towerlab/transfer/operators.py:4 resolvent_scan: alias"]

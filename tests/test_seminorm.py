@@ -64,7 +64,8 @@ def sweep_basis(basis, v):
 
 def brute_tower(grid, V):
     best = 0.0
-    for act, v in zip(grid.active, V):
+    for ell, v in enumerate(V):
+        act = np.nonzero(grid.heights > ell)[0]
         for d in range(1, grid.basis.depth):
             for g in _groups(grid.basis._groups[d][act]):
                 z = v[g]
@@ -160,7 +161,7 @@ def test_singletons_and_constants_vanish(bases, grid):
                                                    THETA) == 0.0
     for basis in bases:
         assert basis.theta_seminorm(np.full(basis.n, 2 - 1j), THETA) == 0.0
-    V = [np.full(len(a), 3.0 + 0j) for a in grid.active]
+    V = [np.full(len(m), 3.0 + 0j) for m in grid.mu_at]
     assert grid.theta_seminorm(V, THETA) == 0.0
 
 

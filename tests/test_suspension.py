@@ -73,8 +73,7 @@ def test_flow_identity_at_zero(doubling_const):
 
 def test_flow_constant_roof_arithmetic(doubling_const):
     one = sp.FlowState(col=np.array([1]), level=np.array([0]),
-                       y=np.array([0.3 + 0.5]), pos=np.array([0.8]),
-                       u=np.array([0.0]))
+                       pos=np.array([0.8]), u=np.array([0.0]))
     # pick the actual cell of 0.8
     one.col = doubling_const.ind.cell_of(np.array([0.8]))
     adv = sp.flow(doubling_const, one, 2.5)

@@ -555,14 +555,15 @@ def test_descent_tables_match_level_loop(small_pm_grid):
     cum = _cum_roof(grid)
     B_apply = _descent(grid, cum, s)
     rng = np.random.default_rng(3)
-    V = [rng.standard_normal((len(a), 2)) + 1j for a in grid.active]
+    V = [rng.standard_normal((len(m), 2)) + 1j for m in grid.mu_at]
     flat = np.concatenate(V)
-    assert np.array_equal(B_apply(flat, 0), grid.base_values(V))
+    assert np.array_equal(B_apply(flat, 0), V[0])
     for k in range(1, grid.max_h + 2):
         u = np.zeros((grid.basis.n, 2), dtype=complex)
         for ell in range(1, grid.max_h):
-            idx = np.nonzero(grid.heights[grid.active[ell]] == ell + k)[0]
-            leaves = grid.active[ell][idx]
+            active = np.nonzero(grid.heights > ell)[0]
+            idx = np.nonzero(grid.heights[active] == ell + k)[0]
+            leaves = active[idx]
             u[leaves] = np.exp(s * (grid.H_col[leaves] - cum[ell][idx])
                                )[:, None] * V[ell][idx]
         assert np.array_equal(B_apply(flat, k), grid.basis.apply(u))
@@ -572,8 +573,8 @@ def test_step_twists_follow_s(small_pm_grid, monkeypatch):
     # the level twists are kept per s: one grid stepped at s1, s2, s1
     # gives what a fresh grid gives at each s
     rng = np.random.default_rng(5)
-    V = [rng.standard_normal((len(a), 3)) + 1j * rng.standard_normal(
-        (len(a), 3)) for a in small_pm_grid.active]
+    V = [rng.standard_normal((len(m), 3)) + 1j * rng.standard_normal(
+        (len(m), 3)) for m in small_pm_grid.mu_at]
 
     def matches_fresh():
         grid = TowerGrid(small_pm_grid.basis, sp.cosine_roof(), 6)
@@ -595,6 +596,52 @@ def test_step_twists_follow_s(small_pm_grid, monkeypatch):
 
     monkeypatch.setattr(TowerGrid, "_twists", ignores_s)
     assert matches_fresh() == [True, False, True]
+
+
+def _step_by_cells(grid, V, s):
+    """L_s on explicit (leaf, level) pairs: the cells of level l are the
+    leaves of height > l in leaf order.  Each level is twisted whole, then
+    every cell moves one level up, or from its column top to the base."""
+    n = grid.basis.n
+    levels = [[j for j in range(n) if grid.heights[j] > ell]
+              for ell in range(grid.max_h)]
+    if s is not None and s != 0:
+        col = (slice(None),) + (None,) * (V[0].ndim - 1)
+        V = [np.exp(s * h)[col] * v for h, v in zip(grid.h_at, V)]
+    u = np.zeros((n,) + V[0].shape[1:], dtype=V[0].dtype)
+    out = [None] + [np.zeros((len(cells),) + V[0].shape[1:], V[0].dtype)
+                    for cells in levels[1:]]
+    for ell, cells in enumerate(levels):
+        for i, j in enumerate(cells):
+            if ell + 1 < grid.heights[j]:
+                out[ell + 1][levels[ell + 1].index(j)] = V[ell][i]
+            else:
+                u[j] = V[ell][i]
+    out[0] = grid.basis.apply(u)
+    return out
+
+
+@pytest.mark.parametrize("N", [None, 1, 6, 99])
+@pytest.mark.parametrize("s", [None, 0, 0.3, -0.2 + 5j])
+def test_step_matches_cell_by_cell(small_pm_grid, N, s):
+    # bit for bit, on real and complex states of one and of two columns;
+    # the untwisted levels the step returns are views of its input, which
+    # it leaves unchanged
+    grid = TowerGrid(small_pm_grid.basis, sp.cosine_roof(), N)
+    assert N != 99 or grid.max_h == grid.basis.r_col.max() < N
+    rng = np.random.default_rng(11)
+    for shape in ((), (3,)):
+        for cplx in (False, True):
+            V = [rng.standard_normal((len(m),) + shape) for m in grid.mu_at]
+            if cplx:
+                V = [v + 1j * rng.standard_normal(v.shape) for v in V]
+            before = [v.copy() for v in V]
+            got = grid.step(grid.step(V, s), s)
+            want = _step_by_cells(grid, _step_by_cells(grid, before, s), s)
+            assert len(got) == len(want) == grid.max_h
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert all(np.array_equal(a, b) for a, b in zip(V, before))
 
 
 def test_vanish_beyond_fails_past_the_cut(small_pm_grid):
