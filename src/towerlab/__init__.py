@@ -11,7 +11,7 @@ from towerlab.maps import (
     return_time_tail,
     fit_tail_exponent,
 )
-from towerlab.tower import Tower, TruncatedTower, build_tower, truncate
+from towerlab.tower import Tower
 from towerlab.suspension import (
     RoofFunction,
     Observable,

@@ -92,10 +92,10 @@ def check_map_decay() -> CheckResult:
 def check_measure_identities() -> CheckResult:
     t0 = time.monotonic()
     ind = systems.pm_induced(0.5)
-    t = tw.build_tower(ind)
+    t = tw.Tower(ind)
     worst = 0.0
     for N in (10, 20, 50, 100):
-        tt = tw.truncate(t, N)
+        tt = tw.Tower(ind, N)
         l1, r1 = tt.identity_mean_defect()
         l2, r2 = tt.identity_tall_mass()
         worst = max(worst, abs(l1 - r1), abs(l2 - r2))
@@ -108,17 +108,18 @@ def check_measure_identities() -> CheckResult:
             margin = min(margin, b - m)
     # flow-level excursions for the unbounded roof
     indd = systems.doubling_induced()
-    model = sp.SuspensionModel(tw.build_tower(indd),
+    model = sp.SuspensionModel(tw.Tower(indd),
                                sp.power_singularity_roof(1.0))
-    flow_ok = True
+    flow_ok, parked = True, 0
     for N in (5, 10, 20):
         for k in (1, 5, 10):
-            m, b = sp.flow_visit_measure(model, N, k)
+            m, b, p = sp.flow_visit_measure(model, N, k)
             flow_ok &= m <= b + 1e-12
+            parked += p
     ok = worst <= 1e-12 and visits_ok and flow_ok
     return _result("truncation measure identities and excursion bounds", ok,
-                   f"identity defect {worst:.2e}, margins >= {margin:.2e}",
-                   t0)
+                   f"identity defect {worst:.2e}, margins >= {margin:.2e}, "
+                   f"{parked} parked landings", t0)
 
 
 def check_truncation_error() -> CheckResult:
@@ -216,7 +217,7 @@ def check_resonance_contrast() -> CheckResult:
 def check_mixing_contrast() -> CheckResult:
     t0 = time.monotonic()
     ind = systems.doubling_full()
-    t = tw.build_tower(ind)
+    t = tw.Tower(ind)
     v = sp.coordinate_observable()
     cs = sp.correlation_mc(sp.SuspensionModel(t, sp.cosine_roof()),
                            v, v, [0, 20], MC_SAMPLES, seed=41)
@@ -259,7 +260,7 @@ def check_rate_budget() -> CheckResult:
 
 def _determinism_output() -> bytes:
     """Criterion 11's correlation run, as the exact bytes of its rows."""
-    model = sp.SuspensionModel(tw.build_tower(systems.pm_induced(0.5)),
+    model = sp.SuspensionModel(tw.Tower(systems.pm_induced(0.5)),
                                sp.cosine_roof())
     v = sp.coordinate_observable()
     cs = sp.correlation_mc(model, v, v, [0, 5, 10], 100_000, seed=7)

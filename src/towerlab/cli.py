@@ -238,7 +238,7 @@ def cmd_tail(run: Run) -> None:
 
 
 def cmd_tower(run: Run) -> None:
-    t = tw.build_tower(_build_induced(run))
+    t = tw.Tower(_build_induced(run))
     path = _out(run, "tower.csv")
     t.to_csv(path)
     print(f"tower: {t.n_cells} cells, rbar={t.rbar:.6f}, "
@@ -246,13 +246,13 @@ def cmd_tower(run: Run) -> None:
 
 
 def cmd_truncate(run: Run) -> None:
-    t = tw.build_tower(_build_induced(run))
+    ind = _build_induced(run)
     path = _out(run, "truncate.csv")
     worst = 0.0
     with open(path, "w") as fh:
         fh.write("N,mean_defect_lhs,mean_defect_rhs,tall_lhs,tall_rhs\n")
         for N in run["grids", "N_list"]:
-            tt = tw.truncate(t, N)
+            tt = tw.Tower(ind, N)
             l1, r1 = tt.identity_mean_defect()
             l2, r2 = tt.identity_tall_mass()
             worst = max(worst, abs(l1 - r1), abs(l2 - r2))
@@ -281,7 +281,7 @@ def cmd_corr_map(run: Run) -> None:
 
 
 def cmd_corr_flow(run: Run) -> None:
-    model = sp.SuspensionModel(tw.build_tower(_build_induced(run)),
+    model = sp.SuspensionModel(tw.Tower(_build_induced(run)),
                                _build_roof(run))
     cs = sp.correlation_mc(model, *_build_obs(run), run["grids", "t_grid"],
                            run["run", "samples"], run["run", "seed"])

@@ -18,7 +18,7 @@ import numpy as np
 __all__ = [
     "Branch",
     "MapModel",
-    "climb_order",
+    "suffix_starts",
     "PomeauManneville",
     "pomeau_manneville",
     "doubling_map",
@@ -50,13 +50,10 @@ class Branch:
     deriv: Callable[[np.ndarray], np.ndarray]
 
 
-def climb_order(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Order putting the largest step counts first, and for each l below
-    the largest count the number of entries with more than l steps: the
-    prefix of that order that still climbs at step l."""
-    order = np.argsort(-steps, kind="stable")
-    top = int(steps.max(initial=0))
-    return order, np.searchsorted(-steps[order], -np.arange(top), side="left")
+def suffix_starts(h: np.ndarray) -> np.ndarray:
+    """For non-falling counts h, where the suffix of entries above l starts,
+    for each l below max h: the entries that still climb at step l."""
+    return np.searchsorted(h, np.arange(h.max(initial=0)), side="right")
 
 
 @dataclass(frozen=True)
@@ -140,17 +137,17 @@ class MapModel:
 
     def _climb(self, x, steps, f=None) -> np.ndarray:
         """(T^steps x, sum_{l < steps} f(T^l x)).  The points are sorted by
-        step count once; each application of T acts on the prefix still
+        step count once; each application of T acts on the suffix still
         climbing."""
         x = np.asarray(x, dtype=float)
         steps = np.broadcast_to(np.asarray(steps, dtype=int), x.shape).ravel()
-        order, active = climb_order(steps)
+        order = np.argsort(steps, kind="stable")
         cur = x.ravel()[order]
         rows = [cur] if f is None else [cur, np.zeros_like(cur)]
-        for n in active:
+        for a in suffix_starts(steps[order]):
             if f is not None:
-                rows[1][:n] += f(cur[:n])
-            cur[:n] = self.apply(cur[:n])
+                rows[1][a:] += f(cur[a:])
+            cur[a:] = self.apply(cur[a:])
         out = np.empty((len(rows), cur.size))
         for o, row in zip(out, rows):
             o[order] = row
@@ -566,13 +563,12 @@ class InducedMap:
     def check_backward_lipschitz(self, pairs_per_cell: int = 10, rng=None) -> float:
         """Max of d(T^l x, T^l y)/d(Fx, Fy) over sampled pairs and 0 <= l < r."""
         x, y = self._cell_pairs(pairs_per_cell, rng or np.random.default_rng(1))
-        order, active = climb_order(
-            np.broadcast_to(self.r[:, None], x.shape).ravel())
-        cur = np.stack([x.ravel(), y.ravel()], axis=1)[order]
+        # the pairs come cell by cell, so in order of r
+        cur = np.stack([x.ravel(), y.ravel()], axis=1)
         spread = np.zeros(len(cur))  # max over l < r of d(T^l x, T^l y)
-        for n in active:
-            spread[:n] = np.maximum(spread[:n], np.abs(cur[:n, 0] - cur[:n, 1]))
-            cur[:n] = self.model.apply(cur[:n])
+        for a in suffix_starts(np.repeat(self.r, pairs_per_cell)):
+            spread[a:] = np.maximum(spread[a:], np.abs(cur[a:, 0] - cur[a:, 1]))
+            cur[a:] = self.model.apply(cur[a:])
         d_end = np.abs(cur[:, 0] - cur[:, 1])
         keep = d_end > 1e-13
         # division by d > 0 is monotone, so max_l (a_l / d) = (max_l a_l) / d

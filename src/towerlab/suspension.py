@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from towerlab.maps import InducedMap
-from towerlab.tower import Tower, TruncatedTower, build_tower, truncate
+from towerlab.tower import Tower
 
 __all__ = [
     "RoofFunction",
@@ -171,21 +171,15 @@ _GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(8)
 class SuspensionModel:
     """Suspension of a tower under a roof, with per-cell quadrature tables.
 
-    Cells are indexed flat, column-major: cell (j, l) at flat index
-    offsets[j] + l.  Per cell we store the quadrature mean of the roof over
-    the projected cell, a rejection envelope, and the cell measure.
+    Per cell, in the tower's flat order, we store the quadrature mean of the
+    roof over the projected cell, a rejection envelope, and the cell measure.
     """
 
     def __init__(self, tower: Tower, roof: RoofFunction) -> None:
         self.tower = tower
         self.roof = roof
         ind = tower.ind
-        heights = tower.heights
-        self.offsets = np.concatenate([[0], np.cumsum(heights)])
-        n_cells = int(self.offsets[-1])
-        self.cell_col = np.repeat(np.arange(ind.J), heights)
-        self.cell_level = np.arange(n_cells) - self.offsets[self.cell_col]
-        self.cell_mass = tower.column_mass[self.cell_col]
+        self.cell_mass = tower.column_mass[tower.cell_col]
         # per column: the 8 Gauss nodes, then both cell ends
         nodes = np.column_stack([
             ind.lo[:, None] + (0.5 + 0.5 * _GAUSS_NODES) * ind.widths[:, None],
@@ -257,8 +251,8 @@ def sample_stationary(model: SuspensionModel, n: int, seed: int) -> FlowState:
     ind = model.ind
     cells = np.searchsorted(model.flow_cdf, rng.random(n), side="right")
     cells = np.minimum(cells, len(model.flow_cdf) - 1)
-    col = model.cell_col[cells]
-    level = model.cell_level[cells]
+    col = model.tower.cell_col[cells]
+    level = model.tower.cell_level[cells]
     lo, wid = ind.lo[col], ind.widths[col]
     env = model.hmax_cell[cells]
     pos = np.empty(n)
@@ -284,8 +278,6 @@ def flow(model: SuspensionModel, st: FlowState, t: float,
         raise ValueError("flow time must be nonnegative")
     if not inplace:
         st = st.copy()
-    ind = model.ind
-    heights = model.tower.heights
     rem = np.full(len(st), float(t))
     h = model.roof(st.pos)
     if np.any((st.u < 0) | (st.u >= h)):
@@ -302,25 +294,37 @@ def flow(model: SuspensionModel, st: FlowState, t: float,
             break
         rem[cross] -= h[cross] - st.u[cross]
         st.u[cross] = 0.0
-        drop = st.level[cross] + 1 >= heights[st.col[cross]]
-        climb = cross[~drop]
-        st.level[climb] += 1
-        st.pos[climb] = ind.model.apply(st.pos[climb])
-        dropi = cross[drop]
-        if len(dropi) > 0:
-            lvd = st.level[dropi]    # the top of the column being left
-            st.top[dropi] = np.maximum(st.top[dropi], lvd)
-            st.col[dropi], p, parked = ind.land(st.col[dropi], lvd,
-                                                st.pos[dropi])
-            st.parked[dropi] += parked
-            st.level[dropi] = 0
-            st.pos[dropi] = p
+        landed, left, parked = _cross(model.tower, st.col, st.level, st.pos,
+                                      cross)
+        st.top[landed] = np.maximum(st.top[landed], left)
+        st.parked[landed] += parked
         h[cross] = model.roof(st.pos[cross])
         st.hmax[cross] = np.maximum(st.hmax[cross], h[cross])
     else:
         raise ArithmeticError("flow did not terminate")
     np.maximum(st.top, st.level, out=st.top)
     return st
+
+
+def _cross(tower: Tower, col: np.ndarray, level: np.ndarray, pos: np.ndarray,
+           idx: np.ndarray):
+    """Move the points ``idx`` to their next tower cell, in place: up their
+    column, or from its top through the return map to a base cell.  Returns
+    the points that landed, the levels they left and their parked flags
+    (see ``InducedMap.land``)."""
+    ind = tower.ind
+    drop = level[idx] + 1 >= tower.heights[col[idx]]
+    climb = idx[~drop]
+    level[climb] += 1
+    pos[climb] = ind.model.apply(pos[climb])
+    landed = idx[drop]
+    left = level[landed]
+    parked = np.zeros(0, dtype=bool)
+    if len(landed):
+        col[landed], pos[landed], parked = ind.land(col[landed], left,
+                                                    pos[landed])
+        level[landed] = 0
+    return landed, left, parked
 
 
 # ---------------------------------------------------------------------------
@@ -400,59 +404,60 @@ def _restrict(st: FlowState, keep: np.ndarray) -> FlowState:
     return FlowState(st.col[keep], st.level[keep], st.pos[keep], st.u[keep])
 
 
-class _FullFlow(NamedTuple):
-    """w at each time of ``ts`` along the full flow of a sample, and the
-    flow's per-point records (see FlowState)."""
-
-    ws: list[np.ndarray]
-    top: np.ndarray
-    hmax: np.ndarray
-    parked: np.ndarray
-
-
-def _full_flow(model: SuspensionModel, st0: FlowState, w: Observable,
-               ts: np.ndarray) -> _FullFlow:
-    """Flow a copy of st0; only the w-values and the records are kept."""
-    st = st0.copy()
-    ws = list(_flow_series(model, st, w, ts))
-    return _FullFlow(ws, st.top, st.hmax, st.parked)
-
-
 def _diverted(cut: SuspensionModel, top: np.ndarray,
               hmax: np.ndarray) -> np.ndarray:
     """Points whose full flow reached what the cut removes: a level at or
     past the tower's cut, or a roof value above the roof's cap.  Below
     both, min(h, cap) == h bit for bit and the columns climb alike."""
     out = np.zeros(len(top), dtype=bool)
-    if isinstance(cut.tower, TruncatedTower):
+    if cut.tower.N is not None:
         out |= top >= cut.tower.N
     if cut.roof.cap is not None:
         out |= hmax > cut.roof.cap
     return out
 
 
-def _cut_series(cut: SuspensionModel, st0: FlowState, v0: np.ndarray,
-                keep: np.ndarray, paths: _FullFlow, w: Observable,
-                ts: np.ndarray) -> tuple[list[tuple[float, float]], int, int]:
-    """(rho, stderr) of v0 against w at each time of ``ts`` along the cut
-    flow of the kept points of st0, its parked landings, and the number of
-    points flowed again.
+class _Coupled:
+    """A stationary sample st0 of the uncut flow, flowed once, and what the
+    cuts of one experiment share: the sorted times, v on st0, w at each time
+    along the full flow, that flow's records (see FlowState) and the full
+    (rho, stderr) series."""
 
-    A kept point the cut does not divert follows the full flow through the
-    same operations: its w-values and parked landings are those of
-    ``paths``.  Only the diverted points are flowed under the cut."""
-    diverted = _diverted(cut, paths.top, paths.hmax)
-    redo = keep & diverted
-    sub = _restrict(st0, redo)
-    at = redo[keep]
-    vk = v0[keep]
-    series = []
-    for w_full, w_cut in zip(paths.ws, _flow_series(cut, sub, w, ts)):
-        wt = w_full[keep]
-        wt[at] = w_cut
-        series.append(_batched_cov(vk, wt))
-    oob = int(paths.parked[keep & ~diverted].sum()) + sub.oob
-    return series, oob, len(sub)
+    def __init__(self, ind: InducedMap, roof: RoofFunction, v: Observable,
+                 w: Observable, t_grid, n_samples: int, seed: int) -> None:
+        self.tower = Tower(ind)
+        self.w = w
+        model = SuspensionModel(self.tower, roof)
+        self.st0 = sample_stationary(model, n_samples, seed)
+        self.ts = np.sort(np.asarray(t_grid, dtype=float))
+        st = self.st0.copy()
+        self.ws = list(_flow_series(model, st, w, self.ts))
+        self.top, self.hmax, self.parked = st.top, st.hmax, st.parked
+        self.v0 = v.eval_state(model, self.st0)
+        self.full = [_batched_cov(self.v0, wt) for wt in self.ws]
+
+    def cut_series(self, cut: SuspensionModel, keep: np.ndarray
+                   ) -> tuple[list[tuple[float, float]], int, int]:
+        """(rho, stderr) of v against w at each time along the cut flow of
+        the kept points of st0, its parked landings, and the number of
+        points flowed again.
+
+        A kept point the cut does not divert follows the full flow through
+        the same operations: its w-values and parked landings are those of
+        the full flow.  Only the diverted points are flowed under the cut."""
+        diverted = _diverted(cut, self.top, self.hmax)
+        redo = keep & diverted
+        sub = _restrict(self.st0, redo)
+        at = redo[keep]
+        vk = self.v0[keep]
+        series = []
+        for w_full, w_cut in zip(self.ws,
+                                 _flow_series(cut, sub, self.w, self.ts)):
+            wt = w_full[keep]
+            wt[at] = w_cut
+            series.append(_batched_cov(vk, wt))
+        oob = int(self.parked[keep & ~diverted].sum()) + sub.oob
+        return series, oob, len(sub)
 
 
 @dataclass
@@ -466,6 +471,14 @@ class TruncationRow:
     @property
     def ratio(self) -> float:
         return self.measured / self.bound if self.bound > 0 else math.inf
+
+
+def _rows(N: int, ts: np.ndarray, ref, cut, bound) -> list[TruncationRow]:
+    """One row per time t of ``ts``: |rho_ref - rho_cut|, its standard
+    error, and bound(t)."""
+    return [TruncationRow(int(N), float(t), abs(rho_r - rho_c),
+                          math.hypot(e_r, e_c), bound(t))
+            for t, (rho_r, e_r), (rho_c, e_c) in zip(ts, ref, cut)]
 
 
 @dataclass
@@ -509,29 +522,21 @@ def truncation_error_experiment(ind: InducedMap, roof: RoofFunction,
     """
     if not roof.bounded:
         raise ValueError("roof is unbounded: use roof_truncation_experiment")
-    base_tower = build_tower(ind)
-    model = SuspensionModel(base_tower, roof)
-    st0 = sample_stationary(model, n_samples, seed)
-    ts = np.sort(np.asarray(t_grid, dtype=float))
-    paths = _full_flow(model, st0, w, ts)
-    v0 = v.eval_state(model, st0)
-    full = [_batched_cov(v0, wt) for wt in paths.ws]
+    c = _Coupled(ind, roof, v, w, t_grid, n_samples, seed)
     rows: list[TruncationRow] = []
     kept_min = 1.0
-    oob = {"full": int(paths.parked.sum()), "truncated": 0}
+    oob = {"full": int(c.parked.sum()), "truncated": 0}
     reflowed = {}
     for N in sorted(N_list):
-        tt = truncate(base_tower, int(N))
-        keep = st0.level < tt.heights[st0.col]
+        tt = Tower(ind, int(N))
+        keep = c.st0.level < tt.heights[c.st0.col]
         kept_min = min(kept_min, float(keep.mean()))
-        cut, parked, reflowed[int(N)] = _cut_series(
-            SuspensionModel(tt, roof), st0, v0, keep, paths, w, ts)
+        cut, parked, reflowed[int(N)] = c.cut_series(
+            SuspensionModel(tt, roof), keep)
         oob["truncated"] += parked
         tail_ge, tail_gt = ind.tail_sums(int(N))
-        for t, (rho_f, e_f), (rho_t, e_t) in zip(ts, full, cut):
-            rows.append(TruncationRow(int(N), float(t), abs(rho_f - rho_t),
-                                      math.hypot(e_f, e_t),
-                                      tail_gt + (N + t) * tail_ge))
+        rows += _rows(N, c.ts, c.full, cut,
+                      lambda t: tail_gt + (N + t) * tail_ge)
     fitted, spread = _ratio_stability(rows)
     return TruncationTable(rows=rows, fitted_C=fitted, stable_within=spread,
                            kept_fraction=kept_min, oob=oob, reflowed=reflowed)
@@ -556,38 +561,28 @@ def roof_truncation_experiment(ind: InducedMap, roof: RoofFunction,
     if roof.tail_exponent is None:
         raise ValueError("unbounded roof needs a declared tail exponent")
     beta = roof.tail_exponent - 1.0
-    base_tower = build_tower(ind)
-    model = SuspensionModel(base_tower, roof)
-    st0 = sample_stationary(model, n_samples, seed)
-    ts = np.sort(np.asarray(t_grid, dtype=float))
-    paths = _full_flow(model, st0, w, ts)
-    v0 = v.eval_state(model, st0)
-    full = [_batched_cov(v0, wt) for wt in paths.ws]
+    c = _Coupled(ind, roof, v, w, t_grid, n_samples, seed)
     rows: list[TruncationRow] = []
     second: list[TruncationRow] = []
-    oob = {"full": int(paths.parked.sum()), "truncated": 0, "second": 0}
+    oob = {"full": int(c.parked.sum()), "truncated": 0, "second": 0}
     reflowed, second_reflowed = {}, {}
-    rate = _exp_rate(ind)
+    second_exp = -(_exp_rate(ind) * q_log_trunc - 1.0)
     for N in sorted(N_list):
         roof_t = roof.truncated(float(N))
-        keep = st0.u < roof_t(st0.pos)
-        cut, parked, reflowed[int(N)] = _cut_series(
-            SuspensionModel(base_tower, roof_t), st0, v0, keep, paths, w, ts)
+        keep = c.st0.u < roof_t(c.st0.pos)
+        cut, parked, reflowed[int(N)] = c.cut_series(
+            SuspensionModel(c.tower, roof_t), keep)
         oob["truncated"] += parked
-        for t, (rho_f, e_f), (rho_t, e_t) in zip(ts, full, cut):
-            rows.append(TruncationRow(int(N), float(t),
-                                      abs(rho_f - rho_t), math.hypot(e_f, e_t),
-                                      N ** (-beta) + t * N ** (-(beta + 1.0))))
+        rows += _rows(N, c.ts, c.full, cut,
+                      lambda t: N ** (-beta) + t * N ** (-(beta + 1.0)))
         # second truncation: also cap tower columns at q ln N
-        tt2 = truncate(base_tower, max(1, int(q_log_trunc * math.log(N))))
-        keep2 = keep & (st0.level < tt2.heights[st0.col])
-        cut2, parked, second_reflowed[int(N)] = _cut_series(
-            SuspensionModel(tt2, roof_t), st0, v0, keep2, paths, w, ts)
+        tt2 = Tower(ind, max(1, int(q_log_trunc * math.log(N))))
+        keep2 = keep & (c.st0.level < tt2.heights[c.st0.col])
+        cut2, parked, second_reflowed[int(N)] = c.cut_series(
+            SuspensionModel(tt2, roof_t), keep2)
         oob["second"] += parked
-        for t, (rho_t, e_t), (rho_2, e_2) in zip(ts, cut, cut2):
-            second.append(TruncationRow(
-                int(N), float(t), abs(rho_t - rho_2), math.hypot(e_t, e_2),
-                t * float(N) ** (-(rate * q_log_trunc - 1.0))))
+        second += _rows(N, c.ts, cut, cut2,
+                        lambda t: t * float(N) ** second_exp)
     fitted, spread = _ratio_stability(rows)
     f2, s2 = _ratio_stability(second)
     return {"rows": rows, "fitted_C": fitted, "stable_within": spread,
@@ -606,15 +601,16 @@ def _exp_rate(ind: InducedMap) -> float:
 
 
 def flow_visit_measure(model: SuspensionModel, N: float, k: float
-                       ) -> tuple[float, float]:
+                       ) -> tuple[float, float, int]:
     """Measure of suspension points reaching the region {h > N} within
     flow time k, with the explicit excursion bound.
 
-    Returns (measured, bound): measured integrates, per cell and position
-    (12 Gauss-Legendre nodes per cell), the exact u-interval that enters
-    within time k (points starting inside the region count at time 0); the
-    bound is
-    (1/hbar) { int h 1_{h>N} dmu + k mu(h > N) }.
+    Returns (measured, bound, parked): measured integrates, per cell and
+    position (12 Gauss-Legendre nodes per cell), the exact u-interval that
+    enters within time k (points starting inside the region count at time
+    0); the bound is
+    (1/hbar) { int h 1_{h>N} dmu + k mu(h > N) };
+    parked counts the node landings parked past the represented cells.
     """
     if k < 0 or N <= 0:
         raise ValueError("need k >= 0 and N > 0")
@@ -625,24 +621,19 @@ def flow_visit_measure(model: SuspensionModel, N: float, k: float
     # flat ensemble: every tower cell carries its quadrature nodes
     x = ind.lo[:, None] + (0.5 + 0.5 * qn) * ind.widths[:, None]
     pos = tower.column_positions(x).reshape(-1)
-    col = np.repeat(model.cell_col, len(qn))
-    level = np.repeat(model.cell_level, len(qn))
+    col = np.repeat(tower.cell_col, len(qn))
+    level = np.repeat(tower.cell_level, len(qn))
+    every = np.arange(len(pos))
     w = (model.cell_mass[:, None] * wts).reshape(-1)
     h0 = np.asarray(model.roof(pos), dtype=float)
     hcur = h0.copy()
     entry = np.where(h0 > N, 0.0, np.inf)
     acc = np.zeros_like(pos)
+    parked = 0
     max_steps = int(k / max(model.roof.inf_floor, 1e-9)) + 3
     for _ in range(max_steps):
         acc = acc + hcur
-        drop = level + 1 >= tower.heights[col]
-        if np.any(drop):
-            col[drop], pos[drop], _ = ind.land(col[drop], level[drop],
-                                               pos[drop])
-            level[drop] = 0
-        climb = ~drop
-        pos[climb] = ind.model.apply(pos[climb])
-        level[climb] += 1
+        parked += int(_cross(tower, col, level, pos, every)[2].sum())
         hcur = np.asarray(model.roof(pos), dtype=float)
         hit = (hcur > N) & (acc < entry)
         entry[hit] = acc[hit]
@@ -654,4 +645,4 @@ def flow_visit_measure(model: SuspensionModel, N: float, k: float
     measured = float(np.sum(w * length))
     big = h0 > N
     bound = float(np.sum(w * h0 * big)) + k * float(np.sum(w * big))
-    return measured / model.hbar, bound / model.hbar
+    return measured / model.hbar, bound / model.hbar, parked

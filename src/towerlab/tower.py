@@ -1,10 +1,10 @@
 """Discrete suspension towers over induced maps.
 
 A tower stacks each first-return cell Y_j into a column of height r(j); the
-tower map climbs columns and drops to the base through the return map.  The
-truncated variant caps column heights at a level N, splitting the tower into
+tower map climbs columns and drops to the base through the return map.  A
+tower cut at level N caps the column heights at N, splitting the tower into
 a short-column part and a tall-column part, with exact identities tying the
-truncated mean height to the return-time tail.
+cut mean height to the return-time tail.
 """
 
 from __future__ import annotations
@@ -13,31 +13,36 @@ import math
 
 import numpy as np
 
-from towerlab.maps import InducedMap
+from towerlab.maps import InducedMap, suffix_starts
 
 __all__ = [
     "Tower",
-    "TruncatedTower",
-    "build_tower",
-    "truncate",
     "visit_measure",
 ]
 
 
 class Tower:
-    """Tower over an induced map.
+    """Tower over an induced map, cut at level N if N is given.
 
-    Cell (j, l), 0 <= l < r(j), carries invariant measure mu_Y(Y_j)/rbar,
-    where rbar is the mean return time over represented cells.  Tail mass
-    beyond the branch cutoff is excluded from the normalisation.
+    Column j has height r(j), or min(r(j), N); the return map is unchanged.
+    Cell (j, l) carries measure mu_Y(Y_j)/rbar, rbar = sum height mu_Y over
+    represented cells (tail mass beyond the branch cutoff is excluded).
+    Cell (j, l) is number start[j] + l in flat, column-major order, and
+    cell_col and cell_level map a number back to (j, l).
     """
 
-    def __init__(self, ind: InducedMap) -> None:
+    def __init__(self, ind: InducedMap, N: int | None = None) -> None:
+        if N is not None and N < 1:
+            raise ValueError("truncation level must be >= 1")
         self.ind = ind
-        self.heights = ind.r.copy()
-        self.rbar = ind.mean_return
+        self.N = N
+        self.heights = ind.r.copy() if N is None else np.minimum(ind.r, N)
+        self.rbar = float(np.sum(self.heights * ind.muY))
         self.column_mass = ind.muY / self.rbar  # per level of each column
         self.n_cells = int(self.heights.sum())
+        self.start = np.cumsum(self.heights) - self.heights
+        self.cell_col = np.repeat(np.arange(ind.J), self.heights)
+        self.cell_level = np.arange(self.n_cells) - self.start[self.cell_col]
 
     @property
     def total_mass(self) -> float:
@@ -45,24 +50,22 @@ class Tower:
 
     def column_positions(self, y_nodes: np.ndarray, reduce=None) -> np.ndarray:
         """Positions T^l(y_nodes[j]) of every cell (j, l), y_nodes of shape
-        (J, m), as rows in flat cell order (row heights[:j].sum() + l).
+        (J, m), as rows in flat cell order.
 
         All columns climb together, T applied once per level to the columns
         still taller: cells come in order of r, so these are a suffix.
         ``reduce``, if given, maps each level's positions to one row per
         column; its rows are returned instead."""
-        first = np.searchsorted(self.heights, np.arange(self.heights.max()),
-                                side="right")
-        start = np.cumsum(self.heights) - self.heights
         cur = np.asarray(y_nodes, dtype=float)
-        out = None
-        for ell, f in enumerate(first):
+        out, prev = None, 0
+        for ell, f in enumerate(suffix_starts(self.heights)):
             if ell:
-                cur = self.ind.model.apply(cur[f - first[ell - 1]:])
+                cur = self.ind.model.apply(cur[f - prev:])
+            prev = f
             vals = cur if reduce is None else reduce(cur)
             if out is None:
                 out = np.empty((self.n_cells,) + vals.shape[1:])
-            out[start[f:] + ell] = vals
+            out[self.start[f:] + ell] = vals
         return out
 
     def to_csv(self, path) -> None:
@@ -77,51 +80,25 @@ class Tower:
                              f"{ind.r[j]},{self.heights[j]},"
                              f"{lo:.17g},{hi:.17g}\n")
 
-
-class TruncatedTower(Tower):
-    """Tower with column heights capped at N; the return map is unchanged."""
-
-    def __init__(self, parent: Tower, N: int) -> None:
-        if N < 1:
-            raise ValueError("truncation level must be >= 1")
-        ind = parent.ind
-        self.parent = parent
-        self.N = int(N)
-        self.ind = ind
-        self.heights = np.minimum(ind.r, N)
-        self.rbar = float(np.sum(self.heights * ind.muY))
-        self.column_mass = ind.muY / self.rbar
-        self.n_cells = int(self.heights.sum())
-        self.tall = ind.r >= N        # columns forming the tall part of Delta
+    # -- exact truncation identities of a cut tower (represented mass) -------
 
     def tall_part_mass(self) -> float:
-        """mu_Delta of the tall-column part of the untruncated tower."""
-        return float(np.sum(self.ind.r[self.tall] * self.parent.column_mass[self.tall]))
-
-    # -- exact truncation identities (represented mass) ----------------------
+        """mu_Delta of the tall-column part of the uncut tower."""
+        ind = self.ind
+        tall = ind.r >= self.N
+        return float(np.sum(ind.r[tall] * (ind.muY / ind.mean_return)[tall]))
 
     def identity_mean_defect(self) -> tuple[float, float]:
-        """(rbar - rbar', sum_{n>N} mu_Y(r >= n)); equal up to roundoff."""
+        """(rbar_uncut - rbar, sum_{n>N} mu_Y(r >= n)); equal up to roundoff."""
         lhs = math.fsum((self.ind.r - self.heights) * self.ind.muY)
         return lhs, self.ind.tail_sums(self.N)[1]
 
     def identity_tall_mass(self) -> tuple[float, float]:
-        """mu_Delta(tall part) against (N mu_Y(r>=N) + sum_{n>N} mu_Y(r>=n))/rbar."""
+        """mu_Delta(tall part) vs (N mu_Y(r>=N) + sum_{n>N} mu_Y(r>=n))/mean r."""
         lhs = self.tall_part_mass()
         tail_ge_N, s = self.ind.tail_sums(self.N)
-        rhs = (self.N * tail_ge_N + s) / self.parent.rbar
+        rhs = (self.N * tail_ge_N + s) / self.ind.mean_return
         return lhs, rhs
-
-
-def build_tower(ind: InducedMap) -> Tower:
-    return Tower(ind)
-
-
-def truncate(tower: Tower, N: int) -> TruncatedTower:
-    parent = tower.parent if isinstance(tower, TruncatedTower) else tower
-    if isinstance(tower, TruncatedTower):
-        N = min(N, tower.N)
-    return TruncatedTower(parent, N)
 
 
 # ---------------------------------------------------------------------------

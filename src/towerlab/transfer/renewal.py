@@ -227,8 +227,7 @@ def _descent(grid: TowerGrid, cum, s: complex):
     positions and phases are tabulated once per k.
     """
     basis = grid.basis
-    level = np.repeat(np.arange(grid.max_h), [len(m) for m in grid.mu_at])
-    leaf = np.concatenate([np.arange(f, basis.n) for f in grid.first[:-1]])
+    leaf, level = grid.flat_cells
     start = grid.heights[leaf] - level        # k of a start at this cell
     phase = np.exp(s * (grid.H_col[leaf] - np.concatenate(cum)))
     tables = {}

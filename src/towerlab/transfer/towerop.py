@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from towerlab.maps import suffix_starts
 from towerlab.suspension import Observable, RoofFunction
 from towerlab.transfer.basis import CylinderBasis
 from towerlab.transfer.diameters import GroupDiameters
@@ -45,11 +46,10 @@ class TowerGrid:
         self.rbar = float(np.sum(self.heights * basis.mu))
         # leaves come in order of r (InducedMap checks it), so the leaves
         # on level l are the suffix first[l]: and the column tops of level
-        # l are its first first[l + 1] - first[l] entries
-        self.first = np.searchsorted(self.heights, np.arange(self.max_h + 1),
-                                     side="right")
-        self.n_top = np.diff(self.first)
-        self.mu_at = [basis.mu[f:] for f in self.first[:-1]]
+        # l are its first n_top[l] entries (up to first[l + 1], or to n)
+        self.first = suffix_starts(self.heights)
+        self.n_top = np.diff(self.first, append=basis.n)
+        self.mu_at = [basis.mu[f:] for f in self.first]
         self.pos_at = [basis.mid]
         for ell in range(1, self.max_h):
             self.pos_at.append(basis.ind.model.apply(
@@ -130,12 +130,17 @@ class TowerGrid:
         return sum(m @ v for m, v in zip(self.mu_at, V)) / self.rbar
 
     @cached_property
+    def flat_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """(leaf, level) of each entry of the flattened tower vector."""
+        leaf = np.concatenate([np.arange(f, self.basis.n) for f in self.first])
+        return leaf, np.repeat(np.arange(self.max_h), self.basis.n - self.first)
+
+    @cached_property
     def _diameters(self) -> GroupDiameters:
         """Seminorm groups of the flattened tower vector: one level and one
         depth-d column prefix, d >= 1."""
         basis = self.basis
-        leaf = np.concatenate([np.arange(f, basis.n) for f in self.first[:-1]])
-        level = np.repeat(np.arange(self.max_h), [len(m) for m in self.mu_at])
+        leaf, level = self.flat_cells
         return GroupDiameters({d: level * basis.n + basis._groups[d][leaf]
                                for d in range(1, basis.depth)})
 

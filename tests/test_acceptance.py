@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from towerlab import acceptance, systems, tower as tw
+from towerlab import acceptance, systems, suspension as sp, tower as tw
 from towerlab.transfer import rates
 
 
@@ -54,13 +54,27 @@ def test_wrong_alpha_fails_criterion_1(monkeypatch):
 
 def test_dropped_n_term_fails_criterion_3(monkeypatch):
     # sum_{n>N} mu_Y(r >= n) without its n = N + 1 term
-    identity = tw.TruncatedTower.identity_mean_defect
+    identity = tw.Tower.identity_mean_defect
     monkeypatch.setattr(
-        tw.TruncatedTower, "identity_mean_defect",
+        tw.Tower, "identity_mean_defect",
         lambda self: (identity(self)[0],
                       math.fsum(self.ind.tail_ge[self.N + 2:])))
     res = acceptance.check_measure_identities()
     assert not res.passed, res.detail
+
+
+# -- criterion 4 can fail ------------------------------------------------------
+
+def test_bound_over_n_fails_criterion_4(monkeypatch):
+    # every truncation bound divided by N: over N = 10 ... 40 the ratios
+    # |rho - rho'| / bound spread 4x further, past the stability gate of 3
+    rows = sp._rows
+    monkeypatch.setattr(sp, "_rows", lambda N, ts, ref, cut, bound: rows(
+        N, ts, ref, cut, lambda t: bound(t) / N))
+    res = acceptance.check_truncation_error()
+    assert not res.passed, res.detail
+    spreads = res.detail.removeprefix("stability ").split(" / ")
+    assert all(float(x) > 3.0 for x in spreads), res.detail
 
 
 # -- criterion 10 can fail -----------------------------------------------------

@@ -6,18 +6,18 @@ from hypothesis import example, given, settings, strategies as hs
 from numpy.polynomial.legendre import leggauss
 from scipy import stats
 
-from towerlab import systems, suspension as sp, tower as tw
+from towerlab import maps, systems, suspension as sp, tower as tw
 
 
 @pytest.fixture(scope="module")
 def pm_model():
-    return sp.SuspensionModel(tw.build_tower(systems.pm_induced(0.5)),
+    return sp.SuspensionModel(tw.Tower(systems.pm_induced(0.5)),
                               sp.cosine_roof())
 
 
 @pytest.fixture(scope="module")
 def doubling_const():
-    return sp.SuspensionModel(tw.build_tower(systems.doubling_full()),
+    return sp.SuspensionModel(tw.Tower(systems.doubling_full()),
                               sp.constant_roof(1.0))
 
 
@@ -101,7 +101,7 @@ def test_flow_rejects_bad_height(doubling_const):
        frac=hs.floats(0.0, 1.0))
 def test_flow_semigroup(seed, t, frac):
     # the few-cell pm tower parks landings, so the parked counts take part
-    model = sp.SuspensionModel(tw.build_tower(_small_pm()), sp.cosine_roof())
+    model = sp.SuspensionModel(tw.Tower(_small_pm()), sp.cosine_roof())
     st = sp.sample_stationary(model, 2000, seed=seed)
     a = frac * t
     two = sp.flow(model, sp.flow(model, st, a), t - a)
@@ -215,7 +215,7 @@ def test_roof_truncation_rejects_bounded_roof():
 
 def test_unbounded_roof_tail_exponent():
     ind = systems.doubling_induced()
-    model = sp.SuspensionModel(tw.build_tower(ind),
+    model = sp.SuspensionModel(tw.Tower(ind),
                                sp.power_singularity_roof(1.0))
     ns = np.unique(np.geomspace(8, 500, 25))
     # mu_Delta of the cells whose sup of h exceeds n, per n
@@ -228,13 +228,14 @@ def test_unbounded_roof_tail_exponent():
 
 def test_flow_visit_measure_bound():
     ind = systems.doubling_induced()
-    model = sp.SuspensionModel(tw.build_tower(ind),
+    model = sp.SuspensionModel(tw.Tower(ind),
                                sp.power_singularity_roof(1.0))
     prev = -1.0
     for k in (1, 3, 6):
-        m, b = sp.flow_visit_measure(model, 10.0, k)
+        m, b, parked = sp.flow_visit_measure(model, 10.0, k)
         assert m <= b + 1e-12
         assert m >= prev - 1e-12
+        assert parked == 0
         prev = m
 
 
@@ -268,16 +269,14 @@ def test_model_tables_match_column_climb(system, cut):
         ind, roof = _small_pm(), sp.cosine_roof()
     else:
         ind, roof = systems.doubling_induced(), sp.power_singularity_roof(1.0)
-    tower = tw.build_tower(ind)
-    if cut == "tower":
-        tower = tw.truncate(tower, 7)
+    tower = tw.Tower(ind, 7 if cut == "tower" else None)
     if cut == "roof":
         roof = roof.truncated(2.5)
     model = sp.SuspensionModel(tower, roof)
     hbar, hmax = _tables_by_column(tower, roof)
     assert np.array_equal(model.hbar_cell, hbar)
     assert np.array_equal(model.hmax_cell, hmax)
-    assert np.array_equal(model.cell_level,
+    assert np.array_equal(model.tower.cell_level,
                           np.concatenate([np.arange(h) for h in tower.heights]))
 
 
@@ -287,7 +286,7 @@ def _reflow_experiment(ind, roof, N_list, ts, n, seed, q_log=None):
     the tower at N; an unbounded one cuts the roof at N and, with q_log,
     the tower at q ln N as well."""
     v = sp.coordinate_observable()
-    base = tw.build_tower(ind)
+    base = tw.Tower(ind)
     model = sp.SuspensionModel(base, roof)
     st0 = sp.sample_stationary(model, n, seed)
     v0 = v.eval_state(model, st0)
@@ -300,14 +299,14 @@ def _reflow_experiment(ind, roof, N_list, ts, n, seed, q_log=None):
 
     for N in N_list:
         if roof.bounded:
-            cut = sp.SuspensionModel(tw.truncate(base, N), roof)
+            cut = sp.SuspensionModel(tw.Tower(ind, N), roof)
             flows = [run(cut, st0.level < cut.tower.heights[st0.col])]
         else:
             cut = sp.SuspensionModel(base, roof.truncated(float(N)))
             keep = st0.u < cut.roof(st0.pos)
             flows = [run(cut, keep)]
             if q_log is not None:
-                tt = tw.truncate(base, max(1, int(q_log * math.log(N))))
+                tt = tw.Tower(ind, max(1, int(q_log * math.log(N))))
                 flows.append(run(sp.SuspensionModel(tt, cut.roof),
                                  keep & (st0.level < tt.heights[st0.col])))
         full = st0.copy()
@@ -439,7 +438,7 @@ def test_divergence_defect_fails_reflow_property(monkeypatch, kind, defect):
 def test_reflowed_counts_the_diverted_kept_points():
     ind = _small_pm()
     v = sp.coordinate_observable()
-    model = sp.SuspensionModel(tw.build_tower(ind), sp.cosine_roof())
+    model = sp.SuspensionModel(tw.Tower(ind), sp.cosine_roof())
     st0 = sp.sample_stationary(model, 3000, seed=4)
     top = sp.flow(model, st0, 8.0).top
     tab = sp.truncation_error_experiment(ind, sp.cosine_roof(), v, v,
@@ -451,9 +450,28 @@ def test_reflowed_counts_the_diverted_kept_points():
     assert tab.reflowed[200] == 0 < tab.reflowed[5] < tab.reflowed[1]
 
 
+def test_flow_visit_measure_counts_parked_landings(monkeypatch):
+    # a 10-cell pm tower: some node landings fall past the represented cells
+    ind = systems.pm_induced(0.5, branch_cutoff=10, tail_horizon=2000)
+    model = sp.SuspensionModel(tw.Tower(ind), sp.cosine_roof())
+    land, seen = maps.InducedMap.land, []
+
+    def counting_land(self, j, level, pos):
+        out = land(self, j, level, pos)
+        seen.append(int(out[2].sum()))
+        return out
+
+    monkeypatch.setattr(maps.InducedMap, "land", counting_land)
+    parked = [sp.flow_visit_measure(model, 1.0, k)[2] for k in (1, 5)]
+    assert sum(parked) == sum(seen)
+    assert 0 < parked[0] < parked[1]
+
+
 def test_flow_visit_measure_unchanged():
     # values recorded while the flat ensemble was still built column by column
-    model = sp.SuspensionModel(tw.build_tower(systems.doubling_induced()),
+    model = sp.SuspensionModel(tw.Tower(systems.doubling_induced()),
                                sp.power_singularity_roof(1.0))
-    assert sp.flow_visit_measure(model, 10.0, 1) == pytest.approx(
+    m, b, parked = sp.flow_visit_measure(model, 10.0, 1)
+    assert (m, b) == pytest.approx(
         (0.08145519611924441, 0.08357052851783225), rel=1e-14)
+    assert parked == 0

@@ -3,14 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from towerlab import maps, systems, tower as tw
 
 
 @pytest.fixture(scope="module")
 def pm_tower():
-    return tw.build_tower(systems.pm_induced(0.5))
+    return tw.Tower(systems.pm_induced(0.5))
 
 
 def test_theta_default_from_expansion(pm_tower):
@@ -38,7 +37,7 @@ def test_tower_mass_oracle(pm_tower):
 
 
 def test_doubling_single_level_tower():
-    t = tw.build_tower(systems.doubling_full())
+    t = tw.Tower(systems.doubling_full())
     assert t.n_cells == 2
     assert t.rbar == pytest.approx(1.0)
     assert np.allclose(t.column_mass, t.ind.muY)
@@ -46,7 +45,7 @@ def test_doubling_single_level_tower():
 
 @pytest.mark.parametrize("N", [10, 20, 50, 100])
 def test_truncation_identities(pm_tower, N):
-    tt = tw.truncate(pm_tower, N)
+    tt = tw.Tower(pm_tower.ind, N)
     l1, r1 = tt.identity_mean_defect()
     l2, r2 = tt.identity_tall_mass()
     assert abs(l1 - r1) <= 1e-12
@@ -54,31 +53,33 @@ def test_truncation_identities(pm_tower, N):
 
 
 def test_truncate_above_support_is_identity(pm_tower):
-    N = int(pm_tower.ind.r.max()) + 5
-    tt = tw.truncate(pm_tower, N)
-    assert tt.rbar == pytest.approx(pm_tower.rbar, abs=1e-14)
-    assert np.all(tt.heights == pm_tower.heights)
+    rmax = int(pm_tower.ind.r.max())
+    for N in (rmax, rmax + 5):
+        tt = tw.Tower(pm_tower.ind, N)
+        assert tt.rbar == pm_tower.rbar
+        assert np.array_equal(tt.heights, pm_tower.heights)
+        assert np.array_equal(tt.column_mass, pm_tower.column_mass)
+
+
+def test_uncut_rbar_is_mean_return(pm_tower):
+    for ind in (pm_tower.ind, systems.doubling_induced()):
+        assert tw.Tower(ind).rbar == ind.mean_return
+
+
+@pytest.mark.parametrize("N", [0, -3])
+def test_cut_below_one_refused(pm_tower, N):
+    with pytest.raises(ValueError, match="truncation level"):
+        tw.Tower(pm_tower.ind, N)
 
 
 def test_truncate_to_base(pm_tower):
-    tt = tw.truncate(pm_tower, 1)
+    tt = tw.Tower(pm_tower.ind, 1)
     assert np.all(tt.heights == 1)
     assert tt.rbar == pytest.approx(float(pm_tower.ind.muY.sum()))
 
 
-@settings(max_examples=25, deadline=None)
-@given(n1=st.integers(1, 120), n2=st.integers(0, 120))
-def test_truncation_idempotent(n1, n2):
-    t = tw.build_tower(systems.pm_induced(0.5))
-    a = tw.truncate(tw.truncate(t, n1), n1 + n2)
-    b = tw.truncate(t, n1)
-    assert a.N == b.N
-    assert np.all(a.heights == b.heights)
-    assert a.rbar == b.rbar
-
-
 def test_visit_measure_zero_for_doubling():
-    t = tw.build_tower(systems.doubling_full())
+    t = tw.Tower(systems.doubling_full())
     for N in (2, 5):
         m, b = tw.visit_measure(t, N, 5)
         assert m == 0.0
@@ -86,7 +87,7 @@ def test_visit_measure_zero_for_doubling():
 
 def test_visit_measure_k0_is_tall_mass(pm_tower):
     m, _ = tw.visit_measure(pm_tower, 20, 0)
-    assert m == pytest.approx(tw.truncate(pm_tower, 20).tall_part_mass(),
+    assert m == pytest.approx(tw.Tower(pm_tower.ind, 20).tall_part_mass(),
                               abs=1e-12)
 
 
@@ -102,7 +103,7 @@ def test_visit_measure_monotone_and_bounded(pm_tower):
 def test_visit_measure_against_path_enumeration():
     """Brute-force path enumeration oracle on the doubling-induced map."""
     ind = systems.doubling_induced()
-    t = tw.build_tower(ind)
+    t = tw.Tower(ind)
     N, k = 3, 4
     P = ind.transition_kernel()
     # enumerate paths (column, level) -> ... up to k steps
@@ -122,7 +123,7 @@ def test_visit_measure_against_path_enumeration():
 
 
 def test_tower_csv(tmp_path):
-    t = tw.build_tower(systems.doubling_induced())
+    t = tw.Tower(systems.doubling_induced())
     path = tmp_path / "tower.csv"
     t.to_csv(path)
     header = path.read_text().split("\n")[0]
@@ -160,9 +161,7 @@ def test_project_and_return_map_match_masked_climb(pm_tower):
 @pytest.mark.parametrize("N", [None, 1, 7, 10_000])
 def test_column_positions_match_column_climb(N):
     ind = systems.doubling_induced()
-    tower = tw.build_tower(ind)
-    if N is not None:
-        tower = tw.truncate(tower, N)
+    tower = tw.Tower(ind, N)
     nodes = ind.lo[:, None] + np.array([0.1, 0.5, 0.9]) * ind.widths[:, None]
     stacks = []
     for j in range(ind.J):

@@ -458,7 +458,7 @@ def test_laplace_matches_mc_transform():
     # correlation function; the correlation has seam kinks, so a Richardson
     # difference of two trapezoid resolutions enters the error budget
     import towerlab.tower as tw
-    model = sp.SuspensionModel(tw.truncate(tw.build_tower(ind), N),
+    model = sp.SuspensionModel(tw.Tower(ind, N),
                                sp.cosine_roof())
     t_grid = np.arange(0.0, 20.0001, 0.05)
     cs = sp.correlation_mc(model, v, v, t_grid, 200_000, seed=77)
