@@ -156,15 +156,17 @@ def check_renewal() -> CheckResult:
 def check_decomposition() -> CheckResult:
     t0 = time.monotonic()
     grid = TowerGrid(_pm05_basis(), sp.cosine_roof(), 20)
-    worst = 0.0
+    worst = b_ratio = 0.0
     vanish = True
     for n in (1, 5, 15, 21):
         rep = tower_operator_decomposition(grid, 0.1j, n, n_probes=6)
         worst = max(worst, rep.residual)
+        b_ratio = max(b_ratio, float(rep.b_norms.max()))
         vanish &= rep.vanish_beyond
     ok = worst <= 1e-8 and vanish
     return _result("passage decomposition residual <= 1e-8, blocks vanish "
-                   "past the cut", ok, f"worst residual {worst:.2e}", t0)
+                   "past the cut", ok, f"worst residual {worst:.2e}, "
+                   f"largest b-norm ratio {b_ratio:.3f}", t0)
 
 
 def check_iterate_inequality() -> CheckResult:

@@ -52,15 +52,21 @@ def renewal_build(grid: TowerGrid, s: complex, horizon: int = 96,
     The tower side iterates L_s on base-supported probes and sums
     S(z) = sum_{n<=H} e^{zn} t_n with t_n = 1_Y L_s^n 1_Y; the base side is
     R_s(z) = sum_k e^{zk} R_{s,k}, R_{s,k} = Mhat diag(e^{sH'} 1_{r'=k}).
-    The identity (I - R_s(z)) S(z) + Q(z) = 1 is evaluated at n_z points
-    z = i omega on an offset unit-circle grid (avoiding the pole of
-    (I - R_s(z))^{-1} at z = 0 when s = 0).  Q(z) is the horizon tail,
-    the terms of R_s(z) S(z) that fall past H; since Mhat is linear,
+    The identity (I - R_s(z)) S(z) + Q(z) = 1 is evaluated at the n_z
+    points z_m = 2 pi i (m + 1/2) / n_z of an offset unit-circle grid
+    (avoiding the pole of (I - R_s(z))^{-1} at z = 0 when s = 0).  On that
+    grid e^{z_m n} = (-1)^q e^{z_m p} for n = q n_z + p, so the frequency
+    sum folds into n_z signed partial sums A_p = sum_q (-1)^q t_{q n_z + p},
+    one add per step, and S(z_m) = sum_p e^{z_m p} A_p is one product
+    after the last step.  Q(z) is the horizon tail, the terms of
+    R_s(z) S(z) that fall past H; since Mhat is linear,
     Q(z) = Mhat sum_k e^{zk} twist_k * suffix_k(z) with
     suffix_k(z) = sum_{n=H-k+1..H} e^{zn} t_n, and (I - R_s(z)) S(z) =
     S(z) - Mhat diag(e^{sH' + zr'}) S(z); both come from one product per
     z.  The coefficient form t_n = sum_k R_{s,k} t_{n-k} is spot-checked
-    with one product per step in the same way.  If the raw coefficient
+    with one product per step in the same way.  R_{s,k} reads only the
+    columns of height k, leaves ``first[k-1]`` on (``n_top[k-1]`` of
+    them), so both sums over k slice those leaves.  If the raw coefficient
     tail has not decayed below 1e-10 the horizon is doubled once when
     ``grow`` is set.
     """
@@ -74,18 +80,15 @@ def renewal_build(grid: TowerGrid, s: complex, horizon: int = 96,
     U /= np.abs(U).max(axis=0, keepdims=True)
     omegas = 2.0 * np.pi * (np.arange(n_z) + 0.5) / n_z
     zs = 1j * omegas
-    # level-set twists: R_{s,n} = Mhat @ diag(e^{s H'} 1_{r' = n})
-    tw = np.exp(s * grid.H_col)
-    level_twists = [np.where(grid.heights == n, tw, 0.0) for n in
-                    range(1, N + 1)]
+    # R_{s,k} = Mhat @ diag(e^{s H'}) on the columns of height k
+    tw = np.exp(s * grid.H_col)[:, None]
+    height = [slice(f, f + m) for f, m in zip(grid.first, grid.n_top)]
 
     def run(H: int):
-        S = np.zeros((n_z, basis.n, n_probes), dtype=complex)
-        term = np.empty_like(S)  # e^{zn} t_n, reused at every step
+        A = np.zeros((n_z, basis.n, n_probes), dtype=complex)
         V = grid.state_from_base(U.astype(complex))
         t_n = V[0]
         rec_resid = 0.0
-        ez = np.exp(np.outer(zs, np.arange(H + 1)))
         hist = [t_n]
         for n in range(0, H + 1):
             if n > 0:
@@ -94,16 +97,23 @@ def renewal_build(grid: TowerGrid, s: complex, horizon: int = 96,
                 hist.append(t_n)
                 if n in (1, 2, N, N + 1, 2 * N + 1):
                     # coefficient-form renewal identity at spot checks
-                    acc = basis.apply(sum(level_twists[k - 1][:, None]
-                                          * hist[n - k]
-                                          for k in range(1, min(n, N) + 1)))
+                    u = np.zeros_like(t_n)
+                    for k in range(1, min(n, N) + 1):
+                        c = height[k - 1]
+                        u[c] = tw[c] * hist[n - k][c]
+                    acc = basis.apply(u)
                     scale = max(np.abs(t_n).max(), 1e-30)
                     rec_resid = max(rec_resid,
                                     float(np.abs(acc - t_n).max() / scale))
-            S += np.multiply(ez[:, n][:, None, None], t_n[None, :, :],
-                             out=term)
+            q, p = divmod(n, n_z)
+            if q % 2:
+                A[p] -= t_n
+            else:
+                A[p] += t_n
             if len(hist) > N + 1:
                 hist[n - N - 1] = None  # release early history
+        E = np.exp(np.outer(zs, np.arange(n_z)))
+        S = (E @ A.reshape(n_z, -1)).reshape(A.shape)
         ring = [hist[H - k] for k in range(0, N + 1)]
         return S, ring, float(np.abs(t_n).max()), rec_resid
 
@@ -122,7 +132,8 @@ def renewal_build(grid: TowerGrid, s: complex, horizon: int = 96,
         suffix = np.zeros((basis.n, n_probes), dtype=complex)
         for k in range(1, N + 1):
             suffix = suffix + np.exp(z * (H - k + 1)) * ring[k - 1]
-            tail += np.exp(z * k) * (level_twists[k - 1][:, None] * suffix)
+            c = height[k - 1]
+            tail[c] = np.exp(z * k) * (tw[c] * suffix[c])
         # R_s(z) S = Mhat (diag S) and Q in one product
         RS_Q = basis.apply(np.hstack([diag[:, None] * S[m], tail]))
         AS = S[m] - RS_Q[:, :n_probes]
@@ -210,8 +221,7 @@ def tower_operator_decomposition(grid: TowerGrid, s: complex, n: int,
     a_norms = climb[1:]
     e_norms = np.array([_interior_norm(grid, cum, s, i)
                         for i in range(1, 2 * N + 1)])
-    b_norms = np.array([_b_norm_probe(grid, k, B_apply, rng)
-                        for k in range(1, min(N, 12) + 1)])
+    b_norms = _b_norms(grid, B_apply, rng, min(N, 12))
     vanish = bool(np.all(a_norms[N - 1:] == 0.0)
                   and np.all(e_norms[N - 1:] == 0.0))
     return DecompositionReport(n=n, residual=residual, a_norms=a_norms,
@@ -275,17 +285,22 @@ def _interior_norm(grid: TowerGrid, cum, s: complex, nn: int) -> float:
     return tot / grid.rbar
 
 
-def _b_norm_probe(grid: TowerGrid, k: int, B_apply, rng) -> float:
-    """Largest ||B_k V||_b / ||V||_b over eight random tower probes V, drawn
-    one after another and descended together as the columns of one product;
-    each norm is taken of all columns at once."""
+def _b_norms(grid: TowerGrid, B_apply, rng, k_max: int) -> np.ndarray:
+    """Largest ||B_k V||_b / ||V||_b, k = 1..k_max, over eight random tower
+    probes V.  The probes are drawn once, one after another and level by
+    level, and their norms ||V||_b are taken once; each descent takes all
+    eight as the columns of one product, and each norm is taken of all
+    columns at once."""
     basis = grid.basis
     theta = basis.ind.model.theta
     flat = np.stack([np.concatenate(
         [rng.standard_normal(len(m)) + 1j * rng.standard_normal(len(m))
          for m in grid.mu_at]) for _ in range(8)], axis=1)
-    U = B_apply(flat, k)
     denom = np.maximum(np.max(np.abs(flat), axis=0),
                        grid.theta_seminorm([flat], theta))
-    num = np.maximum(basis.sup_norm(U), basis.theta_seminorm(U, theta))
-    return float(np.max(num / denom))
+    out = np.empty(k_max)
+    for k in range(1, k_max + 1):
+        U = B_apply(flat, k)
+        num = np.maximum(basis.sup_norm(U), basis.theta_seminorm(U, theta))
+        out[k - 1] = np.max(num / denom)
+    return out

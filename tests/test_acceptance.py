@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from towerlab import acceptance, systems, suspension as sp, tower as tw
-from towerlab.transfer import rates
+from towerlab.transfer import rates, renewal
+from towerlab.transfer.towerop import TowerGrid
 
 
 @pytest.mark.parametrize("num,check", acceptance.CHECKS,
@@ -75,6 +76,31 @@ def test_bound_over_n_fails_criterion_4(monkeypatch):
     assert not res.passed, res.detail
     spreads = res.detail.removeprefix("stability ").split(" / ")
     assert all(float(x) > 3.0 for x in spreads), res.detail
+
+
+# -- criteria 5 and 6 can fail -------------------------------------------------
+
+def test_untwisted_tails_fail_criterion_5(monkeypatch):
+    # L_s twists the column tops but not the cells that climb on: the
+    # tower side then misses e^{s h} below each top, which the base side
+    # R_s(z) = sum_k e^{zk} Mhat diag(e^{s H'} 1_{r'=k}) counts
+    step = TowerGrid.step
+    monkeypatch.setattr(TowerGrid, "step", lambda self, V, s=None:
+                        step(self, V, s)[:1] + step(self, V, None)[1:])
+    res = acceptance.check_renewal()
+    assert not res.passed, res.detail
+    assert float(res.detail.removeprefix("worst residual ")) > 1e-8
+
+
+def test_roof_through_level_fails_criterion_6(monkeypatch):
+    # cum[l] sums the roof through level l instead of below it
+    cum_roof = renewal._cum_roof
+    monkeypatch.setattr(renewal, "_cum_roof", lambda grid: [
+        c + h for c, h in zip(cum_roof(grid), grid.h_at)])
+    res = acceptance.check_decomposition()
+    assert not res.passed, res.detail
+    worst = res.detail.removeprefix("worst residual ").split(",")[0]
+    assert float(worst) > 1e-8, res.detail
 
 
 # -- criterion 10 can fail -----------------------------------------------------

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from towerlab import systems, suspension as sp
 from towerlab.transfer.basis import BIG, CylinderBasis
@@ -535,16 +535,41 @@ def test_decomposition_any_n_and_s(small_pm_grid, n, a, b, seed):
     assert rep.vanish_beyond
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(a=st.floats(-1.0, 0.0), b=st.floats(-30.0, 30.0),
-       seed=st.integers(0, 2**32 - 1))
-def test_renewal_any_admissible_s(small_pm_grid, a, b, seed):
-    # T_s(z) (I - R_s(z)) = I with the horizon tail carried, at Re s <= 0
+       seed=st.integers(0, 2**32 - 1), n_z=st.integers(1, 20),
+       horizon=st.integers(14, 60), grow=st.booleans())
+@example(a=0.0, b=0.1, seed=0, n_z=16, horizon=47, grow=False)
+@example(a=-0.2, b=5.0, seed=1, n_z=7, horizon=50, grow=True)
+def test_renewal_any_admissible_s(small_pm_grid, a, b, seed, n_z, horizon,
+                                  grow):
+    # T_s(z) (I - R_s(z)) = I with the horizon tail carried, at Re s <= 0,
+    # on any grid z_m = 2 pi i (m + 1/2) / n_z and any horizon from N + 8
+    # on, whole periods of n_z steps or not: the folded frequency sum
+    # holds on each
     from towerlab.transfer.renewal import renewal_build
-    rd = renewal_build(small_pm_grid, complex(a, b), horizon=48,
-                       n_probes=4, seed=seed, grow=False)
+    assert small_pm_grid.max_h + 8 == 14
+    rd = renewal_build(small_pm_grid, complex(a, b), horizon=horizon,
+                       n_probes=4, n_z=n_z, seed=seed, grow=grow)
+    assert len(rd.residuals) == n_z
     assert rd.max_residual <= 1e-8
     assert rd.recursion_residual <= 1e-8
+
+
+def test_b_norms_share_one_probe_set(small_pm_grid):
+    # one descent norm per k = 1..min(N, 12); a descent from k >= max_h
+    # levels up starts at no cell, so its norm is exactly 0
+    from towerlab.transfer.renewal import tower_operator_decomposition
+    grid = small_pm_grid
+    assert grid.N == grid.max_h == 6
+    reps = [tower_operator_decomposition(grid, 0.3 + 2j, 4, n_probes=2,
+                                         seed=8) for _ in range(2)]
+    b = reps[0].b_norms
+    k = np.arange(1, len(b) + 1)
+    assert len(b) == min(grid.N, 12)
+    assert np.all(b[k >= grid.max_h] == 0.0) and np.any(k >= grid.max_h)
+    assert np.all(b[k < grid.max_h] > 0.0)
+    assert np.array_equal(b, reps[1].b_norms)
 
 
 def test_descent_tables_match_level_loop(small_pm_grid):
