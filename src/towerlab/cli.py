@@ -20,9 +20,8 @@ import numpy as np
 
 from towerlab import maps, periodic as per, suspension as sp, tower as tw
 from towerlab.transfer.basis import CylinderBasis
-from towerlab.transfer.towerop import TowerGrid, laplace_series, \
-    map_correlation_operator
-from towerlab.transfer.operators import resolvent_scan
+from towerlab.transfer.towerop import TowerGrid, map_correlation_operator
+from towerlab.transfer.operators import laplace_transform, resolvent_scan
 from towerlab.transfer.renewal import renewal_build, \
     tower_operator_decomposition
 from towerlab.transfer import rates
@@ -373,18 +372,13 @@ def cmd_decomp(run: Run) -> None:
 
 def cmd_laplace(run: Run) -> None:
     s = run["grids", "s"]
-    lv = laplace_series(_tower_grid(run), *_build_obs(run), s)
-    if not lv.converged:
-        raise ArithmeticError(
-            f"Laplace series not converged at s={s} after {lv.n_terms} "
-            f"terms (abscissa estimate {lv.abscissa_estimate})")
+    value = laplace_transform(_tower_grid(run), *_build_obs(run), s)
     path = _out(run, "laplace.csv")
     with open(path, "w") as fh:
-        fh.write("s_re,s_im,value_re,value_im,n_terms,converged\n")
-        fh.write(f"{s.real:.17g},{s.imag:.17g},{lv.value.real:.17g},"
-                 f"{lv.value.imag:.17g},{lv.n_terms},{int(lv.converged)}\n")
-    print(f"laplace: rho-hat({s}) = {lv.value:.6g} "
-          f"({lv.n_terms} terms) -> {path}")
+        fh.write("s_re,s_im,value_re,value_im\n")
+        fh.write(f"{s.real:.17g},{s.imag:.17g},{value.real:.17g},"
+                 f"{value.imag:.17g}\n")
+    print(f"laplace: rho-hat({s}) = {value:.6g} -> {path}")
 
 
 def cmd_budget(run: Run) -> None:

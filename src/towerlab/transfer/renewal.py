@@ -67,8 +67,8 @@ def renewal_build(grid: TowerGrid, s: complex, horizon: int = 96,
     with one product per step in the same way.  R_{s,k} reads only the
     columns of height k, leaves ``first[k-1]`` on (``n_top[k-1]`` of
     them), so both sums over k slice those leaves.  If the raw coefficient
-    tail has not decayed below 1e-10 the horizon is doubled once when
-    ``grow`` is set.
+    tail has not decayed below 1e-10 at Re s <= 0 and ``grow`` is set, the
+    steps go on to twice the horizon.
     """
     if grid.N is None:
         raise ValueError("renewal sequences need a truncated tower")
@@ -84,44 +84,45 @@ def renewal_build(grid: TowerGrid, s: complex, horizon: int = 96,
     tw = np.exp(s * grid.H_col)[:, None]
     height = [slice(f, f + m) for f, m in zip(grid.first, grid.n_top)]
 
-    def run(H: int):
-        A = np.zeros((n_z, basis.n, n_probes), dtype=complex)
-        V = grid.state_from_base(U.astype(complex))
-        t_n = V[0]
-        rec_resid = 0.0
-        hist = [t_n]
-        for n in range(0, H + 1):
-            if n > 0:
-                V = grid.step(V, s)
-                t_n = V[0]
-                hist.append(t_n)
-                if n in (1, 2, N, N + 1, 2 * N + 1):
-                    # coefficient-form renewal identity at spot checks
-                    u = np.zeros_like(t_n)
-                    for k in range(1, min(n, N) + 1):
-                        c = height[k - 1]
-                        u[c] = tw[c] * hist[n - k][c]
-                    acc = basis.apply(u)
-                    scale = max(np.abs(t_n).max(), 1e-30)
-                    rec_resid = max(rec_resid,
-                                    float(np.abs(acc - t_n).max() / scale))
-            q, p = divmod(n, n_z)
-            if q % 2:
-                A[p] -= t_n
-            else:
-                A[p] += t_n
-            if len(hist) > N + 1:
-                hist[n - N - 1] = None  # release early history
-        E = np.exp(np.outer(zs, np.arange(n_z)))
-        S = (E @ A.reshape(n_z, -1)).reshape(A.shape)
-        ring = [hist[H - k] for k in range(0, N + 1)]
-        return S, ring, float(np.abs(t_n).max()), rec_resid
-
     H = max(horizon, N + 8)
-    S, ring, raw_tail, rec_resid = run(H)
-    if grow and raw_tail > 1e-10 and s.real <= 0:
-        H *= 2
-        S, ring, raw_tail, rec_resid = run(H)
+    A = np.zeros((n_z, basis.n, n_probes), dtype=complex)
+    V = grid.state_from_base(U.astype(complex))
+    t_n = V[0]
+    rec_resid = 0.0
+    hist = [t_n]
+    n = 0
+    while True:
+        q, p = divmod(n, n_z)
+        if q % 2:
+            A[p] -= t_n
+        else:
+            A[p] += t_n
+        if len(hist) > N + 1:
+            hist[n - N - 1] = None  # release early history
+        if n == H:
+            raw_tail = float(np.abs(t_n).max())
+            if not (grow and raw_tail > 1e-10 and s.real <= 0):
+                break
+            # double the horizon once, stepping on from H
+            grow = False
+            H *= 2
+        n += 1
+        V = grid.step(V, s)
+        t_n = V[0]
+        hist.append(t_n)
+        if n in (1, 2, N, N + 1, 2 * N + 1):
+            # coefficient-form renewal identity at spot checks
+            u = np.zeros_like(t_n)
+            for k in range(1, min(n, N) + 1):
+                c = height[k - 1]
+                u[c] = tw[c] * hist[n - k][c]
+            acc = basis.apply(u)
+            scale = max(np.abs(t_n).max(), 1e-30)
+            rec_resid = max(rec_resid,
+                            float(np.abs(acc - t_n).max() / scale))
+    E = np.exp(np.outer(zs, np.arange(n_z)))
+    S = (E @ A.reshape(n_z, -1)).reshape(A.shape)
+    ring = [hist[H - k] for k in range(0, N + 1)]
 
     residuals = np.empty(n_z)
     raw_residuals = np.empty(n_z)

@@ -4,13 +4,11 @@ Tower functions are stored level by level over the cylinder basis; one
 application of the (twisted) tower transfer operator shifts levels up,
 multiplies in the roof twist, and sends column tops through the base
 transfer matrix.  This is the workhorse behind renewal sequences, operator
-decompositions, map-level correlations and Laplace-transform series.
+decompositions and map-level correlations.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -21,7 +19,7 @@ from towerlab.suspension import Observable, RoofFunction
 from towerlab.transfer.basis import CylinderBasis
 from towerlab.transfer.diameters import GroupDiameters
 
-__all__ = ["TowerGrid", "map_correlation_operator", "laplace_series"]
+__all__ = ["TowerGrid", "map_correlation_operator"]
 
 _QN, _QW = leggauss(16)
 
@@ -219,90 +217,3 @@ def map_correlation_operator(basis: CylinderBasis, v_func, w_func,
             ret = float(np.sum(mu_r * v_sum_returned)) * wbar
         out[n] = (raw[n] + never + ret) / rbar_ext - vbar * wbar
     return out
-
-
-# ---------------------------------------------------------------------------
-# Laplace-transform series
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LaplaceValue:
-    s: complex
-    value: complex
-    n_terms: int
-    converged: bool
-    abscissa_estimate: float | None = None
-
-
-def laplace_series(grid: TowerGrid, v: Observable, w: Observable,
-                   s: complex) -> LaplaceValue:
-    """Laplace transform of the flow correlation of v, w at Re s > 0.
-
-    Sums the operator series over return blocks plus the same-flight
-    quadrature term, minus the mean product pole 1/s.  The series stops
-    once a term falls below 1e-10 of the running total, after at most
-    20000 terms (then ``converged`` is False).  Divergence (Re s
-    outside the contraction region) is detected from the term growth and
-    reported through ``abscissa_estimate`` = Re s + log(rate) / hbar: the
-    terms grow by ``rate`` per term, and one term is one tower step, a
-    flight of mean length hbar in flow time.  A weighted state or series
-    term that is not finite (e.g. e^{s u} overflowing under an unbounded
-    roof) raises ArithmeticError.
-    """
-    if grid.roof is None:
-        raise ValueError("grid carries no roof")
-    v_s = grid.state_from_observable(v, weight=lambda u: np.exp(s * u))
-    w_s = grid.state_from_observable(w, weight=lambda u: np.exp(-s * u))
-    if not all(np.isfinite(x).all() for x in v_s + w_s):
-        raise ArithmeticError(f"e^(+-s u)-weighted state not finite at s={s}")
-    vbar = complex(grid.integrate(grid.state_from_observable(v))) / grid.hbar
-    wbar = complex(grid.integrate(grid.state_from_observable(w))) / grid.hbar
-    # same-flight term: int_0^h v(x,u) int_u^h e^{-s(t-u)} w(x,t) dt du
-    term0 = 0.0 + 0.0j
-    for p, h, m in zip(grid.pos_at, grid.h_at, grid.mu_at):
-        nodes = 0.5 * h[:, None] * (_QN[None, :] + 1.0)
-        inner = np.empty_like(nodes, dtype=complex)
-        for k in range(nodes.shape[1]):
-            a = nodes[:, k]
-            seg = h - a
-            sub = a[:, None] + 0.5 * seg[:, None] * (_QN[None, :] + 1.0)
-            wv = w(np.repeat(p[:, None], len(_QN), 1), sub,
-                   np.repeat(h[:, None], len(_QN), 1))
-            inner[:, k] = 0.5 * seg * ((np.exp(-s * (sub - a[:, None])) * wv)
-                                       @ _QW)
-        vv = v(np.repeat(p[:, None], len(_QN), 1), nodes,
-               np.repeat(h[:, None], len(_QN), 1))
-        term0 += m @ (0.5 * h * ((vv * inner) @ _QW))
-    term0 /= grid.rbar
-    # operator series over n >= 1
-    V = [np.asarray(x, dtype=complex) for x in v_s]
-    total = 0.0 + 0.0j
-    scale = max(1e-30, abs(term0))
-    prev_mag = None
-    growth = []
-    n = 0
-    converged = False
-    for n in range(1, 20001):
-        V = grid.step(V, -s)
-        term = sum(m @ (a * b) for m, a, b in zip(grid.mu_at, V, w_s)) \
-            / grid.rbar
-        if not np.isfinite(term):
-            raise ArithmeticError(f"series term {n} not finite at s={s}")
-        total += term
-        mag = abs(term)
-        if prev_mag is not None and prev_mag > 0:
-            growth.append(mag / prev_mag)
-        prev_mag = mag
-        scale = max(scale, abs(total))
-        if mag < 1e-10 * scale and n > 4:
-            converged = True
-            break
-        if n > 40 and len(growth) >= 20 and \
-                np.median(growth[-20:]) > 1.0 + 1e-9:
-            rate = float(np.median(growth[-20:]))
-            return LaplaceValue(s=s, value=np.nan + 0j, n_terms=n,
-                                converged=False,
-                                abscissa_estimate=s.real
-                                + math.log(rate) / grid.hbar)
-    value = (term0 + total) / grid.hbar - vbar * wbar / s
-    return LaplaceValue(s=s, value=value, n_terms=n, converged=converged)

@@ -248,22 +248,40 @@ def test_laplace_divergence_is_numerical_error(pm_config, tmp_path, capsys):
     assert run(["laplace", "--config", str(cfg), "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert "numerical error" in err and "s=(-0.4+0j)" in err
-    assert "abscissa estimate" in err
+    assert "abscissa" in err
     assert not (out / "laplace.csv").exists()
 
 
 @pytest.mark.parametrize("s", ["-0.2", "-0.1"])
 def test_laplace_abscissa_is_in_flow_time(pm_config, tmp_path, capsys, s):
-    # the series converges at Re s = 0; one term is one flight of mean
-    # length hbar, so its growth per term read in flow time puts the
-    # abscissa near 0 (read per unit time it was 0.24 at s = -0.2)
+    # the abscissa of absolute convergence is 0 in flow time (Mhat 1 = 1,
+    # h > 0): read per tower step instead it was 0.24 at s = -0.2
     cfg = tmp_path / "diverge.ini"
     cfg.write_text(open(pm_config).read().replace("s = 0.1j", f"s = {s}"))
     out = tmp_path / "out"
     assert run(["laplace", "--config", str(cfg), "--out", str(out)]) == 4
     err = capsys.readouterr().err
-    estimate = float(err.split("abscissa estimate ")[1].split(")")[0])
+    estimate = float(err.split("abscissa ")[1].split()[0])
     assert abs(estimate) < 0.02, err
+
+
+def test_laplace_pole_is_numerical_error(pm_config, tmp_path, capsys):
+    # s = 0 is a pole of the transform: I - R_0 = I - Mhat is singular
+    cfg = tmp_path / "pole.ini"
+    cfg.write_text(open(pm_config).read().replace("s = 0.1j", "s = 0"))
+    out = tmp_path / "out"
+    assert run(["laplace", "--config", str(cfg), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "numerical error" in err and "pole at s=0j" in err
+    assert not (out / "laplace.csv").exists()
+
+
+def test_laplace_csv_columns(pm_config, tmp_path):
+    out = tmp_path / "out"
+    assert run(["laplace", "--config", pm_config, "--out", str(out)]) == 0
+    head, row = (out / "laplace.csv").read_text().splitlines()
+    assert head == "s_re,s_im,value_re,value_im"
+    assert [float(x) for x in row.split(",")[:2]] == [0.0, 0.1]
 
 
 def test_seed_flag_overrides(pm_config, tmp_path):

@@ -14,7 +14,7 @@ fails on:
   outside ``CylinderBasis.apply``;
 - an elementwise product ``Mhat * x``, a dense copy whose only use is a
   matrix product, outside ``OperatorMatrix.mat``, which builds the
-  twisted matrix that the resolvent scan factorises;
+  twisted matrix that ``_near_kernel`` factorises;
 - Mhat data bound to another name, which would hide a product from this
   walk: the data itself anywhere, and a subscript or slice of it, or a
   loop over it, outside ``CylinderBasis``; a negated copy, ``-Mhat``,
@@ -34,9 +34,9 @@ MATMUL_ALLOWED = {("towerlab/transfer/basis.py", "CylinderBasis.apply")}
 SCALE_ALLOWED = {("towerlab/transfer/operators.py", "OperatorMatrix.mat")}
 VIEW_ALLOWED = ("towerlab/transfer/basis.py", "CylinderBasis")
 DENSE_ALLOWED = {
-    ("towerlab/transfer/operators.py", "resolvent_scan"):
-        "factorises I - R_{ib,iw} by LU and takes the residual A @ x of its "
-        "near-kernel vector",
+    ("towerlab/transfer/operators.py", "_near_kernel"):
+        "factorises I - R by LU for resolvent_scan and laplace_transform, "
+        "and takes the residual A @ x of its near-kernel vector",
     ("towerlab/transfer/operators.py", "OperatorMatrix.duality_defect"):
         "a diagnostic: builds the mu-adjoint of the matrix and multiplies "
         "by it",
@@ -180,9 +180,12 @@ def test_guard_flags_every_other_product(tmp_path):
 
 
 def test_dense_matrix_uses_are_each_needed():
-    # without its allowance, each allowed function is flagged
+    # without its allowance, each allowed function is flagged; the scan and
+    # the Laplace transform reach the dense matrix only through the
+    # near-kernel helper
     flagged = {f.split(" ")[1].rstrip(":") for f in mhat_products(allowed=())}
     assert flagged == {qual for _, qual in DENSE_ALLOWED}
+    assert flagged == {"_near_kernel", "OperatorMatrix.duality_defect"}
 
 
 def test_guard_sees_through_operator_matrix(tmp_path):
@@ -191,11 +194,11 @@ def test_guard_sees_through_operator_matrix(tmp_path):
     (pkg / "operators.py").write_text(
         "def elsewhere(op, v):\n"
         "    return op.mat @ v\n"
-        "def resolvent_scan(op, x):\n"
+        "def _near_kernel(op, x):\n"
         "    A = -op.mat\n"
         "    return A @ x\n")
     assert mhat_products(tmp_path) == [
         "towerlab/transfer/operators.py:2 elsewhere: matrix product"]
     assert mhat_products(tmp_path, allowed=()) == [
         "towerlab/transfer/operators.py:2 elsewhere: matrix product",
-        "towerlab/transfer/operators.py:4 resolvent_scan: alias"]
+        "towerlab/transfer/operators.py:4 _near_kernel: alias"]

@@ -6,9 +6,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from towerlab import systems, suspension as sp
 from towerlab.transfer.basis import BIG, CylinderBasis
-from towerlab.transfer.towerop import TowerGrid, laplace_series, \
+from towerlab.transfer.towerop import _QN, _QW, TowerGrid, \
     map_correlation_operator
 from towerlab.transfer.operators import (assemble_R, assemble_twisted,
+                                         laplace_transform,
                                          lasota_yorke_check, resolvent_scan)
 
 
@@ -281,6 +282,40 @@ def test_resolvent_constant_roof_flags(bd):
     assert np.all(np.isfinite(sc.norm_estimate[~sc.resonance]))
 
 
+@pytest.fixture(scope="module")
+def pm_cli_basis():
+    """The pm(0.5) basis of the CLI tests' config (n = 264), whose mu is
+    not uniform."""
+    return CylinderBasis(systems.pm_induced(0.5, 120, 3000), depth=2,
+                         refine_symbols=12)
+
+
+@pytest.mark.parametrize("basis,roof", [
+    ("pm_cli_basis", sp.constant_roof(1.0)),
+    ("pm_cli_basis", sp.cosine_roof()),
+    ("bd", sp.cosine_roof()),
+], ids=["pm-constant", "pm-cosine", "doubling-cosine"])
+def test_resolvent_residual_is_smallest_singular_value(request, basis, roof):
+    # the near-kernel residual |(I - R) x| of the scan is the smallest
+    # singular value of I - R_{ib} off resonance (b = 9)
+    basis = request.getfixturevalue(basis)
+    sc = resolvent_scan(basis, roof, [9.0], [0.0], C6=2.0, n_random=2)
+    A = np.eye(basis.n) - assemble_twisted(TowerGrid(basis, roof, None),
+                                           9.0j).mat
+    smin = np.linalg.svd(A, compute_uv=False)[-1]
+    assert not sc.resonance[0]
+    assert smin <= sc.residuals[0] <= (1 + 1e-3) * smin
+
+
+def test_resolvent_flags_singular_non_uniform_measure(pm_cli_basis):
+    # I - R_{2 pi i} is singular under the constant roof on pm, where the
+    # left and right null vectors differ
+    sc = resolvent_scan(pm_cli_basis, sp.constant_roof(1.0), [2 * np.pi],
+                        [0.0], C6=2.0, n_random=2)
+    assert sc.resonance[0] and sc.norm_estimate[0] == math.inf
+    assert sc.residuals[0] < 1e-10 * pm_cli_basis.n
+
+
 def _resolvent_reference(basis, roof, b_grid, C6, n_random, n_adversarial,
                          seed, resonance_tol=1e-10):
     """resolvent_scan as a loop over single probes: each probe is drawn,
@@ -297,11 +332,13 @@ def _resolvent_reference(basis, roof, b_grid, C6, n_random, n_adversarial,
     for b in b_grid:
         A = np.eye(n, dtype=complex) - assemble_twisted(grid, 1j * b, 0.0).mat
         lu = lu_factor(A)
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        x /= np.linalg.norm(x)
+        start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        start /= np.linalg.norm(start)
+        # the smallest singular value: inverse iteration on A^H A
+        x = start
         for _ in range(8):
+            x = lu_solve(lu, x, trans=2)
             x = lu_solve(lu, x)
-            x = lu_solve(lu, x.conj(), trans=2).conj()
             nx = np.linalg.norm(x)
             if not np.isfinite(nx) or nx == 0:
                 break
@@ -313,6 +350,15 @@ def _resolvent_reference(basis, roof, b_grid, C6, n_random, n_adversarial,
             norms.append(math.inf)
             continue
         flags.append(False)
+        # the adversarial start: x <- A^{-T} A^{-1} x from the same start
+        x = start
+        for _ in range(8):
+            x = lu_solve(lu, x)
+            x = lu_solve(lu, x.conj(), trans=2).conj()
+            nx = np.linalg.norm(x)
+            if not np.isfinite(nx) or nx == 0:
+                break
+            x /= nx
         probes = []
         for k in (1, 2, 3, 5, 8, 13):
             for c in (1.0, b / (2.0 * np.pi)):
@@ -412,8 +458,7 @@ def test_laplace_constant_roof_closed_form(bd):
     grid = TowerGrid(bd, sp.constant_roof(1.0), None)
     v = sp.coordinate_observable()
     s = 0.5
-    lv = laplace_series(grid, v, v, s)
-    assert lv.converged
+    value = laplace_transform(grid, v, v, s)
     # discretisation-exact closed form: the grid correlation of the
     # coordinate vector is 2^-n (1 - 4^{n-k})/12 at depth k
     k = 8
@@ -424,25 +469,24 @@ def test_laplace_constant_roof_closed_form(bd):
     g = (math.exp(-s) - 1 + s) / s ** 2
     term0 = (1 - 4.0 ** (-k)) / 12 * g
     closed = term0 + var_terms * vs * ws
-    assert abs(lv.value - closed) <= 1e-6
+    assert abs(value - closed) <= 1e-6
 
 
 def test_laplace_constant_observable_small(bd):
     grid = TowerGrid(bd, sp.constant_roof(1.0), None)
     one = sp.Observable("one", lambda x, u, h: np.ones_like(x))
     w = sp.coordinate_observable()
-    lv = laplace_series(grid, one, w, 0.4)
+    value = laplace_transform(grid, one, w, 0.4)
     # mean-zero projection: the series contributes nothing beyond the
     # same-flight term minus the pole part; the total stays small
-    assert abs(lv.value) <= 1e-6
+    assert abs(value) <= 1e-6
 
 
 def test_laplace_divergence_detected(bp):
     grid = TowerGrid(bp, sp.cosine_roof(), 30)
     v = sp.coordinate_observable()
-    lv = laplace_series(grid, v, v, -0.4)
-    assert not lv.converged
-    assert lv.abscissa_estimate is not None
+    with pytest.raises(ArithmeticError, match="abscissa 0"):
+        laplace_transform(grid, v, v, -0.4)
 
 
 def test_laplace_matches_mc_transform():
@@ -452,8 +496,7 @@ def test_laplace_matches_mc_transform():
     grid = TowerGrid(basis, sp.cosine_roof(), N)
     v = sp.coordinate_observable()
     s = 0.3 + 2.0j
-    lv = laplace_series(grid, v, v, s)
-    assert lv.converged
+    value = laplace_transform(grid, v, v, s)
     # MC side: quadrature Laplace transform of the truncated-flow
     # correlation function; the correlation has seam kinks, so a Richardson
     # difference of two trapezoid resolutions enters the error budget
@@ -473,7 +516,7 @@ def test_laplace_matches_mc_transform():
     err = np.sqrt(np.sum((np.abs(np.exp(-s * t_grid)) * cs.stderr
                           * np.gradient(t_grid)) ** 2))
     tail = abs(np.exp(-s.real * t_grid[-1])) * abs(cs.rho[-1]) / s.real
-    assert abs(lv.value - val) <= 3 * err + tail + quad_err + 1e-3
+    assert abs(value - val) <= 3 * err + tail + quad_err + 1e-3
 
 
 def test_renewal_geometric_doubling(bd):
@@ -554,6 +597,110 @@ def test_renewal_any_admissible_s(small_pm_grid, a, b, seed, n_z, horizon,
     assert len(rd.residuals) == n_z
     assert rd.max_residual <= 1e-8
     assert rd.recursion_residual <= 1e-8
+
+
+def test_renewal_grow_steps_on(small_pm_grid, monkeypatch):
+    # a doubled horizon steps on from H to 2H: the result is that of a
+    # grow=False run at 2H, bit for bit, in 2H tower steps
+    from dataclasses import fields
+    from towerlab.transfer.renewal import RenewalData, renewal_build
+    calls = []
+    step = TowerGrid.step
+
+    def counted(self, V, s=None):
+        calls.append(s)
+        return step(self, V, s)
+
+    monkeypatch.setattr(TowerGrid, "step", counted)
+    grown = renewal_build(small_pm_grid, 0.1j, horizon=20, n_probes=3,
+                          n_z=7, seed=4)
+    assert grown.horizon == 40 and len(calls) == 40
+    direct = renewal_build(small_pm_grid, 0.1j, horizon=40, n_probes=3,
+                           n_z=7, seed=4, grow=False)
+    for f in fields(RenewalData):
+        assert np.array_equal(getattr(grown, f.name),
+                              getattr(direct, f.name)), f.name
+
+
+@pytest.fixture(scope="module")
+def small_pm_uncut(small_pm_grid):
+    return TowerGrid(small_pm_grid.basis, sp.cosine_roof(), None)
+
+
+_SERIES_TOL = 1e-10   # closed form against the summed series, per scale
+
+
+def _laplace_by_series(grid, v, w, s):
+    """The transform with its operator series summed one tower step at a
+    time, until a term falls below 1e-13 of the running total, and the
+    same-flight term by the 16-point Gauss rule on every cell at once.
+    Returns the value and the sum of the moduli of its parts."""
+    v_s = grid.state_from_observable(v, weight=lambda u: np.exp(s * u))
+    w_s = grid.state_from_observable(w, weight=lambda u: np.exp(-s * u))
+    term0 = 0j
+    for p, h, m in zip(grid.pos_at, grid.h_at, grid.mu_at):
+        a = 0.5 * h[:, None] * (_QN + 1.0)            # outer nodes u
+        seg = (h[:, None] - a)[..., None]
+        t = a[..., None] + 0.5 * seg * (_QN + 1.0)   # inner nodes in (u, h)
+        wt = w(p[:, None, None], t, h[:, None, None])
+        inner = (0.5 * seg * np.exp(-s * (t - a[..., None])) * wt) @ _QW
+        term0 += m @ (0.5 * h * ((v(p[:, None], a, h[:, None]) * inner)
+                                 @ _QW))
+    term0 /= grid.rbar
+    V = [np.asarray(x, dtype=complex) for x in v_s]
+    total, size = 0j, 0.0
+    for _ in range(100_000):
+        V = grid.step(V, -s)
+        term = sum(m @ (a * b) for m, a, b in zip(grid.mu_at, V, w_s)) \
+            / grid.rbar
+        total += term
+        size += abs(term)
+        if abs(term) < 1e-13 * abs(total):
+            break
+    else:
+        raise AssertionError("series did not converge")
+    vbar = grid.integrate(grid.state_from_observable(v)) / grid.hbar
+    wbar = grid.integrate(grid.state_from_observable(w)) / grid.hbar
+    pole = vbar * wbar / s
+    return ((term0 + total) / grid.hbar - pole,
+            (abs(term0) + size) / grid.hbar + abs(pole))
+
+
+@settings(max_examples=20, deadline=None)
+@given(cut=st.booleans(), a=st.floats(0.2, 1.0), b=st.floats(-30.0, 30.0),
+       v=st.sampled_from(sorted(sp.OBSERVABLES)),
+       w=st.sampled_from(sorted(sp.OBSERVABLES)))
+def test_laplace_closed_form_is_the_series(small_pm_grid, small_pm_uncut,
+                                           cut, a, b, v, w):
+    # one solve of I - R_{-s} sums the operator series exactly, on the
+    # cut and on the uncut tower
+    grid = small_pm_grid if cut else small_pm_uncut
+    v, w, s = sp.OBSERVABLES[v](), sp.OBSERVABLES[w](), complex(a, b)
+    ref, scale = _laplace_by_series(grid, v, w, s)
+    assert abs(laplace_transform(grid, v, w, s) - ref) <= _SERIES_TOL * scale
+
+
+def test_laplace_series_check_catches_dropped_climb(small_pm_grid,
+                                                    monkeypatch):
+    # planted defect: the base system without Mhat (tops of the twisted
+    # climb G), the mass that V's upper levels bring back to the base;
+    # Mhat g is the one product of laplace_transform through basis.apply
+    grid, v, s = small_pm_grid, sp.coordinate_observable(), 0.5 + 3j
+    ref, scale = _laplace_by_series(grid, v, v, s)
+    assert abs(laplace_transform(grid, v, v, s) - ref) <= _SERIES_TOL * scale
+    monkeypatch.setattr(grid.basis, "apply", lambda u: np.zeros_like(u))
+    assert abs(laplace_transform(grid, v, v, s) - ref) > _SERIES_TOL * scale
+
+
+def test_laplace_poles_raise(small_pm_grid, bd):
+    # s = 0 is a pole (Mhat 1 = 1), and so is s = 2 pi i under the constant
+    # roof 1, even where the coordinate's weighted state v_s vanishes
+    v = sp.coordinate_observable()
+    with pytest.raises(ArithmeticError, match="pole at s=0"):
+        laplace_transform(small_pm_grid, v, v, 0j)
+    with pytest.raises(ArithmeticError, match="pole"):
+        laplace_transform(TowerGrid(bd, sp.constant_roof(1.0), None), v, v,
+                          2j * np.pi)
 
 
 def test_b_norms_share_one_probe_set(small_pm_grid):
