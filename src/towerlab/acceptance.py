@@ -15,6 +15,7 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,21 +48,14 @@ def _result(name, passed, detail, t0) -> CheckResult:
 
 # -- shared lazily-built objects ---------------------------------------------
 
-_cache: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _pm05_basis() -> CylinderBasis:
-    if "b05" not in _cache:
-        _cache["b05"] = CylinderBasis(systems.pm_induced(0.5), depth=2,
-                                      refine_symbols=24)
-    return _cache["b05"]
+    return CylinderBasis(systems.pm_induced(0.5), depth=2, refine_symbols=24)
 
 
+@lru_cache(maxsize=None)
 def _doubling_basis() -> CylinderBasis:
-    if "bd" not in _cache:
-        _cache["bd"] = CylinderBasis(systems.doubling_full(), depth=8,
-                                     refine_symbols=2)
-    return _cache["bd"]
+    return CylinderBasis(systems.doubling_full(), depth=8, refine_symbols=2)
 
 
 # -- criteria -------------------------------------------------------------------

@@ -65,7 +65,6 @@ SCHEMA = {
                                     "doubling": "0.0,1.0"}),
     ("map", "J"): (int, "400"),
     ("map", "tail_horizon"): (int, "12000"),
-    ("map", "gamma"): (float, "0.0"),
     ("roof", "kind"): (tuple(sp.ROOFS), "cosine"),
     ("roof", "c"): (float, "1.0"),
     ("roof", "mean"): (float, "2.0"),
@@ -154,8 +153,7 @@ def _build_induced(run: Run) -> maps.InducedMap:
     model = maps.doubling_map() if run["map", "kind"] == "doubling" else \
         maps.pomeau_manneville(run["map", "alpha"], dist_const=run["map", "C"])
     return maps.induce(model, run["map", "Y"], branch_cutoff=run["map", "J"],
-                       tail_horizon=run["map", "tail_horizon"],
-                       gamma_declared=run["map", "gamma"])
+                       tail_horizon=run["map", "tail_horizon"])
 
 
 def _build_roof(run: Run) -> sp.RoofFunction:

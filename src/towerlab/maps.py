@@ -158,16 +158,12 @@ class MapModel:
 class PomeauManneville(MapModel):
     """Intermittent map x -> x(1 + 2^a x^a) on [0,1/2), 2x-1 on [1/2,1).
 
-    The left branch has an indifferent fixed point at 0.  ``beta`` is the
-    polynomial correlation-decay exponent 1/alpha - 1; the first-return tail
+    The left branch has an indifferent fixed point at 0.  The polynomial
+    correlation-decay exponent is beta = 1/alpha - 1; the first-return tail
     on [1/2, 1] decays with exponent beta + 1 = 1/alpha.
     """
 
     alpha: float = 0.5
-
-    @property
-    def beta(self) -> float:
-        return 1.0 / self.alpha - 1.0
 
 
 def _solve_increasing(f, df, y, lo: float, hi: float) -> np.ndarray:
@@ -293,20 +289,18 @@ class InducedMap:
     The first-return structure is one orbit o of the escape inverse e^-1
     (see ``induce``): the cell of depth d is inv_j of the points between
     o[d-1] and o[d].  ``escape`` is the branch e, None when Y is all of
-    [0, 1).  Cells are stored up to a cutoff; beyond it the return-time
-    tail is kept two ways: exact Lebesgue widths of {r = n} out to
-    ``tail_horizon`` from the orbit, and an aggregate invariant tail mass
-    obtained by scaling those widths with the density at the accumulation
-    edge.  The invariant density of F is represented by one value per cell.
+    [0, 1).  Cells are stored up to a cutoff; beyond it the invariant
+    return-time tail is the density at the accumulation edge times the
+    exact Lebesgue widths of {r = n}, which the orbit gives out to
+    ``tail_horizon`` (``ladder_tail``, ``tail_columns``).  The invariant
+    density of F is represented by one value per cell.
     Cells come in order of return time r, which ``inverse_chain`` and the
     tower levels rely on; cells whose r falls are a ValueError.
     """
 
     def __init__(self, model: MapModel, Y: tuple[float, float],
                  cells: list[InducedCell], mu0_r_width: np.ndarray,
-                 orbit: np.ndarray, escape: Branch | None,
-                 beta_declared: float | None = None,
-                 gamma_declared: float = 0.0) -> None:
+                 orbit: np.ndarray, escape: Branch | None) -> None:
         self.model = model
         self.Y = (float(Y[0]), float(Y[1]))
         self.cells = cells
@@ -319,8 +313,6 @@ class InducedMap:
         self.lo = np.array([c.lo for c in cells])
         self.hi = np.array([c.hi for c in cells])
         self.widths = self.hi - self.lo
-        self.beta_declared = beta_declared
-        self.gamma_declared = gamma_declared
         self._mu0_r_width = mu0_r_width  # Lebesgue width of {r = n}, index n-1
         # mass conservation pins the width not swept out by the horizon
         self._mu0_remainder = max(0.0, (self.Y[1] - self.Y[0])
@@ -351,10 +343,7 @@ class InducedMap:
                 "invariant measure iteration did not converge: residual "
                 f"{self.fixed_point_residual:.3e}")
         # tail mass: density at the accumulation edge times exact width tail
-        ylen = self.Y[1] - self.Y[0]
-        rmax = int(self.r.max())
-        tail_width = (float(self._mu0_r_width[rmax:].sum())
-                      + self._mu0_remainder) / ylen
+        tail_width = self.mu0_tail(int(self.r.max()))
         edge = int(np.argmax(self.r))
         edge_rho = mu[edge] / self.mu0[edge]
         tail_raw = edge_rho * tail_width
@@ -462,39 +451,28 @@ class InducedMap:
         tail = self.tail_ge
         return float(tail[min(N, len(tail) - 1)]), math.fsum(tail[N + 1:])
 
-    def muY_tail_represented(self, n: int) -> float:
-        """Sum of invariant cell masses with r > n, represented cells only."""
-        tail = self.tail_ge
-        return float(tail[min(max(n + 1, 0), len(tail) - 1)])
-
     @property
     def mean_return(self) -> float:
         """Mean return time over represented cells (tail excluded)."""
         return float(np.sum(self.r * self.muY))
 
-    @property
-    def mean_return_tail(self) -> float:
-        """Extrapolated tail contribution to the mean return time."""
-        rmax = int(self.r.max())
-        edge_rho = self.rho[int(np.argmax(self.r))]
-        ylen = self.Y[1] - self.Y[0]
-        w = self._mu0_r_width
-        # sum_{n >= rmax} mu_0(r > n): widths weighted by their excess over
-        # rmax, plus the unswept remainder (a lower estimate beyond horizon)
-        tail = float(np.sum(w[rmax:] * (np.arange(rmax + 1, len(w) + 1) - rmax)))
-        tail += self._mu0_remainder * (len(w) - rmax)
-        return edge_rho * tail / ylen
+    def ladder_tail(self, n: int) -> float:
+        """mu_Y(r > n) past the cell cutoff: the edge density times the
+        exact mu_0 widths of the columns r > max(n, rmax) out to the
+        horizon, plus the unswept remainder past it.  At n < rmax this is
+        ``tail_mass`` (to rounding); ``tail_columns`` holds its terms."""
+        return self._edge_rho * self.mu0_tail(max(n, int(self.r.max())))
 
     def tail_columns(self):
         """Aggregate account of the columns past the cell cutoff.
 
         Returns (r, muY, base_mid, ladder_mid) where r runs from rmax+1 to
-        the tail horizon, muY are extrapolated invariant cell masses, and
-        the positions are collocation midpoints: base_mid[i] for level 0 of
-        column r[i], ladder_mid[d] for any level l >= 1 with r - l = d.
-        Level l of column r lies between o[d] and o[d+1] of the escape
-        orbit, in either orientation of the base.  None when Y has no
-        escape region.
+        the tail horizon, muY are the ladder's invariant column masses (the
+        terms of ``ladder_tail``), and the positions are collocation
+        midpoints: base_mid[i] for level 0 of column r[i], ladder_mid[d] for
+        any level l >= 1 with r - l = d.  Level l of column r lies between
+        o[d] and o[d+1] of the escape orbit, in either orientation of the
+        base.  None when Y has no escape region.
         """
         if self.escape is None:
             return None
@@ -595,8 +573,7 @@ class InducedMap:
 
 
 def induce(model: MapModel, Y: tuple[float, float], branch_cutoff: int = 400,
-           tail_horizon: int = 12000, gamma_declared: float = 0.0
-           ) -> InducedMap:
+           tail_horizon: int = 12000) -> InducedMap:
     """Build the first-return map of ``model`` on the interval Y.
 
     Y must be a union of branch-domain closures, and the region outside Y
@@ -605,8 +582,7 @@ def induce(model: MapModel, Y: tuple[float, float], branch_cutoff: int = 400,
     o[d-1], o[d] of one orbit of e^-1, where o[0], o[1] are the ends of Y
     (e^-1 must take o[0] to o[1] bit for bit).  The orbit runs on past the
     cell cutoff, so exact Lebesgue tail widths are available out to
-    ``tail_horizon``.  The declared tail exponent is the model's beta for a
-    Pomeau-Manneville map and none otherwise.
+    ``tail_horizon``.
     """
     a, b = float(Y[0]), float(Y[1])
     if not (0.0 <= a < b <= 1.0):
@@ -652,11 +628,8 @@ def induce(model: MapModel, Y: tuple[float, float], branch_cutoff: int = 400,
                   for d in np.flatnonzero(resolvable[:branch_cutoff])]
     if not cells:
         raise ValueError("no first-return cells found below the cutoff")
-    beta_declared = model.beta if isinstance(model, PomeauManneville) \
-        else None
     return InducedMap(model, (a, b), cells[:branch_cutoff], width, orbit,
-                      escape, beta_declared=beta_declared,
-                      gamma_declared=gamma_declared)
+                      escape)
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +640,7 @@ def induce(model: MapModel, Y: tuple[float, float], branch_cutoff: int = 400,
 class TailValue:
     total: float
     raw: float            # partial sum over represented cells
-    extrapolated: float   # extension beyond the cell cutoff
+    extrapolated: float   # past the cell cutoff, on the escape ladder
 
 
 @dataclass(frozen=True)
@@ -678,21 +651,13 @@ class TailFit:
 
 
 def return_time_tail(ind: InducedMap, n: int) -> TailValue:
-    """Invariant tail mu_Y(r > n), split into raw sum and extrapolation."""
+    """Invariant tail mu_Y(r > n): the represented cells' sum plus the
+    part past the cell cutoff that the escape ladder measures."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    raw = ind.muY_tail_represented(n)
-    rmax = int(ind.r.max())
-    if n < rmax:
-        extra = float(ind.tail_mass)
-    elif ind.tail_mass == 0.0:
-        extra = 0.0
-    else:
-        bp1 = (ind.beta_declared + 1.0) if ind.beta_declared is not None else 2.0
-        g = ind.gamma_declared
-        ratio = (n / rmax) ** (-bp1)
-        logs = (math.log(max(n, 2)) / math.log(max(rmax, 2))) ** g
-        extra = float(ind.tail_mass) * ratio * logs
+    tail = ind.tail_ge
+    raw = float(tail[min(n + 1, len(tail) - 1)])
+    extra = ind.ladder_tail(n)
     return TailValue(total=raw + extra, raw=raw, extrapolated=extra)
 
 

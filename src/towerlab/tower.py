@@ -10,6 +10,7 @@ cut mean height to the return-time tail.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +44,12 @@ class Tower:
         self.start = np.cumsum(self.heights) - self.heights
         self.cell_col = np.repeat(np.arange(ind.J), self.heights)
         self.cell_level = np.arange(self.n_cells) - self.start[self.cell_col]
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        """The induced map's cell kernel, built on first use: every
+        ``visit_measure`` call on this tower shares it."""
+        return self.ind.transition_kernel()
 
     @property
     def total_mass(self) -> float:
@@ -119,7 +126,7 @@ def visit_measure(tower: Tower, N: int, k: int) -> tuple[float, float]:
     ind = tower.ind
     r = ind.r
     tall = r >= N
-    P = ind.transition_kernel()
+    P = tower.kernel
     # v[b][j] = P(enter tall part within b steps | just landed on base in Y_j)
     v = np.zeros((k + 1, ind.J))
     v[:, tall] = 1.0

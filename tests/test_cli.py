@@ -201,6 +201,18 @@ def test_eigenfun_subcommand(pm_config, tmp_path):
     assert (out / "diophantine.csv").exists()
 
 
+def test_eigenfun_unsettled_cycle_points_write_nothing(pm_config, tmp_path,
+                                                       capsys):
+    # on pm with Y = 0,1 the search wrote eigenfun.csv from unconverged
+    # points, and only the periodic enumeration after it exited 4
+    cfg = tmp_path / "pm01.ini"
+    cfg.write_text(open(pm_config).read().replace("Y = 0.5,1.0", "Y = 0.0,1.0"))
+    out = tmp_path / "out"
+    assert run(["eigenfun", "--config", str(cfg), "--out", str(out)]) == 4
+    assert "contraction failed" in capsys.readouterr().err
+    assert not (out / "eigenfun.csv").exists()
+
+
 def test_resolvent_subcommand(pm_config, tmp_path):
     out = tmp_path / "out"
     assert run(["resolvent", "--config", pm_config, "--out", str(out)]) == 0
@@ -324,7 +336,10 @@ def test_ill_typed_value_is_config_error(sub, section, key, value, tmp_path,
 @pytest.mark.parametrize("text,name", [
     ("[grid]\nN_list = 7\n", "[grid]"),
     ("[map]\nalfa = 0.5\n", "[map] alfa"),
-], ids=["section", "key"])
+    # the log factor of the declared-exponent tail, which is gone: the
+    # tail past the cell cutoff is measured on the escape ladder
+    ("[map]\ngamma = 1.0\n", "[map] gamma"),
+], ids=["section", "key", "map-gamma"])
 def test_misspelt_section_or_key_is_config_error(text, name, tmp_path,
                                                  capsys):
     # a misspelt [grid] used to run truncate at the default N list, exit 0

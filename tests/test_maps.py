@@ -179,6 +179,38 @@ def test_return_time_tail_split(pm05):
     assert tv.raw == pytest.approx(float(pm05.muY[pm05.r > 10].sum()))
 
 
+def _ladder_account(ind, n):
+    """mu_Y(r > n) term by term: the represented cells, the ladder columns
+    of ``tail_columns`` and the remainder past the tail horizon."""
+    tail = ind.tail_ge
+    rs, col_mu, _, _ = ind.tail_columns()
+    rest = ind._edge_rho * ind._mu0_remainder / (ind.Y[1] - ind.Y[0])
+    return float(tail[min(n + 1, len(tail) - 1)]) + math.fsum(col_mu[rs > n]) \
+        + rest
+
+
+@pytest.mark.parametrize("build", [
+    lambda: systems.pm_induced(0.5),
+    lambda: systems.pm_induced(0.6),
+    lambda: systems.doubling_induced(),
+    lambda: maps.induce(maps.doubling_map(), (0.5, 1.0), 30, 600),
+], ids=["pm0.5", "pm0.6", "doubling-J40-H1200", "doubling-J30-H600"])
+def test_return_time_tail_is_the_ladder_account(build):
+    # past the cell cutoff the tail is measured on the escape ladder, not
+    # extrapolated by a declared power: on the doubling map the declared
+    # beta = 1 read 5.2e-10 at n = 40 (J 30) against the exact 2^-40
+    ind = build()
+    rmax, H = int(ind.r.max()), ind.tail_horizon
+    for n in (rmax, rmax + 1, 2 * rmax, H // 2, H - 1):
+        tv = maps.return_time_tail(ind, n)
+        want = _ladder_account(ind, n)
+        assert tv.total == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert (tv.raw, tv.extrapolated) == (0.0, tv.total)
+    # below the cutoff the ladder's part is the whole tail mass
+    assert maps.return_time_tail(ind, rmax - 1).extrapolated == \
+        pytest.approx(ind.tail_mass, rel=1e-15)
+
+
 def test_mass_normalisation(pm05):
     assert pm05.muY.sum() + pm05.tail_mass == pytest.approx(1.0, abs=1e-10)
 
@@ -294,8 +326,11 @@ def test_doubling_induced_exact_dyadics():
     ind = systems.doubling_induced()
     assert np.allclose(ind.muY[:5], [2.0 ** -(k + 1) for k in range(5)],
                        atol=1e-12)
-    assert ind.mean_return + ind.mean_return_tail == pytest.approx(2.0,
-                                                                   abs=1e-9)
+    # Kac: 1 + sum_{n < H} mu_Y(r > n) = E[min(r, H)] = 1/mu(Y) = 2, the
+    # tail past the cell cutoff read from the escape ladder
+    kac = 1.0 + math.fsum(maps.return_time_tail(ind, n).total
+                          for n in range(1, ind.tail_horizon))
+    assert kac == pytest.approx(2.0, abs=1e-12)
     assert ind.mu0_tail(3) == pytest.approx(0.125, abs=1e-12)
 
 

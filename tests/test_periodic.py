@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from towerlab import systems, suspension as sp, periodic as per
+from towerlab import maps, systems, suspension as sp, periodic as per
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +63,16 @@ def test_enumeration_size_guard(pm_sub):
     with pytest.raises(ValueError):
         per.enumerate_periodic(per.FiniteSubsystem(pm_sub.ind,
                                                    tuple(range(10))), 7)
+
+
+def test_eigenfunction_search_refuses_unsettled_cycle_points():
+    # pm on Y = (0, 1) holds the indifferent point, so the composed inverse
+    # branches need not contract: the search ran a fixed 120 rounds and
+    # reported residual 1.66 from points that never settled
+    sub = per.FiniteSubsystem(
+        maps.induce(maps.pomeau_manneville(0.5), (0.0, 1.0), 120, 3000), (0, 1))
+    with pytest.raises(ArithmeticError, match="contraction failed"):
+        per.approx_eigenfunction_search(sub, sp.cosine_roof(), [2.0], [0.0])
 
 
 def test_alignment_constant_roof_passes(doubling_sub):

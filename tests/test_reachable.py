@@ -48,7 +48,6 @@ ALLOWED = {
     "InducedMap.check_backward_lipschitz":
         "hypothesis check: inverse branches contract",
     "InducedMap.check_distortion": "hypothesis check: bounded distortion",
-    "InducedMap.mean_return_tail": "Kac check: mean return time from tails",
     "CylinderBasis.check_nesting": "diagnostic: the partitions nest",
     "OperatorMatrix.duality_defect":
         "diagnostic: R is the dual of composition with F",

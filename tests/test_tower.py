@@ -122,6 +122,22 @@ def test_visit_measure_against_path_enumeration():
     assert m <= b
 
 
+def test_visit_measure_builds_the_kernel_once(monkeypatch):
+    # criterion 3's nine calls on one tower rebuilt the J x J kernel on
+    # every call; the tower now builds it once, and every pair is
+    # bit-identical to a call on a fresh tower with a fresh kernel
+    ind = systems.pm_induced(0.5)
+    grid = [(N, k) for N in (10, 20, 50) for k in (1, 5, 10)]
+    fresh = [tw.visit_measure(tw.Tower(ind), N, k) for N, k in grid]
+    calls = []
+    build = maps.InducedMap.transition_kernel
+    monkeypatch.setattr(maps.InducedMap, "transition_kernel",
+                        lambda self: calls.append(1) or build(self))
+    t = tw.Tower(ind)
+    assert [tw.visit_measure(t, N, k) for N, k in grid] == fresh
+    assert len(calls) == 1
+
+
 def test_tower_csv(tmp_path):
     t = tw.Tower(systems.doubling_induced())
     path = tmp_path / "tower.csv"
@@ -182,8 +198,9 @@ def test_tail_table_matches_masked_sums(pm_tower):
         assert ge == float(ind.muY[ind.r >= N].sum())
         assert gt == math.fsum(ind.muY[ind.r >= n].sum()
                                for n in range(N + 1, rmax + 1))
-    for n in range(-2, rmax + 3):
-        assert ind.muY_tail_represented(n) == float(ind.muY[ind.r > n].sum())
+    assert len(ind.tail_ge) == rmax + 2
+    for n in range(rmax + 2):
+        assert ind.tail_ge[n] == float(ind.muY[ind.r >= n].sum())
 
 
 def test_land_parks_tail_landings(pm_tower):
