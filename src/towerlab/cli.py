@@ -481,6 +481,10 @@ def main(argv=None) -> int:
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
+    except sp.EnvelopeError as exc:
+        print(f"config error: [roof] does not fit [map] Y: {exc}",
+              file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

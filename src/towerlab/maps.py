@@ -129,29 +129,39 @@ class MapModel:
 
     def advance(self, x, steps) -> np.ndarray:
         """T^steps(x), point by point."""
-        return self._climb(x, steps)[0]
+        return _iterate(self.apply, np.array(x, dtype=float), steps)[0]
 
     def orbit_sum(self, x, steps, f) -> np.ndarray:
         """sum_{l < steps} f(T^l x), point by point, added in order of l."""
-        return self._climb(x, steps, f)[1]
+        return _iterate(self.apply, np.array(x, dtype=float), steps, f)[1]
 
-    def _climb(self, x, steps, f=None) -> np.ndarray:
-        """(T^steps x, sum_{l < steps} f(T^l x)).  The points are sorted by
-        step count once; each application of T acts on the suffix still
-        climbing."""
-        x = np.asarray(x, dtype=float)
-        steps = np.broadcast_to(np.asarray(steps, dtype=int), x.shape).ravel()
-        order = np.argsort(steps, kind="stable")
-        cur = x.ravel()[order]
-        rows = [cur] if f is None else [cur, np.zeros_like(cur)]
-        for a in suffix_starts(steps[order]):
+
+def _iterate(fwd, end: np.ndarray, steps, f=None):
+    """(fwd^steps end, sum_{l < steps} f(fwd^l end)) point by point, the
+    sum added in order of l (None without f); ``end`` is a float array
+    that the climb may overwrite.  One count for all points steps the
+    whole array; per-point counts sort the points that move by count once,
+    and each application of fwd acts on the suffix still climbing."""
+    tot = None if f is None else np.zeros_like(end)
+    if np.ndim(steps) == 0:
+        for _ in range(steps):
             if f is not None:
-                rows[1][a:] += f(cur[a:])
-            cur[a:] = self.apply(cur[a:])
-        out = np.empty((len(rows), cur.size))
-        for o, row in zip(out, rows):
-            o[order] = row
-        return out.reshape((len(rows),) + x.shape)
+                tot += f(end)
+            end = fwd(end)
+        return end, tot
+    counts = np.broadcast_to(steps, end.shape).reshape(-1)
+    order = np.flatnonzero(counts)
+    order = order[np.argsort(counts[order], kind="stable")]
+    cur = end.reshape(-1)[order]
+    acc = None if f is None else np.zeros_like(cur)
+    for a in suffix_starts(counts[order]):
+        if f is not None:
+            acc[a:] += f(cur[a:])
+        cur[a:] = fwd(cur[a:])
+    end.reshape(-1)[order] = cur
+    if f is not None:
+        tot.reshape(-1)[order] = acc
+    return end, tot
 
 
 @dataclass(frozen=True)
@@ -386,11 +396,36 @@ class InducedMap:
         """Forward return map on cell(s) j, by iterating the base map."""
         return self.model.advance(y, self.r[np.asarray(j, dtype=int)])
 
+    def climb(self, pos, level, steps) -> np.ndarray:
+        """T^steps(pos) for points pos = T^level(y), y in a cell, along the
+        cell word (j0, e, ..., e): the entry branch j0 steps from level 0
+        and the escape branch e from every level above, so no step looks
+        its branch up.  ``steps`` is one count for all points or one per
+        point, and a climb ends at the return (level + steps <= r).  With no
+        escape branch (Y = [0, 1]) this is ``model.advance``."""
+        if self.escape is None:
+            return self.model.advance(pos, steps)
+        entry = self.model.branches[self.cells[0].word[0]].fwd
+        x = np.array(pos, dtype=float)
+        if np.ndim(steps) == 0:
+            if steps < 1:
+                return x
+            up = np.asarray(level) > 0
+            x[~up] = entry(x[~up])
+            x[up] = self.escape.fwd(x[up])
+            steps = steps - 1
+        else:
+            steps = np.asarray(steps)
+            first = (np.asarray(level) == 0) & (steps > 0)
+            x[first] = entry(x[first])
+            steps = steps - first
+        return _iterate(self.escape.fwd, x, steps)[0]
+
     def land(self, j, level, pos):
         """Complete the returns of points at ``pos`` = T^level(y), y in Y_j:
         (cell, F(y), parked).  Landings past the represented cells are
         parked in the deepest cell; ``parked`` marks them, point by point."""
-        y = self.model.advance(pos, self.r[np.asarray(j, dtype=int)] - level)
+        y = self.climb(pos, level, self.r[j] - level)
         cell = self.cell_of(y)
         bad = cell < 0
         if np.any(bad):

@@ -32,6 +32,7 @@ __all__ = [
     "smoothed_indicator_observable",
     "SuspensionModel",
     "FlowState",
+    "EnvelopeError",
     "CorrelationSeries",
     "sample_stationary",
     "flow",
@@ -115,7 +116,8 @@ class Observable:
                          np.asarray(h, dtype=float))
 
     def eval_state(self, model: "SuspensionModel", st: "FlowState") -> np.ndarray:
-        return self(st.pos, st.u, model.roof(st.pos))
+        h = model.roof(st.pos) if st.h is None else st.h
+        return self(st.pos, st.u, h)
 
 
 def coordinate_observable() -> Observable:
@@ -208,13 +210,15 @@ class FlowState:
     """Point ensemble on the suspension: tower column, level, ambient
     position T^level(y) of a base point y, and flow height u.
 
-    From its first flow on, a state also records per point the highest
-    level reached (``top``), the largest roof value met (``hmax``) and
-    the number of landings parked past the represented cells
-    (``parked``).  A flow truncated at level N, or under the roof
-    min(h, N), goes through the same operations as the full flow until
-    the point first reaches level N or meets h > N; the records tell
-    which points a cut diverts."""
+    From its first flow on, a state also records per point the roof at
+    ``pos`` (``h``), which each crossing updates, the highest level
+    reached (``top``), the largest roof value met (``hmax``) and the
+    number of landings parked past the represented cells (``parked``).
+    The flow and the observables read ``h`` instead of evaluating the
+    roof again, so a state is flowed under one model.  A flow truncated
+    at level N, or under the roof min(h, N), goes through the same
+    operations as the full flow until the point first reaches level N or
+    meets h > N; the records tell which points a cut diverts."""
 
     col: np.ndarray
     level: np.ndarray
@@ -223,6 +227,7 @@ class FlowState:
     top: np.ndarray | None = None
     hmax: np.ndarray | None = None
     parked: np.ndarray | None = None
+    h: np.ndarray | None = None
 
     @property
     def oob(self) -> int:
@@ -237,16 +242,35 @@ class FlowState:
         return len(self.col)
 
 
+# A cell whose rejection envelope accepts a smaller share of its draws per
+# round is refused: a point is still unaccepted after the 200 rounds with
+# chance (7/8)^200, about 2.6e-12, at this rate.
+MIN_ACCEPTANCE = 0.125
+
+
+class EnvelopeError(ValueError):
+    """The roof cannot be sampled over a cell of the tower: its rejection
+    envelope accepts too few draws, as over a singularity of the roof."""
+
+
 def sample_stationary(model: SuspensionModel, n: int, seed: int) -> FlowState:
     """Draw n points from the stationary flow measure.
 
     Cells are drawn with probability proportional to measure times mean
     roof; within a cell the base coordinate is drawn with density
     proportional to the roof (rejection against the cell envelope), and u
-    uniformly under the roof at the drawn position.
+    uniformly under the roof at the drawn position.  A model with a cell
+    that accepts fewer than ``MIN_ACCEPTANCE`` of its draws per round is
+    refused before any draw.
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    accept = model.hbar_cell / model.hmax_cell
+    if not np.all(accept >= MIN_ACCEPTANCE):
+        raise EnvelopeError(
+            f"roof {model.roof.name} over base Y = {list(model.ind.Y)}: "
+            f"rejection sampling accepts {np.nanmin(accept):.3g} of the "
+            f"draws per round on some cell, below {MIN_ACCEPTANCE}")
     rng = np.random.default_rng(np.random.Philox(key=seed))
     ind = model.ind
     cells = np.searchsorted(model.flow_cdf, rng.random(n), side="right")
@@ -259,7 +283,7 @@ def sample_stationary(model: SuspensionModel, n: int, seed: int) -> FlowState:
     todo = np.arange(n)
     for _ in range(200):
         cand = lo[todo] + rng.random(len(todo)) * wid[todo]
-        cpos = ind.model.advance(cand, level[todo])
+        cpos = ind.climb(cand, 0, level[todo])
         ok = rng.random(len(todo)) * env[todo] <= model.roof(cpos)
         pos[todo[ok]] = cpos[ok]
         todo = todo[~ok]
@@ -273,13 +297,18 @@ def sample_stationary(model: SuspensionModel, n: int, seed: int) -> FlowState:
 
 def flow(model: SuspensionModel, st: FlowState, t: float,
          inplace: bool = False) -> FlowState:
-    """Advance the ensemble by flow time t >= 0 under the identifications."""
+    """Advance the ensemble by flow time t >= 0 under the identifications.
+    The roof is evaluated once per crossing, at the cell the point enters,
+    and kept in ``st.h``; a state's first flow also evaluates it at the
+    start."""
     if t < 0:
         raise ValueError("flow time must be nonnegative")
     if not inplace:
         st = st.copy()
     rem = np.full(len(st), float(t))
-    h = model.roof(st.pos)
+    if st.h is None:
+        st.h = model.roof(st.pos)
+    h = st.h
     if np.any((st.u < 0) | (st.u >= h)):
         raise ValueError("flow height u outside [0, h(x))")
     if st.top is None:
@@ -308,21 +337,22 @@ def flow(model: SuspensionModel, st: FlowState, t: float,
 
 def _cross(tower: Tower, col: np.ndarray, level: np.ndarray, pos: np.ndarray,
            idx: np.ndarray):
-    """Move the points ``idx`` to their next tower cell, in place: up their
-    column, or from its top through the return map to a base cell.  Returns
-    the points that landed, the levels they left and their parked flags
-    (see ``InducedMap.land``)."""
-    ind = tower.ind
-    drop = level[idx] + 1 >= tower.heights[col[idx]]
-    climb = idx[~drop]
-    level[climb] += 1
-    pos[climb] = ind.model.apply(pos[climb])
-    landed = idx[drop]
-    left = level[landed]
+    """Move the points ``idx`` to their next tower cell, in place, by one
+    step of the map along their cell words: up their column, or from its
+    top to a base cell, where ``InducedMap.land`` finishes the return that
+    a cut column leaves unfinished.  Returns the points that landed, the
+    levels they left and their parked flags."""
+    c, lv = col[idx], level[idx]
+    p = tower.ind.climb(pos[idx], lv, 1)
+    up = lv + 1 < tower.heights[c]
+    drop = ~up
+    climbed, landed, left = idx[up], idx[drop], lv[drop]
+    level[climbed] += 1
+    pos[climbed] = p[up]
     parked = np.zeros(0, dtype=bool)
     if len(landed):
-        col[landed], pos[landed], parked = ind.land(col[landed], left,
-                                                    pos[landed])
+        col[landed], pos[landed], parked = tower.ind.land(c[drop], left + 1,
+                                                          p[drop])
         level[landed] = 0
     return landed, left, parked
 

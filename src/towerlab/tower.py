@@ -42,8 +42,10 @@ class Tower:
         self.column_mass = ind.muY / self.rbar  # per level of each column
         self.n_cells = int(self.heights.sum())
         self.start = np.cumsum(self.heights) - self.heights
-        self.cell_col = np.repeat(np.arange(ind.J), self.heights)
-        self.cell_level = np.arange(self.n_cells) - self.start[self.cell_col]
+        self.cell_col = np.repeat(np.arange(ind.J, dtype=np.int32),
+                                  self.heights)
+        self.cell_level = (np.arange(self.n_cells)
+                           - self.start[self.cell_col]).astype(np.int32)
 
     @cached_property
     def kernel(self) -> np.ndarray:
@@ -59,15 +61,16 @@ class Tower:
         """Positions T^l(y_nodes[j]) of every cell (j, l), y_nodes of shape
         (J, m), as rows in flat cell order.
 
-        All columns climb together, T applied once per level to the columns
-        still taller: cells come in order of r, so these are a suffix.
+        All columns climb together, one step of their cell words per level
+        for the columns still taller: cells come in order of r, so these
+        are a suffix.
         ``reduce``, if given, maps each level's positions to one row per
         column; its rows are returned instead."""
         cur = np.asarray(y_nodes, dtype=float)
         out, prev = None, 0
         for ell, f in enumerate(suffix_starts(self.heights)):
             if ell:
-                cur = self.ind.model.apply(cur[f - prev:])
+                cur = self.ind.climb(cur[f - prev:], ell - 1, 1)
             prev = f
             vals = cur if reduce is None else reduce(cur)
             if out is None:

@@ -50,8 +50,8 @@ class TowerGrid:
         self.mu_at = [basis.mu[f:] for f in self.first]
         self.pos_at = [basis.mid]
         for ell in range(1, self.max_h):
-            self.pos_at.append(basis.ind.model.apply(
-                self.pos_at[-1][self.n_top[ell - 1]:]))
+            self.pos_at.append(basis.ind.climb(
+                self.pos_at[-1][self.n_top[ell - 1]:], ell - 1, 1))
         self.h_at = [np.zeros(len(p)) if roof is None
                      else np.asarray(roof(p), dtype=float)
                      for p in self.pos_at]

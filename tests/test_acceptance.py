@@ -103,6 +103,20 @@ def test_roof_through_level_fails_criterion_6(monkeypatch):
     assert float(worst) > 1e-8, res.detail
 
 
+# -- criterion 9 can fail ------------------------------------------------------
+
+def test_wobbling_constant_roof_fails_criterion_9(monkeypatch):
+    # the "constant" roof 1 + 0.05 cos(2 pi x): under doubling the roof
+    # sum over n returns spreads the phase of cos(2 pi u) by variance
+    # n (0.05)^2 / 2, so at t = 20 the band falls to about
+    # exp(-2 pi^2 * 10 * 0.05^2) = 0.61, below the gate's 0.9
+    cosine = sp.cosine_roof
+    monkeypatch.setattr(sp, "constant_roof", lambda c=1.0: cosine(c, 0.05))
+    res = acceptance.check_mixing_contrast()
+    assert not res.passed, res.detail
+    assert float(res.detail.split("rigid band ")[1]) < 0.9, res.detail
+
+
 # -- criterion 10 can fail -----------------------------------------------------
 
 def test_dropped_k_weight_fails_criterion_10(monkeypatch):

@@ -194,6 +194,22 @@ def test_roof_trunc_subcommand(doubling_config, tmp_path):
     assert (out / "roof_trunc.csv").exists()
 
 
+@pytest.mark.parametrize("Y", ["0.0,1.0", "0.0,0.5"])
+@pytest.mark.parametrize("sub", ["corr-flow", "roof-trunc"])
+def test_singular_roof_over_zero_is_config_error(sub, Y, doubling_config,
+                                                 tmp_path, capsys):
+    # a base cell that holds 0, where the roof 1 + x^(-1/2) is singular:
+    # the sampler gave up after 200 rejection rounds, exit 4 after the work
+    cfg = tmp_path / "db0.ini"
+    cfg.write_text(open(doubling_config).read()
+                   .replace("Y = 0.5,1.0", f"Y = {Y}"))
+    out = tmp_path / "out"
+    assert run([sub, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "config error" in err and "[roof]" in err and "[map] Y" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_eigenfun_subcommand(pm_config, tmp_path):
     out = tmp_path / "out"
     assert run(["eigenfun", "--config", pm_config, "--out", str(out)]) == 0

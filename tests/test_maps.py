@@ -307,16 +307,25 @@ def test_advance_and_orbit_sum_match_pointwise_loop(alpha, seed, n, top):
         else maps.pomeau_manneville(alpha)
     rng = np.random.default_rng(seed)
     x = rng.random(n)
+
+    def pointwise(steps):
+        ends, sums = np.empty(n), np.empty(n)
+        for i in range(n):
+            cur, tot = x[i:i + 1], 0.0
+            for _ in range(int(steps[i])):
+                tot += _roof_like(cur)[0]
+                cur = model.apply(cur)
+            ends[i], sums[i] = cur[0], tot
+        return ends, sums
+
     steps = rng.integers(0, top + 1, n)
-    ends, sums = np.empty(n), np.empty(n)
-    for i in range(n):
-        cur, tot = x[i:i + 1], 0.0
-        for _ in range(int(steps[i])):
-            tot += _roof_like(cur)[0]
-            cur = model.apply(cur)
-        ends[i], sums[i] = cur[0], tot
+    ends, sums = pointwise(steps)
     assert np.array_equal(model.advance(x, steps), ends)
     assert np.array_equal(model.orbit_sum(x, steps, _roof_like), sums)
+    # one count for all points
+    ends, sums = pointwise(np.full(n, top))
+    assert np.array_equal(model.advance(x, top), ends)
+    assert np.array_equal(model.orbit_sum(x, top, _roof_like), sums)
     zeros = np.zeros(n, dtype=int)
     assert np.array_equal(model.advance(x, zeros), x)
     assert np.array_equal(model.orbit_sum(x, zeros, _roof_like), np.zeros(n))

@@ -1,4 +1,5 @@
-"""Static guard: one search for where the suffixes of a climb start.
+"""Static guards: one search for where the suffixes of a climb start, and
+one tower step.
 
 Tower cells, tower-grid leaves and step counts come in non-falling order,
 so the entries that still climb at step l are a suffix, and
@@ -7,6 +8,11 @@ so the entries that still climb at step l are a suffix, and
 code under src/ that may call ``searchsorted`` with an ``arange(...)``
 argument (a bare one or one inside an expression, such as
 ``-np.arange(top)``); every other climb asks it.
+
+A point of the tower steps along its cell word, through
+``InducedMap.climb``.  No def in the flow, the tower or the tower grid
+steps a point by the map's own branch lookup, ``.model.apply`` or
+``.model.advance``.
 """
 
 import ast
@@ -15,6 +21,8 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 ALLOWED = {("towerlab/maps.py", "suffix_starts")}
+TOWER_STEPPERS = ("towerlab/suspension.py", "towerlab/tower.py",
+                  "towerlab/transfer/towerop.py")
 
 
 def _calls(node, name: str) -> bool:
@@ -52,13 +60,38 @@ class _Walker(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def suffix_searches(root: pathlib.Path = SRC) -> list[str]:
+class _MapStepWalker(_Walker):
+    """Uses of ``<x>.model.apply`` or ``<x>.model.advance`` inside a def,
+    called there or bound to a name."""
+
+    visit_Call = ast.NodeVisitor.generic_visit
+
+    def visit_Attribute(self, node) -> None:
+        if self.scope and node.attr in ("apply", "advance") \
+                and isinstance(node.value, ast.Attribute) \
+                and node.value.attr == "model":
+            self.found.append(f"{self.rel}:{node.lineno} "
+                              f"{'.'.join(self.scope)}")
+        self.generic_visit(node)
+
+
+def _walk(root: pathlib.Path, walker, rels=None) -> list[str]:
     found = []
     for path in sorted(root.rglob("*.py")):
-        walker = _Walker(path.relative_to(root).as_posix())
-        walker.visit(ast.parse(path.read_text(), filename=str(path)))
-        found += walker.found
+        rel = path.relative_to(root).as_posix()
+        if rels is None or rel in rels:
+            w = walker(rel)
+            w.visit(ast.parse(path.read_text(), filename=str(path)))
+            found += w.found
     return found
+
+
+def suffix_searches(root: pathlib.Path = SRC) -> list[str]:
+    return _walk(root, _Walker)
+
+
+def map_steps(root: pathlib.Path = SRC) -> list[str]:
+    return _walk(root, _MapStepWalker, TOWER_STEPPERS)
 
 
 def test_one_climb():
@@ -96,4 +129,38 @@ def test_guard_flags_every_other_copy(tmp_path):
         "towerlab/maps.py:6 climb_order",
         "towerlab/tower.py:5 Tower.column_positions",
         "towerlab/tower.py:8 <module>",
+    ]
+
+
+def test_one_tower_step():
+    assert map_steps() == []
+
+
+def test_guard_flags_every_map_step(tmp_path):
+    pkg = tmp_path / "towerlab"
+    (pkg / "transfer").mkdir(parents=True)
+    (pkg / "suspension.py").write_text(
+        "def _cross(tower, pos, idx):\n"
+        "    pos[idx] = tower.ind.model.apply(pos[idx])\n"
+        "def sample(ind, cand, level):\n"
+        "    return ind.climb(cand, 0, level)\n")
+    (pkg / "tower.py").write_text(
+        "class Tower:\n"
+        "    def column_positions(self, cur):\n"
+        "        return self.ind.model.advance(cur, 1)\n"
+        "    def apply(self, v):\n"
+        "        return self.model_apply(v)\n")
+    (pkg / "transfer" / "towerop.py").write_text(
+        "class TowerGrid:\n"
+        "    def __init__(self, basis):\n"
+        "        step = basis.ind.model.apply\n"
+        "        self.pos_at = [step(basis.mid)]\n")
+    (pkg / "maps.py").write_text(
+        "class InducedMap:\n"
+        "    def F(self, j, y):\n"
+        "        return self.model.advance(y, self.r[j])\n")
+    assert map_steps(tmp_path) == [
+        "towerlab/suspension.py:2 _cross",
+        "towerlab/tower.py:3 Tower.column_positions",
+        "towerlab/transfer/towerop.py:3 TowerGrid.__init__",
     ]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -111,10 +112,63 @@ def test_flow_semigroup(seed, t, frac):
     assert np.array_equal(two.pos, one.pos)
     # the two routes subtract the remaining time differently
     assert np.max(np.abs(two.u - one.u)) <= 1e-12
-    for rec in ("top", "hmax", "parked"):
+    for rec in ("h", "top", "hmax", "parked"):
         assert np.array_equal(getattr(two, rec), getattr(one, rec))
+    assert np.array_equal(one.h, model.roof(one.pos))
     assert np.all(one.top >= np.maximum(st.level, one.level))
     assert np.all(one.hmax >= model.roof(one.pos))
+
+
+def _counting(roof):
+    """The roof with its func wrapped: the list records the number of
+    points of every evaluation."""
+    seen = []
+
+    def func(x):
+        seen.append(np.size(x))
+        return roof.func(x)
+
+    return dataclasses.replace(roof, func=func), seen
+
+
+def test_flow_evaluates_the_roof_once_per_crossing(monkeypatch):
+    roof, seen = _counting(sp.cosine_roof())
+    model = sp.SuspensionModel(tw.Tower(_small_pm()), roof)
+    st = sp.sample_stationary(model, 3000, seed=5)
+    assert st.h is None
+    crossed = []
+    cross = sp._cross
+    monkeypatch.setattr(sp, "_cross", lambda tower, col, level, pos, idx:
+                        crossed.append(len(idx)) or
+                        cross(tower, col, level, pos, idx))
+    seen.clear()
+    st = sp.flow(model, st, 3.0)
+    # the first flow evaluates the roof at the start, then at each crossing
+    assert sum(seen) == len(st) + sum(crossed)
+    for t in (0.5, 4.0):
+        seen.clear()
+        crossed.clear()
+        sp.flow(model, st, t, inplace=True)
+        assert sum(seen) == sum(crossed) > 0
+        assert np.array_equal(st.h, roof(st.pos))
+    v = sp.trig_flow_observable()
+    seen.clear()
+    vals = v.eval_state(model, st)
+    assert seen == []
+    assert np.array_equal(vals, v(st.pos, st.u, roof(st.pos)))
+
+
+@pytest.mark.parametrize("Y", [(0.0, 1.0), (0.0, 0.5)])
+def test_sampler_refuses_singular_roof_over_zero(Y):
+    # the cell at 0 has the envelope 1.05e150 and accepts almost no draw
+    ind = maps.induce(maps.doubling_map(), Y, branch_cutoff=30,
+                      tail_horizon=600)
+    roof, seen = _counting(sp.power_singularity_roof(1.0))
+    model = sp.SuspensionModel(tw.Tower(ind), roof)
+    seen.clear()
+    with pytest.raises(sp.EnvelopeError, match="accepts"):
+        sp.sample_stationary(model, 1000, seed=1)
+    assert seen == []
 
 
 def test_sampler_uniform_under_constant_roof(doubling_const):

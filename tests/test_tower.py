@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as hs
+from numpy.polynomial.legendre import leggauss
 
-from towerlab import maps, systems, tower as tw
+from towerlab import maps, systems, suspension as sp, tower as tw
 
 
 @pytest.fixture(scope="module")
@@ -225,3 +227,63 @@ def test_land_from_any_level_matches_return_map(pm_tower):
     assert np.array_equal(p, ind.F(j, y))
     assert parked.tolist() == [False] * 500
     assert np.array_equal(cell, ind.cell_of(p))
+
+
+def _word_climb_mismatches(ind, seed, n=1500):
+    """Points at which the word climb ``ind.climb`` differs, bit for bit,
+    from the branch-lookup climb ``model.advance``, over every step count
+    up to the landing.  The points are stationary samples (column, level,
+    position) and the 8 Gauss nodes of every cell at level 0; the counts
+    come one per point and, over the points that climb that far, as one
+    count for all."""
+    st = sp.sample_stationary(
+        sp.SuspensionModel(tw.Tower(ind), sp.cosine_roof()), n, seed)
+    gn = leggauss(8)[0]
+    nodes = ind.lo[:, None] + (0.5 + 0.5 * gn) * ind.widths[:, None]
+    col = np.concatenate([st.col, np.repeat(np.arange(ind.J), 8)])
+    level = np.concatenate([st.level, np.zeros(8 * ind.J, dtype=int)])
+    pos = np.concatenate([st.pos, nodes.ravel()])
+    left = ind.r[col] - level
+    bad = np.zeros(len(pos), dtype=bool)
+    for k in range(int(left.max()) + 1):
+        steps = np.minimum(left, k)
+        bad |= ind.climb(pos, level, steps) != ind.model.advance(pos, steps)
+        far = left >= k
+        bad[far] |= ind.climb(pos[far], level[far], k) \
+            != ind.model.advance(pos[far], k)
+    return int(bad.sum())
+
+
+def _small_induced(kind, alpha):
+    if kind == "doubling":
+        return maps.induce(maps.doubling_map(), (0.5, 1.0), branch_cutoff=30,
+                           tail_horizon=600)
+    if kind == "full":
+        return maps.induce(maps.doubling_map(), (0.0, 1.0), branch_cutoff=4,
+                           tail_horizon=16)
+    Y = (0.5, 1.0) if kind == "pm-right" else (0.0, 0.5)
+    return maps.induce(maps.pomeau_manneville(alpha), Y, branch_cutoff=40,
+                       tail_horizon=800)
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=hs.sampled_from(["pm-right", "pm-left", "doubling", "full"]),
+       alpha=hs.floats(0.2, 0.9), seed=hs.integers(0, 2 ** 32 - 1))
+@example(kind="pm-right", alpha=0.5, seed=0)
+@example(kind="pm-left", alpha=0.6, seed=1)
+@example(kind="full", alpha=0.5, seed=2)
+def test_word_climb_is_the_lookup_climb(kind, alpha, seed):
+    # on Y = [0, 1] (kind "full") there is no escape branch, and the climb
+    # is model.advance itself
+    assert _word_climb_mismatches(_small_induced(kind, alpha), seed) == 0
+
+
+def test_swapped_branches_fail_the_word_climb_property(monkeypatch):
+    ind = _small_induced("pm-right", 0.5)
+    assert _word_climb_mismatches(ind, 3) == 0
+    entry = ind.cells[0].word[0]
+    esc = ind.model.branches.index(ind.escape)
+    monkeypatch.setattr(ind, "escape", ind.model.branches[entry])
+    monkeypatch.setattr(ind, "cells", [
+        dataclasses.replace(c, word=(esc,) + c.word[1:]) for c in ind.cells])
+    assert _word_climb_mismatches(ind, 3) > 0
