@@ -424,8 +424,11 @@ class InducedMap:
     def land(self, j, level, pos):
         """Complete the returns of points at ``pos`` = T^level(y), y in Y_j:
         (cell, F(y), parked).  Landings past the represented cells are
-        parked in the deepest cell; ``parked`` marks them, point by point."""
-        y = self.climb(pos, level, self.r[j] - level)
+        parked in the deepest cell; ``parked`` marks them, point by point.
+        Points at the top of an uncut column have no step left to climb."""
+        steps = self.r[j] - level
+        y = self.climb(pos, level, steps) if np.any(steps) \
+            else np.array(pos, dtype=float)
         cell = self.cell_of(y)
         bad = cell < 0
         if np.any(bad):

@@ -11,7 +11,10 @@ sample.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -173,15 +176,21 @@ _GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(8)
 class SuspensionModel:
     """Suspension of a tower under a roof, with per-cell quadrature tables.
 
-    Per cell, in the tower's flat order, we store the quadrature mean of the
-    roof over the projected cell, a rejection envelope, and the cell measure.
+    Per cell, in the tower's flat order, we store the cell measure and, on
+    first read, the quadrature mean of the roof over the projected cell and
+    a rejection envelope.
     """
 
     def __init__(self, tower: Tower, roof: RoofFunction) -> None:
         self.tower = tower
         self.roof = roof
-        ind = tower.ind
         self.cell_mass = tower.column_mass[tower.cell_col]
+
+    @cached_property
+    def _cell_tables(self) -> np.ndarray:
+        """Rows hbar_cell and hmax_cell, built on first read: a cut model
+        that is only flowed never reads them."""
+        ind = self.ind
         # per column: the 8 Gauss nodes, then both cell ends
         nodes = np.column_stack([
             ind.lo[:, None] + (0.5 + 0.5 * _GAUSS_NODES) * ind.widths[:, None],
@@ -189,16 +198,29 @@ class SuspensionModel:
 
         def mean_and_envelope(pos):
             # summed term by term, so a cell's mean is the same in any batch
-            hv = roof(pos)
+            hv = self.roof(pos)
             mean = 0.5 * sum(wk * hv[:, k]
                              for k, wk in enumerate(_GAUSS_WEIGHTS))
             return np.column_stack([mean, hv.max(axis=1) * 1.05])
 
-        self.hbar_cell, self.hmax_cell = \
-            tower.column_positions(nodes, mean_and_envelope).T.copy()
+        return self.tower.column_positions(nodes, mean_and_envelope).T.copy()
+
+    @property
+    def hbar_cell(self) -> np.ndarray:
+        return self._cell_tables[0]
+
+    @property
+    def hmax_cell(self) -> np.ndarray:
+        return self._cell_tables[1]
+
+    @cached_property
+    def hbar(self) -> float:
+        return float(np.sum(self.cell_mass * self.hbar_cell))
+
+    @cached_property
+    def flow_cdf(self) -> np.ndarray:
         w = self.cell_mass * self.hbar_cell
-        self.hbar = float(np.sum(w))
-        self.flow_cdf = np.cumsum(w / w.sum())
+        return np.cumsum(w / w.sum())
 
     @property
     def ind(self) -> InducedMap:
@@ -295,25 +317,61 @@ def sample_stationary(model: SuspensionModel, n: int, seed: int) -> FlowState:
     return FlowState(col=col, level=level, pos=pos, u=u)
 
 
+# Flows of fewer points per thread than this run on the calling thread: a
+# smaller chunk loses more to GIL hand-offs between its array operations
+# than it gains from the second core.
+MIN_CHUNK = 20_000
+
+
+def _flow_threads() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def flow(model: SuspensionModel, st: FlowState, t: float,
          inplace: bool = False) -> FlowState:
     """Advance the ensemble by flow time t >= 0 under the identifications.
     The roof is evaluated once per crossing, at the cell the point enters,
     and kept in ``st.h``; a state's first flow also evaluates it at the
-    start."""
+    start.
+
+    No point reads another, so the state is cut into k contiguous chunks,
+    k = min(the process's CPUs, len(st) // MIN_CHUNK), and each chunk is
+    flowed in place in its own thread (on the calling thread when k = 1);
+    numpy releases the GIL inside its array loops.  Every point goes
+    through the same operations in any chunk, so the result does not
+    depend on k, bit for bit."""
     if t < 0:
         raise ValueError("flow time must be nonnegative")
     if not inplace:
         st = st.copy()
-    rem = np.full(len(st), float(t))
     if st.h is None:
         st.h = model.roof(st.pos)
-    h = st.h
-    if np.any((st.u < 0) | (st.u >= h)):
+    if np.any((st.u < 0) | (st.u >= st.h)):
         raise ValueError("flow height u outside [0, h(x))")
     if st.top is None:
-        st.top, st.hmax = st.level.astype(np.int32), h.copy()
+        st.top, st.hmax = st.level.astype(np.int32), st.h.copy()
         st.parked = np.zeros(len(st), dtype=np.int32)
+    k = min(_flow_threads(), len(st) // MIN_CHUNK)
+    if k <= 1:
+        _flow_chunk(model, st, t)
+    else:
+        edges = np.linspace(0, len(st), k + 1).astype(int)
+        chunks = [FlowState(*(getattr(st, f.name)[a:b] for f in fields(st)))
+                  for a, b in zip(edges[:-1], edges[1:])]
+        with ThreadPoolExecutor(k) as pool:
+            list(pool.map(lambda c: _flow_chunk(model, c, t), chunks))
+    np.maximum(st.top, st.level, out=st.top)
+    return st
+
+
+def _flow_chunk(model: SuspensionModel, st: FlowState, t: float) -> None:
+    """Flow a prepared state (or a chunk of views of one) by t, in place."""
+    rem = np.full(len(st), float(t))
+    h = st.h
     for _ in range(10_000_000):
         fits = st.u + rem < h
         st.u[fits] += rem[fits]
@@ -331,8 +389,6 @@ def flow(model: SuspensionModel, st: FlowState, t: float,
         st.hmax[cross] = np.maximum(st.hmax[cross], h[cross])
     else:
         raise ArithmeticError("flow did not terminate")
-    np.maximum(st.top, st.level, out=st.top)
-    return st
 
 
 def _cross(tower: Tower, col: np.ndarray, level: np.ndarray, pos: np.ndarray,
@@ -599,7 +655,8 @@ def roof_truncation_experiment(ind: InducedMap, roof: RoofFunction,
     second_exp = -(_exp_rate(ind) * q_log_trunc - 1.0)
     for N in sorted(N_list):
         roof_t = roof.truncated(float(N))
-        keep = c.st0.u < roof_t(c.st0.pos)
+        # u < h(pos) on every sampled point, so u < min(h(pos), N) iff u < N
+        keep = c.st0.u < N
         cut, parked, reflowed[int(N)] = c.cut_series(
             SuspensionModel(c.tower, roof_t), keep)
         oob["truncated"] += parked

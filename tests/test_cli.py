@@ -293,6 +293,21 @@ def test_laplace_abscissa_is_in_flow_time(pm_config, tmp_path, capsys, s):
     assert abs(estimate) < 0.02, err
 
 
+def test_laplace_unresolved_abscissa_is_numerical_error(pm_config, tmp_path,
+                                                        capsys):
+    # |Im s| max h = 30 under the cosine roof: the 16-node flight rule
+    # moves the value by 2.5e-9 against 64 nodes for v = w = coordinate
+    # and by 2.6e-4 for w = trig_flow, and the value was written
+    cfg = tmp_path / "fast.ini"
+    cfg.write_text(open(pm_config).read().replace("s = 0.1j", "s = 0.3+10j"))
+    out = tmp_path / "out"
+    assert run(["laplace", "--config", str(cfg), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "numerical error" in err and "s=(0.3+10j)" in err
+    assert "not resolved" in err
+    assert not (out / "laplace.csv").exists()
+
+
 def test_laplace_pole_is_numerical_error(pm_config, tmp_path, capsys):
     # s = 0 is a pole of the transform: I - R_0 = I - Mhat is singular
     cfg = tmp_path / "pole.ini"

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -165,6 +167,7 @@ def test_sampler_refuses_singular_roof_over_zero(Y):
                       tail_horizon=600)
     roof, seen = _counting(sp.power_singularity_roof(1.0))
     model = sp.SuspensionModel(tw.Tower(ind), roof)
+    model.hmax_cell  # the tables, built on first read, are not draws
     seen.clear()
     with pytest.raises(sp.EnvelopeError, match="accepts"):
         sp.sample_stationary(model, 1000, seed=1)
@@ -529,3 +532,132 @@ def test_flow_visit_measure_unchanged():
     assert (m, b) == pytest.approx(
         (0.08145519611924441, 0.08357052851783225), rel=1e-14)
     assert parked == 0
+
+
+# -- lazy model tables, the roof-cut keep mask and the chunked flow ----------
+
+def test_model_builds_its_tables_on_first_read(monkeypatch):
+    calls = []
+    positions = tw.Tower.column_positions
+    monkeypatch.setattr(tw.Tower, "column_positions",
+                        lambda self, *a: calls.append(1) or
+                        positions(self, *a))
+    roof, seen = _counting(sp.cosine_roof())
+    tower = tw.Tower(_small_pm(), 7)
+    model = sp.SuspensionModel(tower, roof)
+    assert seen == [] and calls == []
+    hbar, hmax = _tables_by_column(tower, sp.cosine_roof())
+    assert np.array_equal(model.hbar_cell, hbar)
+    assert np.array_equal(model.hmax_cell, hmax)
+    w = model.cell_mass * hbar
+    assert model.hbar == float(np.sum(w))
+    assert np.array_equal(model.flow_cdf, np.cumsum(w / w.sum()))
+    assert len(calls) == 1
+    seen.clear()
+    model.hbar_cell, model.hmax_cell, model.hbar, model.flow_cdf
+    assert seen == [] and len(calls) == 1
+
+
+def test_roof_cut_keeps_points_without_a_roof_evaluation():
+    # every sampled u lies below h(pos), so u < min(h(pos), N) iff u < N:
+    # roof_truncation_experiment evaluates the roof on no point itself
+    callers = []
+
+    def func(x):
+        callers.append(sys._getframe(2).f_code.co_name)
+        return sp.power_singularity_roof(1.0).func(x)
+
+    roof = dataclasses.replace(sp.power_singularity_roof(1.0), func=func)
+    v = sp.coordinate_observable()
+    out = sp.roof_truncation_experiment(systems.doubling_induced(), roof, v,
+                                        v, [10, 20], [5.0], 2000, seed=6,
+                                        q_log_trunc=5.0)
+    assert len(out["rows"]) == 2
+    assert "roof_truncation_experiment" not in callers
+    assert {"sample_stationary", "_flow_chunk"} <= set(callers)
+
+
+def _chunked(monkeypatch, model, st, ts, k, cpus):
+    """The flows of st by the times ts, in place, with the minimum chunk
+    size set for k chunks and the process's affinity mocked to ``cpus``
+    CPUs; also the lengths of the chunks flowed by the first flow."""
+    monkeypatch.setattr(sp, "MIN_CHUNK", len(st) // k)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    lengths, chunk = [], sp._flow_chunk
+    monkeypatch.setattr(sp, "_flow_chunk", lambda m, c, t:
+                        lengths.append(len(c)) or chunk(m, c, t))
+    out = [sp.flow(model, st, ts[0])]
+    first = list(lengths)
+    for t in ts[1:]:
+        out.append(sp.flow(model, out[-1].copy(), t, inplace=True))
+    return out, first
+
+
+def _chunking_cases():
+    pm, doubling = _small_pm(), systems.doubling_induced()
+    singular = sp.power_singularity_roof(1.0)
+    return {
+        "pm-cosine-uncut": (tw.Tower(pm), sp.cosine_roof()),
+        "pm-cosine-parked": (tw.Tower(systems.pm_induced(0.5, 10, 2000)),
+                             sp.cosine_roof()),
+        "pm-cosine-cut": (tw.Tower(pm, 5), sp.cosine_roof()),
+        "pm-capped-cut": (tw.Tower(pm, 3), sp.cosine_roof().truncated(2.2)),
+        "doubling-singular-uncut": (tw.Tower(doubling), singular),
+        "doubling-capped-cut": (tw.Tower(doubling, 2), singular.truncated(4.0)),
+        "doubling-full-constant": (tw.Tower(systems.doubling_full()),
+                                   sp.constant_roof(1.0)),
+    }
+
+
+def _chunking_matches(monkeypatch, case, k, cpus, n=3001):
+    """Whether flows cut into k chunks (on ``cpus`` mocked CPUs) equal the
+    one-chunk flows in every FlowState field, bit for bit."""
+    tower, roof = _chunking_cases()[case]
+    model = sp.SuspensionModel(tower, roof)
+    st = sp.sample_stationary(model, n, seed=21)
+    ts = (3.0, 0.25, 9.0)
+    with monkeypatch.context() as m:
+        ref, _ = _chunked(m, model, st, ts, 1, 1)
+    with monkeypatch.context() as m:
+        got, lengths = _chunked(m, model, st, ts, k, cpus)
+    assert len(lengths) == min(k, cpus) and sum(lengths) == n
+    assert max(lengths) - min(lengths) <= 1
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+               for a, b in zip(ref, got) for f in dataclasses.fields(a))
+
+
+@pytest.mark.parametrize("case", sorted(_chunking_cases()))
+@pytest.mark.parametrize("k, cpus", [(1, 3), (2, 3), (3, 3), (3, 1)])
+def test_flow_does_not_depend_on_its_chunking(monkeypatch, case, k, cpus):
+    # three threads on any number of cores, switching as often as they can
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert _chunking_matches(monkeypatch, case, k, cpus)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_parked_landings_are_flowed_in_chunks(monkeypatch):
+    # the 10-cell pm tower parks landings in every chunk
+    tower, roof = _chunking_cases()["pm-cosine-parked"]
+    model = sp.SuspensionModel(tower, roof)
+    st = sp.sample_stationary(model, 3001, seed=21)
+    out, _ = _chunked(monkeypatch, model, st, (12.0,), 3, 3)
+    assert all(part.sum() > 0 for part in np.array_split(out[0].parked, 3))
+
+
+def test_chunk_defect_fails_chunking_property(monkeypatch):
+    # planted defect: the chunks of a split flow lose their last points
+    chunk = sp._flow_chunk
+
+    def short(model, st, t):
+        if len(st) == 3001:
+            chunk(model, st, t)
+        else:
+            chunk(model, sp.FlowState(*(getattr(st, f.name)[:-1] for f
+                                        in dataclasses.fields(st))), t)
+
+    assert _chunking_matches(monkeypatch, "pm-cosine-uncut", 3, 3)
+    monkeypatch.setattr(sp, "_flow_chunk", short)
+    assert not _chunking_matches(monkeypatch, "pm-cosine-uncut", 3, 3)

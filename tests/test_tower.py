@@ -229,6 +229,25 @@ def test_land_from_any_level_matches_return_map(pm_tower):
     assert np.array_equal(cell, ind.cell_of(p))
 
 
+def test_land_from_the_top_climbs_nothing(pm_tower, monkeypatch):
+    # a point at level r has no step left: the landing is its position
+    ind = pm_tower.ind
+    rng = np.random.default_rng(6)
+    j = rng.integers(0, ind.J, 500)
+    y = ind.lo[j] + rng.random(500) * ind.widths[j]
+    top = ind.model.advance(y, ind.r[j])
+    climbs, climb = [], type(ind).climb
+    monkeypatch.setattr(type(ind), "climb", lambda self, *a:
+                        climbs.append(1) or climb(self, *a))
+    cell, p, parked = ind.land(j, ind.r[j], top)
+    assert climbs == [] and p is not top
+    assert np.array_equal(p, ind.F(j, y))
+    assert np.array_equal(cell, ind.cell_of(p)) and not parked.any()
+    lv = ind.r[j] - (np.arange(500) == 7)
+    cell, p, parked = ind.land(j, lv, ind.model.advance(y, lv))
+    assert climbs == [1] and np.array_equal(p, ind.F(j, y))
+
+
 def _word_climb_mismatches(ind, seed, n=1500):
     """Points at which the word climb ``ind.climb`` differs, bit for bit,
     from the branch-lookup climb ``model.advance``, over every step count

@@ -8,7 +8,8 @@ from towerlab import systems, suspension as sp
 from towerlab.transfer.basis import BIG, CylinderBasis
 from towerlab.transfer.towerop import _QN, _QW, TowerGrid, \
     map_correlation_operator
-from towerlab.transfer.operators import (assemble_R, assemble_twisted,
+from towerlab.transfer.operators import (FLIGHT_PHASE_MAX, assemble_R,
+                                         assemble_twisted,
                                          laplace_transform,
                                          lasota_yorke_check, resolvent_scan)
 
@@ -666,18 +667,41 @@ def _laplace_by_series(grid, v, w, s):
             (abs(term0) + size) / grid.hbar + abs(pole))
 
 
+def _max_roof(grid):
+    return max(float(np.max(h)) for h in grid.h_at)
+
+
 @settings(max_examples=20, deadline=None)
-@given(cut=st.booleans(), a=st.floats(0.2, 1.0), b=st.floats(-30.0, 30.0),
+@given(cut=st.booleans(), a=st.floats(0.2, 1.0), b=st.floats(-1.0, 1.0),
        v=st.sampled_from(sorted(sp.OBSERVABLES)),
        w=st.sampled_from(sorted(sp.OBSERVABLES)))
 def test_laplace_closed_form_is_the_series(small_pm_grid, small_pm_uncut,
                                            cut, a, b, v, w):
     # one solve of I - R_{-s} sums the operator series exactly, on the
-    # cut and on the uncut tower
+    # cut and on the uncut tower, at every Im s the flight rule resolves
+    # (b is the fraction of that range)
     grid = small_pm_grid if cut else small_pm_uncut
+    b *= FLIGHT_PHASE_MAX / _max_roof(grid)
     v, w, s = sp.OBSERVABLES[v](), sp.OBSERVABLES[w](), complex(a, b)
     ref, scale = _laplace_by_series(grid, v, w, s)
     assert abs(laplace_transform(grid, v, w, s) - ref) <= _SERIES_TOL * scale
+
+
+@pytest.mark.parametrize("cut", [True, False])
+def test_laplace_refuses_unresolved_abscissa(small_pm_grid, small_pm_uncut,
+                                             cut):
+    # past |Im s| max h = FLIGHT_PHASE_MAX the 16-node flight rule moves
+    # the value by more than 1e-10 relative against 64 nodes
+    grid = small_pm_grid if cut else small_pm_uncut
+    v = sp.trig_flow_observable()
+    limit = FLIGHT_PHASE_MAX / _max_roof(grid)
+    for b in (limit, -limit):
+        assert np.isfinite(laplace_transform(grid, v, v, complex(0.3, b)))
+    for b in (1.001 * limit, -1.001 * limit, 10 * limit):
+        s = complex(0.3, b)
+        with pytest.raises(ArithmeticError, match="not resolved") as err:
+            laplace_transform(grid, v, v, s)
+        assert f"s={s}" in str(err.value)
 
 
 def test_laplace_series_check_catches_dropped_climb(small_pm_grid,
