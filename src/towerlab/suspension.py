@@ -323,8 +323,9 @@ def sample_stationary(model: SuspensionModel, n: int, seed: int) -> FlowState:
 MIN_CHUNK = 20_000
 
 
-def _flow_threads() -> int:
-    """The CPUs this process may run on."""
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity, so that
+    ``taskset -c 0`` runs every flow and every tower step serially."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:
@@ -355,7 +356,7 @@ def flow(model: SuspensionModel, st: FlowState, t: float,
     if st.top is None:
         st.top, st.hmax = st.level.astype(np.int32), st.h.copy()
         st.parked = np.zeros(len(st), dtype=np.int32)
-    k = min(_flow_threads(), len(st) // MIN_CHUNK)
+    k = min(usable_cpus(), len(st) // MIN_CHUNK)
     if k <= 1:
         _flow_chunk(model, st, t)
     else:

@@ -11,6 +11,7 @@ series does not converge.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,6 +154,12 @@ def renewal_build(grid: TowerGrid, s: complex, horizon: int = 96,
 # First/last base-passage decomposition of L_s^n
 # ---------------------------------------------------------------------------
 
+# The block and descent norms of a decomposition do not depend on n: per
+# grid, they are kept under everything else they read, so a scan over n
+# computes them once.  A grid is not changed after it is built.
+_NORMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 @dataclass
 class DecompositionReport:
     n: int
@@ -177,7 +184,10 @@ def tower_operator_decomposition(grid: TowerGrid, s: complex, n: int,
     sum_{k+j=m} T_j B_k; so it is sum_m A_{n-m} base(U_m) + E_n, again n
     steps.  The block norms of A and E run to i = 2N over the levels the
     grid has; ``vanish_beyond`` reports whether they are zero from the
-    declared cut N on.
+    declared cut N on.  The norms do not depend on n: the first call
+    with a given grid, s, ``n_probes`` and seed computes them (the b-norm
+    probes follow the decomposition's in one stream), and later calls
+    get copies.
     """
     if grid.N is None:
         raise ValueError("the decomposition needs a truncated tower")
@@ -216,13 +226,17 @@ def tower_operator_decomposition(grid: TowerGrid, s: complex, n: int,
             scale = np.maximum(scale, np.abs(a).max(axis=0))
     residual = float(np.max(diff / scale))
 
-    climb = np.zeros(2 * N + 1)
-    for i, (c, mu) in enumerate(zip(cum[:2 * N + 1], grid.mu_at)):
-        climb[i] = np.sum(np.abs(np.exp(s * c)) * mu) / grid.rbar
-    a_norms = climb[1:]
-    e_norms = np.array([_interior_norm(grid, cum, s, i)
-                        for i in range(1, 2 * N + 1)])
-    b_norms = _b_norms(grid, B_apply, rng, min(N, 12))
+    norms = _NORMS.setdefault(grid, {})
+    key = (s, np.iscomplexobj(s), N, n_probes, seed)
+    if key not in norms:
+        climb = np.zeros(2 * N + 1)
+        for i, (c, mu) in enumerate(zip(cum[:2 * N + 1], grid.mu_at)):
+            climb[i] = np.sum(np.abs(np.exp(s * c)) * mu) / grid.rbar
+        norms[key] = (climb[1:],
+                      np.array([_interior_norm(grid, cum, s, i)
+                                for i in range(1, 2 * N + 1)]),
+                      _b_norms(grid, B_apply, rng, min(N, 12)))
+    a_norms, e_norms, b_norms = (a.copy() for a in norms[key])
     vanish = bool(np.all(a_norms[N - 1:] == 0.0)
                   and np.all(e_norms[N - 1:] == 0.0))
     return DecompositionReport(n=n, residual=residual, a_norms=a_norms,

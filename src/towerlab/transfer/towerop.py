@@ -9,19 +9,52 @@ decompositions and map-level correlations.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from towerlab.maps import suffix_starts
-from towerlab.suspension import Observable, RoofFunction
+from towerlab.suspension import Observable, RoofFunction, usable_cpus
 from towerlab.transfer.basis import CylinderBasis
 from towerlab.transfer.diameters import GroupDiameters
 
 __all__ = ["TowerGrid", "map_correlation_operator"]
 
 _QN, _QW = leggauss(16)
+
+# A twisted step with at least this much tail work (tail cells times
+# columns) runs its base product on the worker thread while the calling
+# thread twists the tails; a smaller step loses more to the hand-off than
+# it gains from the second core.  The break-even was measured at one BLAS
+# thread: when BLAS itself runs on every core, the hand-off gains nothing.
+MIN_OVERLAP = 1 << 16
+
+_worker: ThreadPoolExecutor | None = None
+_worker_lock = threading.Lock()
+
+
+def _base_worker() -> ThreadPoolExecutor:
+    """The module's one worker thread, started on first use."""
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = ThreadPoolExecutor(1, thread_name_prefix="towerop")
+        return _worker
+
+
+def _forget_worker() -> None:
+    """A forked child has none of its parent's threads: it starts its own
+    worker on first use."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
 
 
 class TowerGrid:
@@ -110,18 +143,29 @@ class TowerGrid:
         The heads of the levels, concatenated, are the column tops in leaf
         order: they go through Mhat to the new base.  The tails are the next
         levels; untwisted they are views of V, so V must not be written to
-        while the result is in use."""
+        while the result is in use.  A twisted step with at least
+        ``MIN_OVERLAP`` tail work, in a process that may run on two CPUs,
+        hands the product to the worker thread and twists the tails
+        meanwhile; BLAS releases the GIL.  Both sides do the same
+        operations on the same operands, so the result does not depend on
+        the hand-off, bit for bit."""
         if s is None or s == 0:
             heads = [v[:k] for v, k in zip(V, self.n_top)]
             tails = [v[k:] for v, k in zip(V[:-1], self.n_top)]
-        else:
-            col = (slice(None),) + (None,) * (V[0].ndim - 1)
-            heads, tails = [], []
-            for v, t, k in zip(V, self._twists(s), self.n_top):
-                heads.append(t[:k][col] * v[:k])
-                tails.append(t[k:][col] * v[k:])
-            tails.pop()
-        return [self.basis.apply(np.concatenate(heads))] + tails
+            return [self.basis.apply(np.concatenate(heads))] + tails
+        col = (slice(None),) + (None,) * (V[0].ndim - 1)
+        twists = self._twists(s)
+        tops = np.concatenate([t[:k][col] * v[:k]
+                               for v, t, k in zip(V, twists, self.n_top)])
+        columns = V[0].size // len(V[0])
+        base = None
+        if sum(map(len, V[1:])) * columns >= MIN_OVERLAP \
+                and usable_cpus() >= 2:
+            base = _base_worker().submit(self.basis.apply, tops)
+        tails = [t[k:][col] * v[k:]
+                 for v, t, k in zip(V[:-1], twists, self.n_top)]
+        return [self.basis.apply(tops) if base is None
+                else base.result()] + tails
 
     def integrate(self, V: list):
         """Integral against the tower measure mu_Y x counting / rbar."""

@@ -1,10 +1,15 @@
 import math
+import multiprocessing
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from towerlab import systems, suspension as sp
+from towerlab.transfer import towerop
 from towerlab.transfer.basis import BIG, CylinderBasis
 from towerlab.transfer.towerop import _QN, _QW, TowerGrid, \
     map_correlation_operator
@@ -838,6 +843,206 @@ def test_step_matches_cell_by_cell(small_pm_grid, N, s):
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
             assert all(np.array_equal(a, b) for a, b in zip(V, before))
+
+
+class _Handoffs:
+    """The module's worker, counting the base products handed to it and
+    the threads that ran them; ``tamper`` may change the tops on the way."""
+
+    def __init__(self, tamper=None):
+        self.worker, self.tamper = towerop._base_worker(), tamper
+        self.count, self.threads = 0, set()
+
+    def submit(self, apply, tops):
+        self.count += 1
+
+        def run():
+            self.threads.add(threading.get_ident())
+            return apply(tops if self.tamper is None else self.tamper(tops))
+
+        return self.worker.submit(run)
+
+
+def _forced_overlap(monkeypatch, cpus=2, tamper=None) -> _Handoffs:
+    """Every twisted step hands off, on ``cpus`` mocked CPUs."""
+    monkeypatch.setattr(towerop, "MIN_OVERLAP", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    handoffs = _Handoffs(tamper)
+    monkeypatch.setattr(towerop, "_base_worker", lambda: handoffs)
+    return handoffs
+
+
+def _overlap_matches(grid, handoffs, s) -> bool:
+    """Whether two overlapped steps equal two cell-by-cell steps bit for
+    bit, on real and complex states of one and of three columns, leave
+    their input unchanged, and each hand off once, to another thread."""
+    rng = np.random.default_rng(17)
+    ok = True
+    for shape in ((), (1,), (3,)):
+        for cplx in (False, True):
+            V = [rng.standard_normal((len(m),) + shape) for m in grid.mu_at]
+            if cplx:
+                V = [v + 1j * rng.standard_normal(v.shape) for v in V]
+            before = [v.copy() for v in V]
+            count = handoffs.count
+            got = grid.step(grid.step(V, s), s)
+            want = _step_by_cells(grid, _step_by_cells(grid, before, s), s)
+            assert handoffs.count == count + 2
+            assert all(np.array_equal(a, b) for a, b in zip(V, before))
+            ok &= all(a.dtype == b.dtype and np.array_equal(a, b)
+                      for a, b in zip(got, want))
+    assert handoffs.threads and threading.get_ident() not in handoffs.threads
+    return ok
+
+
+@pytest.mark.parametrize("s", [0.3, -0.2 + 5j])
+def test_overlapped_step_matches_cell_by_cell(small_pm_grid, monkeypatch, s):
+    # the base product on the worker thread, the tails on this one, with
+    # a 1 us switch interval
+    handoffs = _forced_overlap(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert _overlap_matches(small_pm_grid, handoffs, s)
+    finally:
+        sys.setswitchinterval(interval)
+    assert handoffs.count == 12
+
+
+def test_overlap_defect_fails_the_step_property(small_pm_grid, monkeypatch):
+    # planted defect: the handed-off tops lose the last level's head
+    last = small_pm_grid.n_top[-1]
+
+    def lose_last_head(tops):
+        tops = tops.copy()
+        tops[-last:] = 0.0
+        return tops
+
+    handoffs = _forced_overlap(monkeypatch, tamper=lose_last_head)
+    assert not _overlap_matches(small_pm_grid, handoffs, 0.3)
+
+
+@pytest.mark.parametrize("cpus, s, min_overlap", [
+    (1, 0.3, 0), (1, -0.2 + 5j, 0), (2, None, 0), (2, 0, 0),
+    (2, 0.3, 3 * 486)])
+def test_step_stays_serial(small_pm_grid, monkeypatch, cpus, s, min_overlap):
+    # one CPU, an untwisted step or tail work (485 cells x 3 columns)
+    # below MIN_OVERLAP: the product runs on the calling thread
+    handoffs = _forced_overlap(monkeypatch, cpus)
+    monkeypatch.setattr(towerop, "MIN_OVERLAP", min_overlap)
+    grid = small_pm_grid
+    assert sum(len(m) for m in grid.mu_at[1:]) == 485
+    V = [np.ones((len(m), 3)) for m in grid.mu_at]
+    got = grid.step(grid.step(V, s), s)
+    want = _step_by_cells(grid, _step_by_cells(grid, V, s), s)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert handoffs.count == 0
+
+
+def test_concurrent_steps_share_one_worker(small_pm_grid, monkeypatch):
+    # three threads on two cores step through the one worker, started
+    # lazily by whichever asks first, with a 1 us switch interval
+    monkeypatch.setattr(towerop, "MIN_OVERLAP", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(towerop, "_worker", None)
+    started = []
+    executor = towerop.ThreadPoolExecutor
+    monkeypatch.setattr(towerop, "ThreadPoolExecutor",
+                        lambda *a, **k: started.append(1) or executor(*a, **k))
+    grid = small_pm_grid
+    rng = np.random.default_rng(9)
+    states = [[rng.standard_normal((len(m), 2)) + 1j for m in grid.mu_at]
+              for _ in range(3)]
+    want, got = [], [None] * 3
+    for V in states:
+        for s in (0.3, -0.2 + 5j) * 5:
+            V = _step_by_cells(grid, V, s)
+        want.append(V)
+
+    def run(i):
+        V = states[i]
+        for s in (0.3, -0.2 + 5j) * 5:
+            V = grid.step(V, s)
+        got[i] = V
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert started == [1]
+    towerop._worker.shutdown()
+    for a, b in zip(got, want):
+        assert a is not None
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_forked_child_starts_its_own_worker(small_pm_grid, monkeypatch):
+    # a child forked after a step used the worker has no worker thread of
+    # its own: its first overlapped step starts one and completes
+    monkeypatch.setattr(towerop, "MIN_OVERLAP", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    grid, s = small_pm_grid, -0.2 + 5j
+    rng = np.random.default_rng(4)
+    V = [rng.standard_normal((len(m), 3)) + 1j for m in grid.mu_at]
+    want = grid.step(V, s)
+    assert towerop._worker is not None
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+
+    def child():
+        send.send([towerop._worker is None] + grid.step(V, s))
+
+    proc = ctx.Process(target=child)
+    proc.start()
+    try:
+        assert recv.poll(60), "the forked child's step did not complete"
+        fresh, *got = recv.recv()
+    finally:
+        proc.join(10)
+        if proc.is_alive():
+            proc.kill()
+    assert not proc.is_alive() and proc.exitcode == 0
+    assert fresh
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_decomposition_norms_once_per_probe_draw(small_pm_grid, monkeypatch):
+    # the norms do not depend on n: a scan over n computes them on its
+    # first call, and gives what a grid with no kept norms gives
+    from towerlab.transfer import renewal
+    calls = []
+    b_norms = renewal._b_norms
+    monkeypatch.setattr(renewal, "_b_norms",
+                        lambda *a: calls.append(1) or b_norms(*a))
+
+    def fresh_grid():
+        return TowerGrid(small_pm_grid.basis, sp.cosine_roof(), 6)
+
+    grid, s = fresh_grid(), 0.3 + 2j
+    reps = [renewal.tower_operator_decomposition(grid, s, n, n_probes=2,
+                                                 seed=3) for n in (1, 4, 9)]
+    assert len(calls) == 1
+    other = renewal.tower_operator_decomposition(grid, s, 4, n_probes=3,
+                                                 seed=3)
+    assert len(calls) == 2
+    ref = renewal.tower_operator_decomposition(fresh_grid(), s, 4,
+                                               n_probes=2, seed=3)
+    assert len(calls) == 3
+    for field in ("a_norms", "e_norms", "b_norms"):
+        for rep in reps:
+            assert np.array_equal(getattr(rep, field), getattr(ref, field))
+    assert not np.array_equal(other.b_norms, ref.b_norms)
+    assert np.array_equal(other.a_norms, ref.a_norms)
+    reps[0].b_norms[:] = 0.0
+    assert np.array_equal(renewal.tower_operator_decomposition(
+        grid, s, 2, n_probes=2, seed=3).b_norms, ref.b_norms)
 
 
 def test_vanish_beyond_fails_past_the_cut(small_pm_grid):
