@@ -304,7 +304,7 @@ CHECKS = [
 ]
 
 
-def run_all(out_dir: str | None = None) -> list[CheckResult]:
+def run_all() -> list[CheckResult]:
     results = []
     for num, fn in CHECKS:
         res = fn()
@@ -312,11 +312,4 @@ def run_all(out_dir: str | None = None) -> list[CheckResult]:
         status = "PASS" if res.passed else "FAIL"
         print(f"[{status}] criterion {num}: {res.name} "
               f"({res.detail}) [{res.seconds:.1f}s]", flush=True)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "acceptance.csv"), "w") as fh:
-            fh.write("criterion,passed,detail,seconds\n")
-            for (num, _), res in zip(CHECKS, results):
-                fh.write(f"{num},{int(res.passed)},\"{res.detail}\","
-                         f"{res.seconds:.2f}\n")
     return results

@@ -180,6 +180,25 @@ def _out(run: Run, name: str) -> str:
     return os.path.join(run.out, name)
 
 
+def _cell(x) -> str:
+    if isinstance(x, (bool, np.bool_)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return f"{x:.17g}"
+    return str(x)
+
+
+def _csv(run: Run, name: str, header: str, rows) -> str:
+    """Write the table ``name`` under --out, once all its rows exist: the
+    header, then one line per row, floats as :.17g, bools as 0/1 and every
+    other value as str."""
+    lines = [header] + [",".join(map(_cell, row)) for row in rows]
+    path = _out(run, name)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
+
+
 def _plot_script(run: Run, name: str, csv: str, xcol: str, ycols: list[str],
                  logx: bool = False, logy: bool = False) -> None:
     lines = [
@@ -206,8 +225,8 @@ def _plot_script(run: Run, name: str, csv: str, xcol: str, ycols: list[str],
 
 def cmd_induce(run: Run) -> None:
     ind = _build_induced(run)
-    path = _out(run, "cells.csv")
-    ind.to_csv(path)
+    path = _csv(run, "cells.csv", "j,r,lo,hi,muY",
+                zip(range(ind.J), ind.r, ind.lo, ind.hi, ind.muY))
     print(f"induce: {ind.J} cells, rbar={ind.mean_return:.6f}, "
           f"tail mass {ind.tail_mass:.3e} -> {path}")
 
@@ -217,14 +236,14 @@ def cmd_tail(run: Run) -> None:
     if horizon <= 400:  # the fit window [100, horizon - 1] needs 4x range
         raise ValueError(f"[map] tail_horizon = {horizon}: not above 400")
     ind = _build_induced(run)
-    path = _out(run, "tail.csv")
     ns = np.unique(np.geomspace(1, ind.tail_horizon - 1, 200).astype(int))
-    with open(path, "w") as fh:
-        fh.write("n,muY_total,muY_raw,muY_extrapolated,mu0_exact\n")
-        for n in ns:
-            tv = maps.return_time_tail(ind, int(n))
-            fh.write(f"{n},{tv.total:.17g},{tv.raw:.17g},"
-                     f"{tv.extrapolated:.17g},{ind.mu0_tail(int(n)):.17g}\n")
+    rows = []
+    for n in ns:
+        tv = maps.return_time_tail(ind, int(n))
+        rows.append((n, tv.total, tv.raw, tv.extrapolated,
+                     ind.mu0_tail(int(n))))
+    path = _csv(run, "tail.csv",
+                "n,muY_total,muY_raw,muY_extrapolated,mu0_exact", rows)
     fit = maps.fit_tail_exponent(ind, 100, min(10000, ind.tail_horizon - 1))
     _plot_script(run, "tail", path, "n", ["muY_total", "mu0_exact"],
                  logx=True, logy=True)
@@ -236,24 +255,26 @@ def cmd_tail(run: Run) -> None:
 
 def cmd_tower(run: Run) -> None:
     t = tw.Tower(_build_induced(run))
-    path = _out(run, "tower.csv")
-    t.to_csv(path)
+    ind, col = t.ind, t.cell_col
+    ends = t.column_positions(np.column_stack([ind.lo, ind.hi]))
+    path = _csv(run, "tower.csv", "j,level,measure,r,r_trunc,lo_proj,hi_proj",
+                zip(col, t.cell_level, t.column_mass[col], ind.r[col],
+                    t.heights[col], ends[:, 0], ends[:, 1]))
     print(f"tower: {t.n_cells} cells, rbar={t.rbar:.6f}, "
           f"mass {t.total_mass:.12f} -> {path}")
 
 
 def cmd_truncate(run: Run) -> None:
     ind = _build_induced(run)
-    path = _out(run, "truncate.csv")
-    worst = 0.0
-    with open(path, "w") as fh:
-        fh.write("N,mean_defect_lhs,mean_defect_rhs,tall_lhs,tall_rhs\n")
-        for N in run["grids", "N_list"]:
-            tt = tw.Tower(ind, N)
-            l1, r1 = tt.identity_mean_defect()
-            l2, r2 = tt.identity_tall_mass()
-            worst = max(worst, abs(l1 - r1), abs(l2 - r2))
-            fh.write(f"{N},{l1:.17g},{r1:.17g},{l2:.17g},{r2:.17g}\n")
+    worst, rows = 0.0, []
+    for N in run["grids", "N_list"]:
+        tt = tw.Tower(ind, N)
+        l1, r1 = tt.identity_mean_defect()
+        l2, r2 = tt.identity_tall_mass()
+        worst = max(worst, abs(l1 - r1), abs(l2 - r2))
+        rows.append((N, l1, r1, l2, r2))
+    path = _csv(run, "truncate.csv",
+                "N,mean_defect_lhs,mean_defect_rhs,tall_lhs,tall_rhs", rows)
     print(f"truncate: identities hold to {worst:.3e} -> {path}")
     if worst > 1e-12:
         raise CheckFailure(f"truncation identities defect {worst:.3e}")
@@ -265,11 +286,7 @@ def cmd_corr_map(run: Run) -> None:
         raise ValueError(f"[grids] n_max = {n_max}: below 11")
     c = map_correlation_operator(_build_basis(run), lambda x: x - 0.5,
                                  lambda x: x - 0.5, n_max)
-    path = _out(run, "corr_map.csv")
-    with open(path, "w") as fh:
-        fh.write("n,rho\n")
-        for n, v in enumerate(c):
-            fh.write(f"{n},{v:.17g}\n")
+    path = _csv(run, "corr_map.csv", "n,rho", enumerate(c))
     ns = np.arange(10, n_max + 1)
     good = np.abs(c[10:]) > 0
     coef = np.polyfit(np.log(ns[good]), np.log(np.abs(c[10:][good])), 1)
@@ -282,11 +299,12 @@ def cmd_corr_flow(run: Run) -> None:
                                _build_roof(run))
     cs = sp.correlation_mc(model, *_build_obs(run), run["grids", "t_grid"],
                            run["run", "samples"], run["run", "seed"])
-    path = _out(run, "corr_flow.csv")
-    cs.to_csv(path)
+    path = _csv(run, "corr_flow.csv", "t,rho,stderr,n_samples,seed",
+                [(t, r, e, cs.n_samples, cs.seed)
+                 for t, r, e in zip(cs.t, cs.rho, cs.stderr)])
     _plot_script(run, "corr_flow", path, "t", ["rho"])
     print(f"corr-flow: rho({cs.t[-1]:g}) = {cs.rho[-1]:.5f} "
-          f"+- {cs.stderr[-1]:.5f} -> {path}")
+          f"+- {cs.stderr[-1]:.5f}, {cs.oob} parked landings -> {path}")
 
 
 def cmd_trunc_error(run: Run) -> None:
@@ -294,8 +312,9 @@ def cmd_trunc_error(run: Run) -> None:
         _build_induced(run), _build_roof(run), *_build_obs(run),
         run["grids", "N_list"], run["grids", "t_grid"], run["run", "samples"],
         run["run", "seed"])
-    path = _out(run, "trunc_error.csv")
-    tab.to_csv(path)
+    path = _csv(run, "trunc_error.csv", "N,t,measured,stderr,bound,ratio",
+                [(r.N, r.t, r.measured, r.stderr, r.bound, r.ratio)
+                 for r in tab.rows])
     _plot_script(run, "trunc_error", path, "t", ["measured", "bound"],
                  logy=True)
     print(f"trunc-error: fitted C {tab.fitted_C:.4f}, "
@@ -309,12 +328,10 @@ def cmd_roof_trunc(run: Run) -> None:
         _build_induced(run), _build_roof(run), *_build_obs(run),
         run["grids", "N_list"], run["grids", "t_grid"], run["run", "samples"],
         run["run", "seed"], q_log_trunc=run["grids", "q_log"])
-    path = _out(run, "roof_trunc.csv")
-    with open(path, "w") as fh:
-        fh.write("N,t,measured,stderr,bound,second_measured,second_bound\n")
-        for r, r2 in zip(out["rows"], out["second_rows"]):
-            fh.write(f"{r.N},{r.t:.17g},{r.measured:.17g},{r.stderr:.17g},"
-                     f"{r.bound:.17g},{r2.measured:.17g},{r2.bound:.17g}\n")
+    path = _csv(run, "roof_trunc.csv",
+                "N,t,measured,stderr,bound,second_measured,second_bound",
+                [(r.N, r.t, r.measured, r.stderr, r.bound, r2.measured,
+                  r2.bound) for r, r2 in zip(out["rows"], out["second_rows"])])
     print(f"roof-trunc: fitted C {out['fitted_C']:.4f} "
           f"stable {out['stable_within']:.2f}; second-cut C "
           f"{out['second_fitted_C']:.4f} stable "
@@ -328,8 +345,10 @@ def cmd_resolvent(run: Run) -> None:
                         run["grids", "b_grid"], run["grids", "omega_grid"],
                         N=run["tower", "N"], C6=run["basis", "C6"],
                         seed=run["run", "seed"])
-    path = _out(run, "resolvent.csv")
-    sc.to_csv(path)
+    path = _csv(run, "resolvent.csv",
+                "b,omega,norm_estimate,resonance_flag,alpha_fit",
+                [(b, om, ne, rf, sc.alpha_fit) for b, om, ne, rf
+                 in zip(sc.b, sc.omega, sc.norm_estimate, sc.resonance)])
     _plot_script(run, "resolvent", path, "b", ["norm_estimate"], logy=True)
     print(f"resolvent: {int(sc.resonance.sum())} flags, "
           f"alpha fit {sc.alpha_fit:.3f} -> {path}")
@@ -341,12 +360,8 @@ def _tower_grid(run: Run) -> TowerGrid:
 
 def cmd_renewal(run: Run) -> None:
     rd = renewal_build(_tower_grid(run), run["grids", "s"])
-    path = _out(run, "renewal.csv")
-    with open(path, "w") as fh:
-        fh.write("omega,residual,raw_residual\n")
-        for om, r, rr in zip(np.imag(rd.z_points), rd.residuals,
-                             rd.raw_residuals):
-            fh.write(f"{om:.17g},{r:.17g},{rr:.17g}\n")
+    path = _csv(run, "renewal.csv", "omega,residual,raw_residual",
+                zip(np.imag(rd.z_points), rd.residuals, rd.raw_residuals))
     print(f"renewal: max residual {rd.max_residual:.3e} "
           f"(raw tail {rd.raw_tail:.2e}) -> {path}")
     if rd.max_residual > 1e-8:
@@ -355,14 +370,12 @@ def cmd_renewal(run: Run) -> None:
 
 def cmd_decomp(run: Run) -> None:
     grid = _tower_grid(run)
-    path = _out(run, "decomp.csv")
-    worst = 0.0
-    with open(path, "w") as fh:
-        fh.write("n,residual,vanish_beyond\n")
-        for n in run["grids", "n_list"]:
-            rep = tower_operator_decomposition(grid, run["grids", "s"], n)
-            worst = max(worst, rep.residual)
-            fh.write(f"{n},{rep.residual:.17g},{int(rep.vanish_beyond)}\n")
+    worst, rows = 0.0, []
+    for n in run["grids", "n_list"]:
+        rep = tower_operator_decomposition(grid, run["grids", "s"], n)
+        worst = max(worst, rep.residual)
+        rows.append((n, rep.residual, rep.vanish_beyond))
+    path = _csv(run, "decomp.csv", "n,residual,vanish_beyond", rows)
     print(f"decomp: worst residual {worst:.3e} -> {path}")
     if worst > 1e-8:
         raise CheckFailure("decomposition residual above 1e-8")
@@ -371,11 +384,8 @@ def cmd_decomp(run: Run) -> None:
 def cmd_laplace(run: Run) -> None:
     s = run["grids", "s"]
     value = laplace_transform(_tower_grid(run), *_build_obs(run), s)
-    path = _out(run, "laplace.csv")
-    with open(path, "w") as fh:
-        fh.write("s_re,s_im,value_re,value_im\n")
-        fh.write(f"{s.real:.17g},{s.imag:.17g},{value.real:.17g},"
-                 f"{value.imag:.17g}\n")
+    path = _csv(run, "laplace.csv", "s_re,s_im,value_re,value_im",
+                [(s.real, s.imag, value.real, value.imag)])
     print(f"laplace: rho-hat({s}) = {value:.6g} -> {path}")
 
 
@@ -384,8 +394,10 @@ def cmd_budget(run: Run) -> None:
     if not beta > 0:  # p, eps and q are derived from beta > 0
         raise ValueError(f"[grids] beta = {beta}: not > 0")
     b = rates.rate_budget(beta=beta, gamma=run["grids", "gamma"])
-    path = _out(run, "budget.csv")
-    b.to_csv(path)
+    path = _csv(run, "budget.csv",
+                "t,N,term1,term2,term3,term4,dominant,predicted_rate",
+                [(t, N, *terms, dom, b.predicted_rate) for t, N, terms, dom
+                 in zip(b.t, b.N, b.terms.T, b.dominant)])
     _plot_script(run, "budget", path, "t",
                  ["term1", "term2", "term3", "term4"], logx=True, logy=True)
     defect = rates.budget_matches_rate(b)
@@ -399,12 +411,9 @@ def cmd_periodic(run: Run) -> None:
     sub = per.FiniteSubsystem(_build_induced(run), run["grids", "symbols"])
     triples = per.enumerate_periodic(sub, run["grids", "q_max"],
                                      roof=_build_roof(run))
-    path = _out(run, "periodic.csv")
-    with open(path, "w") as fh:
-        fh.write("word,q,d,tau\n")
-        for t in triples:
-            fh.write(f"{'-'.join(map(str, t.word))},{t.q},{t.d},"
-                     f"{t.tau:.17g}\n")
+    path = _csv(run, "periodic.csv", "word,q,d,tau",
+                [("-".join(map(str, t.word)), t.q, t.d, t.tau)
+                 for t in triples])
     print(f"periodic: {len(triples)} primitive orbits -> {path}")
 
 
@@ -414,28 +423,31 @@ def cmd_eigenfun(run: Run) -> None:
     bg, og = run["grids", "b_grid"], run["grids", "omega_grid"]
     rep = per.approx_eigenfunction_search(sub, roof, bg, og,
                                           alpha=run["grids", "alpha"])
-    path = _out(run, "eigenfun.csv")
-    rep.to_csv(path)
+    path = _csv(run, "eigenfun.csv", "b,omega,phi_star,residual,scaled",
+                [(r.b, r.omega, r.phi, r.residual, r.scaled)
+                 for r in rep.rows])
     # the theorem-side constants are existential: sweep trial values and
     # report the alignment verdict per combination
     triples = per.enumerate_periodic(sub, run["grids", "q_max"], roof=roof)
-    path2 = _out(run, "diophantine.csv")
-    with open(path2, "w") as fh:
-        fh.write("alpha,C,b,omega,phi_star,residual,pass_flag\n")
-        for a in (1.0, 2.0, 4.0):
-            for C in (1.0, 10.0):
-                dio = per.diophantine_check(triples, bg, og, alpha=a, C=C)
-                for r in dio.rows:
-                    fh.write(f"{a:g},{C:g},{r.b:.17g},{r.omega:.17g},"
-                             f"{r.phi:.17g},{r.worst:.17g},{int(r.passes)}\n")
-                print(f"  alignment: {dio.evidence()}")
+    rows = []
+    for a in (1.0, 2.0, 4.0):
+        for C in (1.0, 10.0):
+            dio = per.diophantine_check(triples, bg, og, alpha=a, C=C)
+            rows += [(f"{a:g}", f"{C:g}", r.b, r.omega, r.phi, r.worst,
+                      r.passes) for r in dio.rows]
+            print(f"  alignment: {dio.evidence()}")
+    path2 = _csv(run, "diophantine.csv",
+                 "alpha,C,b,omega,phi_star,residual,pass_flag", rows)
     small = sum(1 for r in rep.rows if r.scaled < 0.1)
     print(f"eigenfun: {small} small-residual points -> {path}, {path2}")
 
 
 def cmd_accept(run: Run) -> None:
     from towerlab import acceptance
-    results = acceptance.run_all(out_dir=run.out)
+    results = acceptance.run_all()
+    _csv(run, "acceptance.csv", "criterion,passed,detail,seconds",
+         [(num, res.passed, f'"{res.detail}"', f"{res.seconds:.2f}")
+          for (num, _), res in zip(acceptance.CHECKS, results)])
     failed = [r for r in results if not r.passed]
     if failed:
         raise CheckFailure(f"{len(failed)} acceptance criteria failed")

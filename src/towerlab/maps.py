@@ -526,14 +526,6 @@ class InducedMap:
         base_mid = br.inv(ladder_mid[rs - 1])
         return rs, muY, np.asarray(base_mid), ladder_mid
 
-    # -- serialisation ----------------------------------------------------------
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("j,r,lo,hi,muY\n")
-            for j, c in enumerate(self.cells):
-                fh.write(f"{j},{c.r},{c.lo:.17g},{c.hi:.17g},{self.muY[j]:.17g}\n")
-
     # -- structural checks -------------------------------------------------------
 
     def check_bijectivity(self, tol: float = 1e-9) -> float:

@@ -273,13 +273,6 @@ class EigenfunctionReport:
     alpha: float
     depth: int
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("b,omega,phi_star,residual,scaled\n")
-            for r in self.rows:
-                fh.write(f"{r.b:.17g},{r.omega:.17g},{r.phi:.17g},"
-                         f"{r.residual:.17g},{r.scaled:.17g}\n")
-
 
 def approx_eigenfunction_search(sub: FiniteSubsystem, roof: RoofFunction,
                                 b_grid, omega_grid, alpha: float = 2.0,

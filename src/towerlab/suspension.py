@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable
 
@@ -425,14 +425,7 @@ class CorrelationSeries:
     stderr: np.ndarray
     n_samples: int
     seed: int
-    meta: dict = field(default_factory=dict)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t,rho,stderr,n_samples,seed\n")
-            for t, r, s in zip(self.t, self.rho, self.stderr):
-                fh.write(f"{t:.17g},{r:.17g},{s:.17g},"
-                         f"{self.n_samples},{self.seed}\n")
+    oob: int   # parked landings over the whole flow
 
 
 N_BATCHES = 32
@@ -468,8 +461,7 @@ def correlation_mc(model: SuspensionModel, v: Observable, w: Observable,
               for wt in _flow_series(model, st, w, t_grid)]
     rho, err = np.array(series).reshape(-1, 2).T
     return CorrelationSeries(t=t_grid, rho=rho, stderr=err,
-                             n_samples=n_samples, seed=seed,
-                             meta={"roof": model.roof.name, "oob": st.oob})
+                             n_samples=n_samples, seed=seed, oob=st.oob)
 
 
 def _flow_series(model: SuspensionModel, st: FlowState, w: Observable,
@@ -576,13 +568,6 @@ class TruncationTable:
     kept_fraction: float
     oob: dict[str, int]   # parked landings: "full" flow, "truncated" flows
     reflowed: dict[int, int]   # per N, the kept points the cut diverted
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("N,t,measured,stderr,bound,ratio\n")
-            for r in self.rows:
-                fh.write(f"{r.N},{r.t:.17g},{r.measured:.17g},"
-                         f"{r.stderr:.17g},{r.bound:.17g},{r.ratio:.17g}\n")
 
 
 def _ratio_stability(rows: list[TruncationRow]) -> tuple[float, float]:

@@ -78,18 +78,6 @@ class Tower:
             out[self.start[f:] + ell] = vals
         return out
 
-    def to_csv(self, path) -> None:
-        ind = self.ind
-        ends = iter(self.column_positions(np.column_stack([ind.lo, ind.hi])))
-        with open(path, "w") as fh:
-            fh.write("j,level,measure,r,r_trunc,lo_proj,hi_proj\n")
-            for j in range(ind.J):
-                for ell in range(int(self.heights[j])):
-                    lo, hi = next(ends)
-                    fh.write(f"{j},{ell},{self.column_mass[j]:.17g},"
-                             f"{ind.r[j]},{self.heights[j]},"
-                             f"{lo:.17g},{hi:.17g}\n")
-
     # -- exact truncation identities of a cut tower (represented mass) -------
 
     def tall_part_mass(self) -> float:

@@ -169,14 +169,6 @@ class ResolventScan:
     alpha_fit: float
     residuals: np.ndarray
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("b,omega,norm_estimate,resonance_flag,alpha_fit\n")
-            for b, om, ne, rf in zip(self.b, self.omega,
-                                     self.norm_estimate, self.resonance):
-                fh.write(f"{b:.17g},{om:.17g},{ne:.17g},{int(rf)},"
-                         f"{self.alpha_fit:.17g}\n")
-
 
 def _b_probes(basis: CylinderBasis, b: float, n_random: int,
               rng) -> np.ndarray:
@@ -318,8 +310,10 @@ def laplace_transform(grid: TowerGrid, v: Observable, w: Observable,
         raise ArithmeticError(f"Laplace transform at s={s} is not resolved: "
                               f"|Im s| max h = {phase:.4g} is above "
                               f"{FLIGHT_PHASE_MAX}, the flight rule's limit")
-    v_s = grid.state_from_observable(v, weight=lambda u: np.exp(s * u))
-    w_s = grid.state_from_observable(w, weight=lambda u: np.exp(-s * u))
+    # an overflowing weight is refused just below, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_s = grid.state_from_observable(v, weight=lambda u: np.exp(s * u))
+        w_s = grid.state_from_observable(w, weight=lambda u: np.exp(-s * u))
     if not all(np.isfinite(x).all() for x in v_s + w_s):
         raise ArithmeticError(f"e^(+-s u)-weighted state not finite at s={s}")
     vbar = complex(grid.integrate(grid.state_from_observable(v))) / grid.hbar

@@ -42,14 +42,6 @@ class RateBudget:
     dN_class: str
     dN_defect: float             # fit defect of d_N against its class
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t,N,term1,term2,term3,term4,dominant,predicted_rate\n")
-            for i, t in enumerate(self.t):
-                row = ",".join(f"{x:.17g}" for x in self.terms[:, i])
-                fh.write(f"{t:.17g},{self.N[i]},{row},"
-                         f"{int(self.dominant[i])},{self.predicted_rate}\n")
-
 
 def _synthetic_tails(beta: float, gamma: float, horizon: int) -> np.ndarray:
     k = np.arange(1, horizon + 1)
@@ -111,7 +103,8 @@ def rate_budget(beta: float, gamma: float = 0.0) -> RateBudget:
     term1 = LN ** gamma * N ** (-beta)
     term2 = t_grid * LN ** gamma * N ** (-(beta + 1.0))
     term3 = dN * N ** (1.0 + D) * np.exp(-eps * LN / N * t_grid)
-    term4 = (dN * N ** D) ** (p + 2.0) * t_grid ** (-p)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        term4 = (dN * N ** D) ** (p + 2.0) * t_grid ** (-p)
     terms = np.vstack([term1, term2, term3, term4])
     if not np.isfinite(terms).all():
         raise ArithmeticError(f"budget term not finite at beta = {beta:g}")

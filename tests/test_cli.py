@@ -1,10 +1,13 @@
+import math
 import os
+import string
 import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from towerlab import cli
+from towerlab import cli, periodic as per, tower as tw
 
 
 @pytest.fixture()
@@ -254,14 +257,14 @@ def test_byte_identical_reruns(pm_config, tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.filterwarnings("error")
 def test_laplace_overflow_is_numerical_error(doubling_config, tmp_path,
                                             capsys):
     # e^{s u} overflows under the power-singularity roof at s = 0.5: the
-    # series must stop with exit 4, not report nan as a result
+    # series must stop with exit 4, not report nan as a result, and numpy
+    # must not warn before the "numerical error" line
     out = tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = run(["laplace", "--config", doubling_config,
-                    "--out", str(out)])
+    code = run(["laplace", "--config", doubling_config, "--out", str(out)])
     assert code == 4
     assert "numerical error" in capsys.readouterr().err
     assert not (out / "laplace.csv").exists()
@@ -400,14 +403,15 @@ def test_default_section_is_config_error(text, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
 def test_budget_overflow_is_numerical_error(tmp_path, capsys):
     # p = (2 - beta)/beta + 1 overflows the contour term: this wrote nan
-    # terms and passed, since nan > 0.1 is False
+    # terms and passed, since nan > 0.1 is False; numpy must not warn
+    # before the "numerical error" line
     cfg = tmp_path / "budget.ini"
     cfg.write_text("[grids]\nbeta = 0.0001\n")
     out = tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = run(["budget", "--config", str(cfg), "--out", str(out)])
+    code = run(["budget", "--config", str(cfg), "--out", str(out)])
     assert code == 4
     assert "numerical error" in capsys.readouterr().err
     assert not out.exists()
@@ -437,3 +441,68 @@ def test_per_subcommand_defaults(doubling_config, tmp_path):
                     "--out", str(tmp_path / name)]) == 0
     assert (tmp_path / "implicit" / "decomp.csv").read_bytes() == \
         (tmp_path / "explicit" / "decomp.csv").read_bytes()
+
+
+def _fail_on_second_call(monkeypatch, owner, name):
+    real, calls = getattr(owner, name), []
+
+    def fake(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise ArithmeticError("planted failure")
+        return real(*args, **kwargs)
+    monkeypatch.setattr(owner, name, fake)
+
+
+@pytest.mark.parametrize("sub,owner,name,table", [
+    ("truncate", tw.Tower, "identity_tall_mass", "truncate.csv"),
+    ("decomp", cli, "tower_operator_decomposition", "decomp.csv"),
+    ("eigenfun", per, "diophantine_check", "diophantine.csv"),
+], ids=["truncate", "decomp", "eigenfun"])
+def test_failure_partway_writes_no_partial_table(sub, owner, name, table,
+                                                 pm_config, tmp_path,
+                                                 monkeypatch, capsys):
+    # these tables were written a row at a time, so a failure on the
+    # second row left the first one behind in the CSV
+    _fail_on_second_call(monkeypatch, owner, name)
+    out = tmp_path / "out"
+    assert run([sub, "--config", pm_config, "--out", str(out)]) == 4
+    assert "planted failure" in capsys.readouterr().err
+    assert not (out / table).exists()
+
+
+def _write_rows(tmp_path_factory, rows) -> list[str]:
+    run = cli.Run({}, str(tmp_path_factory.getbasetemp() / "csv"), False)
+    path = cli._csv(run, "t.csv", "x", rows)
+    return open(path, "rb").read().decode().split("\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(), st.booleans()), min_size=1,
+                max_size=6))
+@example([(x, wrap) for x in (-0.0, 5e-324, 2.2250738585072009e-308, 0.1,
+                              math.inf, -math.inf, math.nan)
+          for wrap in (False, True)])
+def test_csv_floats_read_back_bit_for_bit(tmp_path_factory, xs):
+    # a float, Python's or numpy's, reads back to its bits (-0.0,
+    # subnormals and +-inf too), and nan reads back as nan
+    row = [np.float64(x) if wrap else x for x, wrap in xs]
+    line = _write_rows(tmp_path_factory, [row])[1]
+    for x, text in zip(row, line.split(",")):
+        y = float(text)
+        if math.isnan(x):
+            assert math.isnan(y)
+        else:
+            assert np.float64(y).view(np.uint64) == \
+                np.float64(x).view(np.uint64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-2 ** 63, 2 ** 63 - 1), st.booleans(),
+       st.text(string.printable))
+def test_csv_ints_bools_and_strings(tmp_path_factory, n, flag, text):
+    # ints as integers, bools as 0/1, strings verbatim
+    lines = _write_rows(tmp_path_factory,
+                        [(n, np.int64(n), flag, np.bool_(flag), text)])
+    assert "\n".join(lines[1:]) == \
+        f"{n},{n},{int(flag)},{int(flag)},{text}\n"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from towerlab import maps, systems
+from towerlab import cli, maps, systems
 
 
 @pytest.fixture(scope="module")
@@ -544,8 +544,11 @@ def test_induce_rejects_bad_base():
 
 
 def test_induced_csv_roundtrip(tmp_path, pm05):
-    path = tmp_path / "cells.csv"
-    pm05.to_csv(path)
-    rows = path.read_text().strip().split("\n")
+    # the CLI's defaults for [map] kind = pm are pm05's parameters
+    cfg = tmp_path / "pm.ini"
+    cfg.write_text("[map]\nkind = pm\n")
+    assert cli.main(["induce", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "cells.csv").read_text().strip().split("\n")
     assert rows[0] == "j,r,lo,hi,muY"
     assert len(rows) == pm05.J + 1

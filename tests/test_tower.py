@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as hs
 from numpy.polynomial.legendre import leggauss
 
-from towerlab import maps, systems, suspension as sp, tower as tw
+from towerlab import cli, maps, systems, suspension as sp, tower as tw
 
 
 @pytest.fixture(scope="module")
@@ -142,10 +142,18 @@ def test_visit_measure_builds_the_kernel_once(monkeypatch):
 
 def test_tower_csv(tmp_path):
     t = tw.Tower(systems.doubling_induced())
-    path = tmp_path / "tower.csv"
-    t.to_csv(path)
-    header = path.read_text().split("\n")[0]
+    cfg = tmp_path / "db.ini"
+    cfg.write_text("[map]\nkind = doubling\nY = 0.5,1.0\nJ = 40\n"
+                   "tail_horizon = 1200\n")
+    assert cli.main(["tower", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "tower.csv").read_text().split("\n")
+    header = lines[0]
     assert header == "j,level,measure,r,r_trunc,lo_proj,hi_proj"
+    # one row per cell (j, l), column by column and level by level
+    cells = [line.split(",")[:2] for line in lines[1:-1]]
+    assert cells == [[str(j), str(ell)] for j in range(t.ind.J)
+                     for ell in range(int(t.heights[j]))]
 
 
 def _project_by_mask(tower, level, y):
