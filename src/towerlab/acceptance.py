@@ -197,11 +197,11 @@ def check_resonance_contrast() -> CheckResult:
         sub, sp.constant_roof(1.0), lattice, [0.0], alpha=2.0)
     zero_ok = all(r.residual <= 1e-9
                   and (abs(r.phi) < 1e-6 or abs(r.phi - 2 * np.pi) < 1e-6)
-                  for r in eig_const.rows)
+                  for r in eig_const)
     eig_cos = per.approx_eigenfunction_search(
         sub, sp.cosine_roof(), np.arange(10.0, 201.0, 10.0), [0.0],
         alpha=2.0)
-    away = min(r.scaled for r in eig_cos.rows)
+    away = min(r.scaled for r in eig_cos)
     cos_eig_ok = away > 1.0
     ok = const_ok and cos_ok and zero_ok and cos_eig_ok
     return _result("resonance contrast: flags exactly on the 2 pi lattice",

@@ -421,11 +421,11 @@ def cmd_eigenfun(run: Run) -> None:
     roof = _build_roof(run)
     sub = per.FiniteSubsystem(_build_induced(run), run["grids", "symbols"])
     bg, og = run["grids", "b_grid"], run["grids", "omega_grid"]
-    rep = per.approx_eigenfunction_search(sub, roof, bg, og,
+    eig = per.approx_eigenfunction_search(sub, roof, bg, og,
                                           alpha=run["grids", "alpha"])
     path = _csv(run, "eigenfun.csv", "b,omega,phi_star,residual,scaled",
                 [(r.b, r.omega, r.phi, r.residual, r.scaled)
-                 for r in rep.rows])
+                 for r in eig])
     # the theorem-side constants are existential: sweep trial values and
     # report the alignment verdict per combination
     triples = per.enumerate_periodic(sub, run["grids", "q_max"], roof=roof)
@@ -438,7 +438,7 @@ def cmd_eigenfun(run: Run) -> None:
             print(f"  alignment: {dio.evidence()}")
     path2 = _csv(run, "diophantine.csv",
                  "alpha,C,b,omega,phi_star,residual,pass_flag", rows)
-    small = sum(1 for r in rep.rows if r.scaled < 0.1)
+    small = sum(1 for r in eig if r.scaled < 0.1)
     print(f"eigenfun: {small} small-residual points -> {path}, {path2}")
 
 

@@ -5,9 +5,9 @@ periodic points are indexed by primitive necklaces of cell symbols and
 located by contraction of composed inverse branches.  Each orbit carries
 the triple (tau, d, q): flow period, base-map period, return-map period.
 Two detectors look for the degeneracies that obstruct mixing estimates:
-an alignment scan of b n tau + w n d + q phi near 2 pi Z, and a direct
-search for approximate eigenfunctions of the weighted composition
-operator.
+an alignment scan of b n tau + w n d + q phi near 2 pi Z, and the residual
+of approximate eigenfunctions of the weighted composition operator, exact
+in the unimodular eigenfunction and with the same scan over phi.
 """
 
 from __future__ import annotations
@@ -197,12 +197,42 @@ def _dist_mod_2pi(x: np.ndarray) -> np.ndarray:
     return np.minimum(y, TWO_PI - y)
 
 
+def _phase_scan(c, m, cost) -> tuple[float, float]:
+    """Minimise max_k cost(dist(c_k + m_k phi, 2 pi Z)) over phi.
+
+    ``cost`` maps the (k, phi) array of distances row by row.  phi is taken
+    on a grid of PHI_GRID points and refined by golden section within one
+    grid step of the best; returns (phi, value), phi not reduced mod 2 pi.
+    """
+    c = np.asarray(c, dtype=float)[:, None]
+    m = np.asarray(m, dtype=float)[:, None]
+
+    def worst(phis) -> np.ndarray:
+        return np.max(cost(_dist_mod_2pi(c + m * np.atleast_1d(phis))),
+                      axis=0)
+
+    phis = np.linspace(0.0, TWO_PI, PHI_GRID, endpoint=False)
+    i0 = int(np.argmin(worst(phis)))
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    a_ = phis[i0] - TWO_PI / PHI_GRID
+    b_ = phis[i0] + TWO_PI / PHI_GRID
+    for _ in range(60):
+        c_ = b_ - gr * (b_ - a_)
+        d_ = a_ + gr * (b_ - a_)
+        if worst(c_)[0] < worst(d_)[0]:
+            b_ = d_
+        else:
+            a_ = c_
+    phi = 0.5 * (a_ + b_)
+    return float(phi), float(worst(phi)[0])
+
+
 def diophantine_check(triples, b_grid, omega_grid, alpha: float = 2.0,
                       C: float = 1.0) -> AlignmentReport:
     """Scan for frequencies aligning every orbit's phases near 2 pi Z.
 
-    For each (b, omega) the phase offset phi is optimised on a grid of
-    PHI_GRID points with golden-section refinement; the pair passes when
+    For each (b, omega) the phase offset phi is optimised by
+    ``_phase_scan``; the pair passes when
     dist(b n tau + omega n d + q phi, 2 pi Z) <= C q |b|^-alpha holds for
     every triple, with n = [ln |b|].  A nonempty passing set at large
     |b| is evidence toward the degenerate alternative; with fewer than two
@@ -220,33 +250,10 @@ def diophantine_check(triples, b_grid, omega_grid, alpha: float = 2.0,
     rows = []
     for b in np.atleast_1d(b_grid):
         n = max(1, int(math.log(max(abs(b), math.e))))
-        tolv = C * qs * abs(b) ** (-alpha)
+        tolv = C * qs[:, None] * abs(b) ** (-alpha)
         for om in np.atleast_1d(omega_grid):
-            base = b * n * taus + om * n * ds
-
-            def worst_at(phi: float) -> float:
-                return float(np.max(_dist_mod_2pi(base + qs * phi) / tolv))
-
-            phis = np.linspace(0.0, TWO_PI, PHI_GRID, endpoint=False)
-            vals = np.max(_dist_mod_2pi(base[:, None]
-                                        + qs[:, None] * phis[None, :])
-                          / tolv[:, None], axis=0)
-            i0 = int(np.argmin(vals))
-            lo = phis[i0] - TWO_PI / PHI_GRID
-            hi = phis[i0] + TWO_PI / PHI_GRID
-            gr = (math.sqrt(5.0) - 1.0) / 2.0
-            a_, b_ = lo, hi
-            c_ = b_ - gr * (b_ - a_)
-            d_ = a_ + gr * (b_ - a_)
-            for _ in range(60):
-                if worst_at(c_) < worst_at(d_):
-                    b_ = d_
-                else:
-                    a_ = c_
-                c_ = b_ - gr * (b_ - a_)
-                d_ = a_ + gr * (b_ - a_)
-            phi = 0.5 * (a_ + b_)
-            w = worst_at(phi)
+            phi, w = _phase_scan(b * n * taus + om * n * ds, qs,
+                                 lambda dist: dist / tolv)
             rows.append(AlignmentRow(b=float(b), omega=float(om), phi=phi,
                                      worst=w, passes=w <= 1.0))
     return AlignmentReport(rows=rows, alpha=alpha, C=C,
@@ -262,35 +269,33 @@ class EigenfunctionRow:
     b: float
     omega: float
     phi: float
-    residual: float        # sup |M^n u - e^{i phi} u| at the optimum found
+    residual: float        # min over unimodular u of sup |M^n u - e^{i phi} u|
     scaled: float          # residual * |b|^alpha
-    converged: bool
 
 
-@dataclass
-class EigenfunctionReport:
-    rows: list[EigenfunctionRow]
-    alpha: float
-    depth: int
+def _cycle_residual(delta, L):
+    """The least sup of |e^{i e_k} - 1| over link errors e_k on a cycle of L
+    links that add up to a defect at distance delta from 2 pi Z: delta
+    spread evenly, 2 sin(delta / 2L)."""
+    return 2.0 * np.sin(delta / (2.0 * L))
 
 
 def approx_eigenfunction_search(sub: FiniteSubsystem, roof: RoofFunction,
                                 b_grid, omega_grid, alpha: float = 2.0,
-                                depth: int = 3,
-                                iters: int = 400) -> EigenfunctionReport:
-    """Minimise sup |M^n u - e^{i phi} u| over unimodular cylinder functions.
+                                depth: int = 3) -> list[EigenfunctionRow]:
+    """Minimise sup |M^n u - e^{i phi} u| over phi and unimodular u.
 
     M is the composition operator weighted by e^{-i b H} e^{-i omega r}; u
     ranges over unimodular functions constant on depth-``depth`` cylinder
-    words of the subsystem, collocated at periodic points so that the
-    shift action is exact.  Minimisation is by unimodular-projected power
-    iteration with phase extraction; small residual * |b|^alpha flags an
-    approximate-eigenfunction candidate.
+    words of the subsystem, collocated at periodic points so that M^n is a
+    permutation of the words (shift^n) with unimodular weights.  On a cycle
+    of L words whose weight phases sum to c, the link errors of any u add up
+    to c - L phi mod 2 pi, so the minimum over u is exact: the largest
+    ``_cycle_residual`` over the cycles.  phi is scanned by ``_phase_scan``.
+    Small residual * |b|^alpha flags an approximate-eigenfunction candidate.
     """
     ind = sub.ind
-    syms = sub.symbols
-    words = list(product(syms, repeat=depth))
-    n_states = len(words)
+    words = list(product(sub.symbols, repeat=depth))
     # periodic collocation: the word's cycle point, so F permutes the set
     pts = np.array([_cycle_point(ind, w) for w in words])
     shift = np.array([words.index(w[1:] + w[:1]) for w in words])
@@ -298,41 +303,28 @@ def approx_eigenfunction_search(sub: FiniteSubsystem, roof: RoofFunction,
     rr = ind.r[ind.cell_of(pts)]
     H = ind.model.orbit_sum(pts, rr, roof)
     rows = []
-    rng = np.random.default_rng(11)
     for b in np.atleast_1d(b_grid):
         n = max(1, int(math.log(max(abs(b), math.e))))
+        steps = [np.arange(len(words))]    # each word after 0 .. n shifts
+        for _ in range(n):
+            steps.append(shift[steps[-1]])
+        sigma = steps.pop()                # shift^n
+        cycles, seen = [], set()
+        for k in range(len(words)):
+            cycle = []
+            while k not in seen:
+                seen.add(k)
+                cycle.append(k)
+                k = sigma[k]
+            if cycle:
+                cycles.append(cycle)
+        L = np.array([len(cycle) for cycle in cycles])
         for om in np.atleast_1d(omega_grid):
-            w1 = np.exp(-1j * (b * H + om * rr))
-            # M^n u = W_n * u o F^n with the accumulated weight along n steps
-            Wn = np.ones(n_states, dtype=complex)
-            sh = np.arange(n_states)
-            for _ in range(n):
-                Wn = Wn * w1[sh]
-                sh = shift[sh]
-            best = (math.inf, 0.0, False)
-            for start in range(3):
-                if start == 0:
-                    u = np.ones(n_states, dtype=complex)
-                else:
-                    u = np.exp(2j * np.pi * rng.random(n_states))
-                stopped = False
-                for _ in range(iters):
-                    v = Wn * u[sh]
-                    phi = np.angle(np.sum(v * np.conj(u)))
-                    u2 = v * np.exp(-1j * phi)
-                    u2 /= np.abs(u2)
-                    stopped = np.max(np.abs(u2 - u)) < 1e-14
-                    u = u2
-                    if stopped:
-                        break
-                v = Wn * u[sh]
-                phi = np.angle(np.sum(v * np.conj(u)))
-                res = float(np.max(np.abs(v - np.exp(1j * phi) * u)))
-                if res < best[0]:
-                    best = (res, phi, stopped)
-            res, phi, stopped = best
+            # the phase of M^n's weight at each word, summed around a cycle
+            theta = (-(b * H + om * rr))[np.array(steps)].sum(axis=0)
+            phi, res = _phase_scan([theta[c].sum() for c in cycles], -L,
+                                   lambda d: _cycle_residual(d, L[:, None]))
             rows.append(EigenfunctionRow(
-                b=float(b), omega=float(om), phi=float(phi % TWO_PI),
-                residual=res, scaled=res * abs(b) ** alpha,
-                converged=bool(stopped)))
-    return EigenfunctionReport(rows=rows, alpha=alpha, depth=depth)
+                b=float(b), omega=float(om), phi=phi % TWO_PI,
+                residual=res, scaled=res * abs(b) ** alpha))
+    return rows

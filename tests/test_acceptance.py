@@ -13,7 +13,9 @@ import time
 import numpy as np
 import pytest
 
-from towerlab import acceptance, systems, suspension as sp, tower as tw
+from towerlab import acceptance, periodic as per, systems, \
+    suspension as sp, tower as tw
+from towerlab.maps import InducedMap
 from towerlab.transfer import rates, renewal
 from towerlab.transfer.towerop import TowerGrid
 
@@ -64,6 +66,17 @@ def test_dropped_n_term_fails_criterion_3(monkeypatch):
     assert not res.passed, res.detail
 
 
+# -- criterion 2 can fail ------------------------------------------------------
+
+def test_dropped_escape_ladder_fails_criterion_2(monkeypatch):
+    # the columns past the cell cutoff leave map_correlation_operator: pm(0.6)
+    # then decays like its truncated tower, far faster than n^-2/3
+    monkeypatch.setattr(InducedMap, "tail_columns", lambda self: None)
+    res = acceptance.check_map_decay()
+    assert not res.passed, res.detail
+    assert float(res.detail.removeprefix("fitted ")) > 2.0 / 3.0 + 0.25
+
+
 # -- criterion 4 can fail ------------------------------------------------------
 
 def test_bound_over_n_fails_criterion_4(monkeypatch):
@@ -101,6 +114,24 @@ def test_roof_through_level_fails_criterion_6(monkeypatch):
     assert not res.passed, res.detail
     worst = res.detail.removeprefix("worst residual ").split(",")[0]
     assert float(worst) > 1e-8, res.detail
+
+
+# -- criterion 8 can fail ------------------------------------------------------
+
+def test_least_cycle_residual_fails_criterion_8(monkeypatch):
+    # every cycle of M^n takes the least cycle's residual, so the search
+    # minimises over phi the min over cycles instead of the max: one cycle
+    # alone can always be closed, and the cosine rows fall below the gate
+    cycle_residual = per._cycle_residual
+
+    def least(delta, L):
+        return np.broadcast_to(np.min(cycle_residual(delta, L), axis=0),
+                               np.shape(delta))
+
+    monkeypatch.setattr(per, "_cycle_residual", least)
+    res = acceptance.check_resonance_contrast()
+    assert not res.passed, res.detail
+    assert float(res.detail.split("min scaled residual ")[1]) <= 1.0
 
 
 # -- criterion 9 can fail ------------------------------------------------------

@@ -1,8 +1,10 @@
+import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings, strategies as st, target
 
 from towerlab import maps, systems, suspension as sp, periodic as per
 
@@ -117,20 +119,9 @@ def test_eigenfunction_constant_roof_unimodular(doubling_sub):
     rep = per.approx_eigenfunction_search(doubling_sub,
                                           sp.constant_roof(1.0),
                                           lattice, [0.0])
-    for r in rep.rows:
+    for r in rep:
         assert r.residual <= 1e-9
         assert min(abs(r.phi), abs(r.phi - 2 * math.pi)) <= 1e-6
-
-
-def test_eigenfunction_reports_convergence(doubling_sub):
-    # an exact eigenfunction stops at once; one power step on a generic
-    # roof cannot reach the 1e-14 stop
-    exact = per.approx_eigenfunction_search(
-        doubling_sub, sp.constant_roof(1.0), [2 * math.pi], [0.0])
-    assert all(r.converged for r in exact.rows)
-    short = per.approx_eigenfunction_search(
-        doubling_sub, sp.cosine_roof(), [17.0, 37.0], [0.0], iters=1)
-    assert not any(r.converged for r in short.rows)
 
 
 def test_eigenfunction_constant_roof_all_b_degenerate(doubling_sub):
@@ -138,14 +129,14 @@ def test_eigenfunction_constant_roof_all_b_degenerate(doubling_sub):
     rep = per.approx_eigenfunction_search(doubling_sub,
                                           sp.constant_roof(1.0),
                                           [7.3, 19.1], [0.0])
-    assert all(r.residual <= 1e-9 for r in rep.rows)
+    assert all(r.residual <= 1e-9 for r in rep)
 
 
 def test_eigenfunction_cosine_roof_bounded_away(doubling_sub):
     rep = per.approx_eigenfunction_search(doubling_sub, sp.cosine_roof(),
                                           np.arange(10.0, 201.0, 20.0),
                                           [0.0], alpha=2.0)
-    assert min(r.scaled for r in rep.rows) > 1.0
+    assert min(r.scaled for r in rep) > 1.0
 
 
 def test_eigenfunction_oracle_small_depth(doubling_sub):
@@ -153,8 +144,8 @@ def test_eigenfunction_oracle_small_depth(doubling_sub):
     roof = sp.cosine_roof()
     b, om = 17.0, 0.0
     rep = per.approx_eigenfunction_search(doubling_sub, roof, [b], [om],
-                                          depth=1, iters=2000)
-    got = rep.rows[0].residual
+                                          depth=1)
+    got = rep[0].residual
     # oracle: depth-1 states are the two fixed-point symbols; M^n is a
     # diagonal map u_i -> W_i u_i, so the optimum balances the two phase
     # defects: residual = max_i |e^{i theta_i} - e^{i phi}| minimised in phi
@@ -183,9 +174,130 @@ def test_alignment_implies_small_residual(doubling_sub):
     dio = per.diophantine_check(ts, grid, [0.0], alpha=2.0, C=1.0)
     eig = per.approx_eigenfunction_search(doubling_sub, roof, grid, [0.0],
                                           alpha=2.0)
-    for drow, erow in zip(dio.rows, eig.rows):
+    for drow, erow in zip(dio.rows, eig):
         if drow.passes:
             assert erow.residual <= 1e-6
+
+
+# -- the eigenfunction residual is the exact minimum over u -------------------
+
+SYSTEMS = ("doubling", "pm05")
+
+
+@functools.lru_cache(maxsize=None)
+def _subsystem(system):
+    ind = systems.doubling_full() if system == "doubling" \
+        else systems.pm_induced(0.5)
+    return per.FiniteSubsystem(ind, (0, 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _weighted_shift(system, depth, b):
+    """M^n on the depth-``depth`` words of a subsystem with the cosine roof
+    (omega 0), built by walking each word's cycle point through n return
+    blocks of the base map, one point at a time: M^n u = W * u[image]."""
+    sub = _subsystem(system)
+    ind, roof = sub.ind, sp.cosine_roof()
+    words = list(itertools.product(sub.symbols, repeat=depth))
+    n = max(1, int(math.log(b)))
+    phase = np.zeros(len(words))
+    for i, w in enumerate(words):
+        for k in range(n):
+            rot = w[k % depth:] + w[:k % depth]
+            x = per._cycle_point(ind, rot)
+            for _ in range(int(ind.r[rot[0]])):
+                phase[i] += b * float(roof(np.array([x]))[0])
+                x = float(ind.model.apply(np.array([x]))[0])
+    image = [words.index(w[n % depth:] + w[:n % depth]) for w in words]
+    return np.exp(-1j * phase), np.array(image)
+
+
+def _sup_residual(W, image, u, phi):
+    """sup_k |M^n u - e^{i phi} u|."""
+    return float(np.max(np.abs(W * u[image] - np.exp(1j * phi) * u)))
+
+
+def _brute_force_residual(W, image, grid):
+    """min of sup |M^n u - e^{i phi} u| over u with u_0 = 1 (the residual
+    ignores a common phase) and every other phase on a ``grid``-point grid,
+    each u at its best phi: the middle of the shortest arc that holds every
+    (M^n u)_k / u_k, whose half-length a gives the sup 2 sin(a / 2)."""
+    S = len(W)
+    grid_u = np.exp(2j * np.pi * np.arange(grid) / grid)
+    u = np.ones((grid ** (S - 1), S), dtype=complex)
+    u[:, 1:] = np.array(list(itertools.product(grid_u, repeat=S - 1)))
+    ang = np.sort(np.angle(W * u[:, image] * np.conj(u)), axis=1)
+    gaps = np.diff(np.concatenate([ang, ang[:, :1] + 2 * np.pi], axis=1),
+                   axis=1)
+    return float(np.min(2 * np.sin((2 * np.pi - gaps.max(axis=1)) / 4)))
+
+
+def _residual(system, depth, b):
+    return per.approx_eigenfunction_search(
+        _subsystem(system), sp.cosine_roof(), [b], [0.0], depth=depth)[0]
+
+
+BRUTE_GRID = 64
+BRUTE_B = (3.0, 5.0, 9.0, 17.0, 25.0, 40.0)   # n = 1, 1, 2, 2, 3, 3
+
+
+def _check_against_brute_force(system, depth):
+    for b in BRUTE_B:
+        got = _residual(system, depth, b).residual
+        brute = _brute_force_residual(*_weighted_shift(system, depth, b),
+                                      BRUTE_GRID)
+        # no u on the grid beats the exact minimum, and rounding the
+        # optimal u's phases to the grid moves each link by <= 2 pi / grid
+        assert got <= brute + 1e-9, (b, got, brute)
+        assert brute <= got + 2 * np.pi / BRUTE_GRID, (b, got, brute)
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+@pytest.mark.parametrize("depth", [1, 2])
+def test_eigenfunction_residual_is_the_brute_force_minimum(system, depth):
+    _check_against_brute_force(system, depth)
+
+
+def _one_link(delta, L):
+    # the cycle's phase defect put on one link, the others left exact
+    return 2.0 * np.sin(delta / 2.0)
+
+
+def test_one_link_defect_fails_the_brute_force(monkeypatch):
+    monkeypatch.setattr(per, "_cycle_residual", _one_link)
+    for system in SYSTEMS:
+        with pytest.raises(AssertionError):
+            _check_against_brute_force(system, 2)
+
+
+def _no_u_beats_the_residual(system, depth, b):
+    W, image = _weighted_shift(system, depth, b)
+    res = _residual(system, depth, b).residual
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(a=st.lists(st.floats(0.0, 2 * math.pi), min_size=len(W),
+                      max_size=len(W)),
+           phi=st.floats(0.0, 2 * math.pi))
+    def prop(a, phi):
+        sup = _sup_residual(W, image, np.exp(1j * np.array(a)), phi)
+        target(res - sup)   # steer the search towards a u below res
+        assert sup >= res - 1e-12
+
+    prop()
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("b", [3.0, 25.0, 40.0])
+def test_no_unimodular_u_beats_the_residual(system, depth, b):
+    _no_u_beats_the_residual(system, depth, b)
+
+
+def test_one_link_defect_fails_the_lower_bound(monkeypatch):
+    monkeypatch.setattr(per, "_cycle_residual", _one_link)
+    with pytest.raises(AssertionError):
+        _no_u_beats_the_residual("pm05", 2, 40.0)
 
 
 @settings(max_examples=10, deadline=None)

@@ -80,9 +80,7 @@ KEPT_DEFAULTS = {
     "doubling_induced(branch_cutoff)": "tests build small doubling systems",
     "doubling_induced(tail_horizon)": "tests build small doubling systems",
     "approx_eigenfunction_search(depth)":
-        "tests check depth 1 against a closed form",
-    "approx_eigenfunction_search(iters)":
-        "tests stop the iteration short to see it unconverged",
+        "tests check depths 1 and 2 against a brute-force minimum",
     "resolvent_scan(n_adversarial)":
         "tests compare the probe block with a loop of fewer probes",
     # references and entry points
