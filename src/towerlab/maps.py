@@ -41,6 +41,9 @@ class Branch:
 
     ``fwd``/``inv``/``deriv`` accept and return numpy arrays as well as
     scalars.  ``inv`` must invert ``fwd`` on [lo, hi) to ~1e-12 or better.
+    ``fwd_deriv``, where given, returns the floats (fwd(x), deriv(x)) of one
+    float x, bit for bit, from one evaluation of what they share; the
+    scalar Newton solves of ``_invert_warm`` use it.
     """
 
     lo: float
@@ -48,6 +51,7 @@ class Branch:
     fwd: Callable[[np.ndarray], np.ndarray]
     inv: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
+    fwd_deriv: Callable[[float], tuple[float, float]] | None = None
 
 
 def suffix_starts(h: np.ndarray) -> np.ndarray:
@@ -223,14 +227,15 @@ def _solve_increasing(f, df, y, lo: float, hi: float) -> np.ndarray:
 
 def _invert_warm(br: Branch, y: float, x0: float) -> float:
     """Scalar inverse of a branch with a warm start; falls back to br.inv."""
+    fwd_deriv = br.fwd_deriv or (
+        lambda x: (float(br.fwd(x)), float(br.deriv(x))))
     x = min(max(x0, br.lo), br.hi)
     for _ in range(40):
-        fx = float(br.fwd(x))
+        fx, dfx = fwd_deriv(x)
         err = fx - y
         if abs(err) < 1e-16 * max(1.0, abs(y)):
             return x
-        step = err / float(br.deriv(x))
-        nx = x - step
+        nx = x - err / dfx
         if not (br.lo <= nx <= br.hi):
             break
         if abs(nx - x) < 1e-17:
@@ -255,8 +260,15 @@ def pomeau_manneville(alpha: float, dist_const: float = 24.0) -> PomeauMannevill
     def ileft(y):
         return _solve_increasing(left, dleft, y, 0.0, 0.5)
 
+    def left_dleft(x):
+        # x ** alpha once, through numpy's array power as in left and dleft
+        # (the scalar powers round differently at some x for alpha != 1/2);
+        # the rest in floats, which round as numpy's float64 does
+        p = float(np.asarray(x, dtype=float) ** alpha)
+        return x * (1.0 + c * p), 1.0 + c * (1.0 + alpha) * p
+
     branches = (
-        Branch(0.0, 0.5, left, ileft, dleft),
+        Branch(0.0, 0.5, left, ileft, dleft, left_dleft),
         Branch(0.5, 1.0, lambda x: 2.0 * np.asarray(x, dtype=float) - 1.0,
                lambda y: 0.5 * (np.asarray(y, dtype=float) + 1.0),
                lambda x: np.full_like(np.asarray(x, dtype=float), 2.0)),

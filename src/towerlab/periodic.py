@@ -300,7 +300,7 @@ def approx_eigenfunction_search(sub: FiniteSubsystem, roof: RoofFunction,
     pts = np.array([_cycle_point(ind, w) for w in words])
     shift = np.array([words.index(w[1:] + w[:1]) for w in words])
     # weights along one return block from each collocation point
-    rr = ind.r[ind.cell_of(pts)]
+    rr = ind.r[[w[0] for w in words]]
     H = ind.model.orbit_sum(pts, rr, roof)
     rows = []
     for b in np.atleast_1d(b_grid):

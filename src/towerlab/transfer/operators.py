@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
 from towerlab.suspension import Observable
 from towerlab.transfer.basis import CylinderBasis
@@ -180,14 +181,33 @@ def _b_probes(basis: CylinderBasis, b: float, n_random: int,
     return np.column_stack(smooth + list(rough[:, 0] + 1j * rough[:, 1]))
 
 
+def lu_factor(A: np.ndarray):
+    """Sparse LU factors (SuperLU) of the dense square A, in complex
+    arithmetic, so that any right-hand side solves; RuntimeError if a pivot
+    is exactly zero."""
+    return splu(csc_matrix(A, dtype=complex))
+
+
+def lu_solve(lu, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """Solve A x = b (trans 0), A^T x = b (1) or A^H x = b (2) with the
+    factors of ``lu_factor``; b is a vector or a block of columns."""
+    return lu.solve(b, trans="NTH"[trans])
+
+
 def _near_kernel(op: OperatorMatrix, x: np.ndarray):
     """A = I - op, its LU factors, its smallest singular value |A x| and
     whether A is near-singular (|A x| not finite or below RESONANCE_TOL
     times the dimension).  x is the right singular vector, from eight steps
-    of inverse iteration on A^H A, x <- A^{-1} A^{-H} x, from the unit x."""
+    of inverse iteration on A^H A, x <- A^{-1} A^{-H} x, from the unit x.
+    An exactly singular A has no factors: None, with |A x| taken as nan."""
     A = -op.mat
     A[np.diag_indices_from(A)] += 1.0
-    lu = lu_factor(A)
+    try:
+        lu = lu_factor(A)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        if "singular" not in str(exc):
+            raise
+        return A, None, math.nan, True
     for _ in range(8):
         x = lu_solve(lu, lu_solve(lu, x, trans=2))
         nx = np.linalg.norm(x)

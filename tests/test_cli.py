@@ -2,12 +2,14 @@ import math
 import os
 import string
 import textwrap
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from towerlab import cli, periodic as per, tower as tw
+from towerlab.transfer import operators
 
 
 @pytest.fixture()
@@ -319,6 +321,21 @@ def test_laplace_pole_is_numerical_error(pm_config, tmp_path, capsys):
     assert run(["laplace", "--config", str(cfg), "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert "numerical error" in err and "pole at s=0j" in err
+    assert not (out / "laplace.csv").exists()
+
+
+def test_laplace_exactly_singular_is_numerical_error(pm_config, tmp_path,
+                                                     capsys, monkeypatch):
+    # an exactly singular I - R_-s (here I - a cyclic permutation) has no
+    # sparse LU; it is a pole like a near-singular one, exit 4
+    def cyclic(grid, s, z=0.0):
+        return SimpleNamespace(mat=np.roll(np.eye(grid.basis.n), 1, axis=0))
+
+    monkeypatch.setattr(operators, "assemble_twisted", cyclic)
+    out = tmp_path / "out"
+    assert run(["laplace", "--config", pm_config, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "numerical error" in err and "pole at s=0.1j" in err
     assert not (out / "laplace.csv").exists()
 
 

@@ -530,6 +530,43 @@ def test_induce_solves_once_per_depth(monkeypatch):
     assert len(calls) <= (H - 1) + 1
 
 
+def _two_call_invert(br, y, x0):
+    """_invert_warm with T and T' each evaluated by its own array call, as
+    before ``Branch.fwd_deriv``: the reference for the escape orbit."""
+    x = min(max(x0, br.lo), br.hi)
+    for _ in range(40):
+        err = float(br.fwd(x)) - y
+        if abs(err) < 1e-16 * max(1.0, abs(y)):
+            return x
+        nx = x - err / float(br.deriv(x))
+        if not (br.lo <= nx <= br.hi):
+            break
+        if abs(nx - x) < 1e-17:
+            return nx
+        x = nx
+    return float(br.inv(np.array([y]))[0])
+
+
+@settings(max_examples=25, deadline=None)
+@given(alpha=st.floats(0.01, 0.99))
+@example(alpha=0.05)
+@example(alpha=0.3)
+@example(alpha=0.5)
+@example(alpha=0.6)
+@example(alpha=0.75)
+@example(alpha=0.99)
+def test_escape_orbit_equals_the_two_call_iteration(alpha):
+    # one x ** alpha per Newton step, shared by T and T', leaves every
+    # orbit point bit for bit where the two array calls put it
+    H = 1500
+    ind = maps.induce(maps.pomeau_manneville(alpha), (0.5, 1.0), 40, H)
+    assert ind.escape.fwd_deriv is not None
+    ref = [1.0, 0.5]
+    for _ in range(H - 1):
+        ref.append(_two_call_invert(ind.escape, ref[-1], ref[-1]))
+    assert np.array_equal(ind.orbit, ref)
+
+
 def test_fixed_point_iterations_kept(pm05):
     for ind in (pm05, systems.doubling_induced(), systems.doubling_full()):
         assert 1 <= ind.fixed_point_iterations <= 4000

@@ -14,11 +14,17 @@ fails on:
   outside ``CylinderBasis.apply``;
 - an elementwise product ``Mhat * x``, a dense copy whose only use is a
   matrix product, outside ``OperatorMatrix.mat``, which builds the
-  twisted matrix that ``_near_kernel`` factorises;
+  twisted matrix whose I - R ``_near_kernel`` factorises;
 - Mhat data bound to another name, which would hide a product from this
   walk: the data itself anywhere, and a subscript or slice of it, or a
   loop over it, outside ``CylinderBasis``; a negated copy, ``-Mhat``,
-  counts as the data.
+  counts as the data;
+- a sparse matrix or sparse factorisation built outside
+  ``operators.lu_factor``, which makes the one sparse copy of I - R, for
+  SuperLU.  The walk cannot follow I - R from ``_near_kernel`` into that
+  helper, so a sparse constructor anywhere else counts, as a possible
+  sparse copy of Mhat data under another name, even in a function that
+  ``DENSE_ALLOWED`` names.
 
 Only the functions in ``DENSE_ALLOWED`` may use the dense matrix, each for
 the reason given there.
@@ -33,16 +39,27 @@ MHAT_DATA = {"Mhat", "_mhat_dense", "_mhat_blocks", "mat"}
 MATMUL_ALLOWED = {("towerlab/transfer/basis.py", "CylinderBasis.apply")}
 SCALE_ALLOWED = {("towerlab/transfer/operators.py", "OperatorMatrix.mat")}
 VIEW_ALLOWED = ("towerlab/transfer/basis.py", "CylinderBasis")
+SPARSE_ALLOWED = {("towerlab/transfer/operators.py", "lu_factor")}
 DENSE_ALLOWED = {
     ("towerlab/transfer/operators.py", "_near_kernel"):
-        "factorises I - R by LU for resolvent_scan and laplace_transform, "
-        "and takes the residual A @ x of its near-kernel vector",
+        "builds I - R for the sparse LU of resolvent_scan and "
+        "laplace_transform, and takes the residual A @ x of its near-kernel "
+        "vector",
     ("towerlab/transfer/operators.py", "OperatorMatrix.duality_defect"):
         "a diagnostic: builds the mu-adjoint of the matrix and multiplies "
         "by it",
 }
 PRODUCT_CALLS = {"dot", "matmul", "einsum", "tensordot", "inner", "vdot",
                  "multi_dot"}
+SPARSE_CALLS = {f"{kind}_{form}" for kind in ("bsr", "coo", "csc", "csr",
+                                              "dia", "dok", "lil")
+                for form in ("matrix", "array")} | \
+    {"splu", "spilu", "spsolve", "factorized"}
+
+
+def _call_name(node: ast.Call):
+    f = node.func
+    return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
 
 
 def _is_mhat(node) -> bool:
@@ -78,8 +95,7 @@ def _findings(node, where: tuple[str, str]) -> list[str]:
             return ["elementwise product"]
     if isinstance(node, ast.Call):
         f = node.func
-        name = f.attr if isinstance(f, ast.Attribute) else \
-            getattr(f, "id", None)
+        name = _call_name(node)
         operands = list(node.args)
         if isinstance(f, ast.Attribute):
             operands.append(f.value)
@@ -96,6 +112,13 @@ def _findings(node, where: tuple[str, str]) -> list[str]:
     if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)) and \
             _is_mhat(node.iter) and not _in_basis(where):
         return ["loop alias"]
+    return []
+
+
+def _sparse_findings(node, where: tuple[str, str]) -> list[str]:
+    if isinstance(node, ast.Call) and _call_name(node) in SPARSE_CALLS and \
+            where not in SPARSE_ALLOWED:
+        return ["sparse copy"]
     return []
 
 
@@ -116,7 +139,8 @@ class _Walker(ast.NodeVisitor):
     def generic_visit(self, node) -> None:
         qual = ".".join(self.scope)
         where = (self.rel, qual)
-        for what in [] if where in self.allowed else _findings(node, where):
+        dense = [] if where in self.allowed else _findings(node, where)
+        for what in dense + _sparse_findings(node, where):
             line = (node.iter if isinstance(node, ast.comprehension)
                     else node).lineno
             self.found.append(f"{self.rel}:{line} {qual or '<module>'}"
@@ -202,3 +226,24 @@ def test_guard_sees_through_operator_matrix(tmp_path):
     assert mhat_products(tmp_path, allowed=()) == [
         "towerlab/transfer/operators.py:2 elsewhere: matrix product",
         "towerlab/transfer/operators.py:4 _near_kernel: alias"]
+
+
+def test_guard_allows_one_sparse_copy(tmp_path):
+    # only the LU helper may build a sparse matrix; the dense allowance of
+    # _near_kernel does not cover one
+    pkg = tmp_path / "towerlab" / "transfer"
+    pkg.mkdir(parents=True)
+    (pkg / "operators.py").write_text(
+        "def lu_factor(A):\n"
+        "    return splu(csc_matrix(A))\n"
+        "def _near_kernel(op, x):\n"
+        "    A = -op.mat\n"
+        "    return sparse.csc_matrix(A), splu(A)\n"
+        "def elsewhere(basis):\n"
+        "    return csr_matrix(basis.Mhat), csr_array(basis.Mhat.T)\n")
+    assert mhat_products(tmp_path) == [
+        "towerlab/transfer/operators.py:5 _near_kernel: sparse copy",
+        "towerlab/transfer/operators.py:5 _near_kernel: sparse copy",
+        "towerlab/transfer/operators.py:7 elsewhere: sparse copy",
+        "towerlab/transfer/operators.py:7 elsewhere: sparse copy",
+    ]

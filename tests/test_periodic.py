@@ -179,6 +179,28 @@ def test_alignment_implies_small_residual(doubling_sub):
             assert erow.residual <= 1e-6
 
 
+def test_eigenfunction_reads_return_times_from_the_words(monkeypatch,
+                                                        pm_sub):
+    # a cycle point exactly at Y's right end, here the exact fixed point 1 of
+    # the word (0,) on pm, lies in no cell (cell_of gives -1); its return
+    # time is that of the word's first symbol, r[0] = 1, not r[-1]
+    ind, roof = pm_sub.ind, sp.cosine_roof()
+    assert ind.cell_of(np.array([1.0]))[0] == -1 and ind.r[0] != ind.r[-1]
+    inner = per._cycle_point
+    monkeypatch.setattr(per, "_cycle_point", lambda ind, w: 1.0
+                        if set(w) == {0} else inner(ind, w))
+    fixed = per.enumerate_periodic(pm_sub, 1, roof)    # the words (0,), (1,)
+    assert [(t.word, t.d) for t in fixed] == [((0,), 1), ((1,), ind.r[1])]
+    for b, om in ((3.0, 0.5), (9.0, 0.0), (40.0, 0.5)):
+        n = max(1, int(math.log(b)))
+        c = [-n * (b * t.tau + om * t.d) for t in fixed]
+        # two fixed words: phi halves the distance between their phases
+        want = 2.0 * math.sin(per._dist_mod_2pi(c[0] - c[1]) / 4.0)
+        row, = per.approx_eigenfunction_search(pm_sub, roof, [b], [om],
+                                               depth=1)
+        assert row.residual == pytest.approx(want, abs=1e-12)
+
+
 # -- the eigenfunction residual is the exact minimum over u -------------------
 
 SYSTEMS = ("doubling", "pm05")

@@ -4,13 +4,14 @@ import os
 import sys
 import threading
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from towerlab import systems, suspension as sp
-from towerlab.transfer import towerop
+from towerlab.transfer import operators, towerop
 from towerlab.transfer.basis import BIG, CylinderBasis
 from towerlab.transfer.towerop import _QN, _QW, TowerGrid, \
     map_correlation_operator
@@ -326,11 +327,12 @@ def test_resolvent_flags_singular_non_uniform_measure(pm_cli_basis):
 def _resolvent_reference(basis, roof, b_grid, C6, n_random, n_adversarial,
                          seed, resonance_tol=1e-10):
     """resolvent_scan as a loop over single probes: each probe is drawn,
-    scaled, solved and measured on its own.  lu_solve of one vector takes
-    LAPACK's triangular-vector path, which threaded OpenBLAS may round
-    differently from the matrix path; each probe is therefore solved beside
-    a copy of itself, through the matrix path, like the scan's block."""
-    from scipy.linalg import lu_factor, lu_solve
+    scaled, solved and measured on its own, with the scan's sparse LU
+    (``operators.lu_factor``/``lu_solve``).  SuperLU solves its supernodes
+    with BLAS, whose vector path threaded OpenBLAS may round differently
+    from its matrix path; each probe is therefore solved beside a copy of
+    itself, through the matrix path, like the scan's block."""
+    from towerlab.transfer.operators import lu_factor, lu_solve
     theta = basis.ind.model.theta
     rng = np.random.default_rng(seed)
     grid = TowerGrid(basis, roof, None)
@@ -731,6 +733,34 @@ def test_laplace_poles_raise(small_pm_grid, bd):
     with pytest.raises(ArithmeticError, match="pole"):
         laplace_transform(TowerGrid(bd, sp.constant_roof(1.0), None), v, v,
                           2j * np.pi)
+
+
+def test_lu_solves_complex_right_sides_of_a_real_system(bd):
+    # I - R is real at b = omega = 0 in the scan and at real s in the
+    # transform, and the near-kernel iteration starts from a complex vector
+    A = np.eye(bd.n) - 0.5 * assemble_R(bd).mat
+    lu = operators.lu_factor(A)
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal(bd.n) + 1j * rng.standard_normal(bd.n)
+    for trans, M in enumerate((A, A.T, A.conj().T)):
+        x = operators.lu_solve(lu, b, trans=trans)
+        assert np.max(np.abs(M @ x - b)) <= 1e-13
+
+
+def test_exactly_singular_system_is_flagged(monkeypatch, bd):
+    # I - (cyclic permutation) has an exactly zero pivot, which the sparse
+    # LU refuses to factor: the scan flags the point, and the transform
+    # reports a pole
+    P = np.roll(np.eye(bd.n), 1, axis=0).astype(complex)
+    monkeypatch.setattr(operators, "assemble_twisted",
+                        lambda grid, s, z=0.0: SimpleNamespace(mat=P))
+    sc = resolvent_scan(bd, sp.cosine_roof(), [9.0], [0.0], C6=2.0,
+                        n_random=2)
+    assert sc.resonance[0] and sc.norm_estimate[0] == math.inf
+    assert math.isnan(sc.residuals[0])
+    v = sp.coordinate_observable()
+    with pytest.raises(ArithmeticError, match="pole at s=0.5"):
+        laplace_transform(TowerGrid(bd, sp.cosine_roof(), None), v, v, 0.5)
 
 
 def test_b_norms_share_one_probe_set(small_pm_grid):
