@@ -554,9 +554,10 @@ class TruncationRow:
 
 def _rows(N: int, ts: np.ndarray, ref, cut, bound) -> list[TruncationRow]:
     """One row per time t of ``ts``: |rho_ref - rho_cut|, its standard
-    error, and bound(t)."""
+    error, and bound(t), as Python floats: a ratio over a bound that has
+    underflowed towards 0 is then inf, with no numpy overflow warning."""
     return [TruncationRow(int(N), float(t), abs(rho_r - rho_c),
-                          math.hypot(e_r, e_c), bound(t))
+                          math.hypot(e_r, e_c), float(bound(t)))
             for t, (rho_r, e_r), (rho_c, e_c) in zip(ts, ref, cut)]
 
 

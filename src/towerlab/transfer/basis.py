@@ -10,6 +10,8 @@ Perron pair so that R1 = 1 and the discrete measure is exactly stationary.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from towerlab.maps import InducedMap
@@ -196,6 +198,25 @@ class CylinderBasis:
         self.Mhat.flags.writeable = False  # shared by every operator view
         mu = m * rho
         self.mu = mu / mu.sum()
+
+    @cached_property
+    def csc_pattern(self) -> tuple[np.ndarray, ...]:
+        """The CSC pattern of I - Mhat, built on first use: row i of Mhat
+        hits only the leaves ``_colmap[i]``, and I adds the diagonal.
+
+        (indptr, indices, cols, diag): the column pointers and the row of
+        each slot, as for a ``csc_matrix``, the column of each slot, and
+        the slots on the diagonal.  Rows ascend within each column.
+        """
+        n, J = self._colmap.shape
+        rows = np.r_[np.repeat(np.arange(n), J), np.arange(n)]
+        cols = np.r_[self._colmap.ravel(), np.arange(n)]
+        key = np.sort(cols.astype(np.int64) * n + rows)
+        # a leaf that two symbols of one row hit, or the diagonal, is one slot
+        cols, rows = np.divmod(key[np.r_[True, key[1:] != key[:-1]]], n)
+        indptr = np.r_[0, np.cumsum(np.bincount(cols, minlength=n))]
+        return (indptr.astype(np.intc), rows.astype(np.intc), cols,
+                np.flatnonzero(rows == cols))
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Mhat @ u for a real or complex u of shape (n,) or (n, w).

@@ -52,6 +52,24 @@ class OperatorMatrix:
             return self.basis.Mhat
         return self.basis.Mhat * self.tw[None, :]
 
+    def i_minus(self) -> csc_matrix:
+        """I - mat as a complex CSC matrix, on the basis's pattern of
+        I - Mhat, with no dense matrix.  Entry by entry it makes the
+        operations of the dense path, -(Mhat tw) and then 1 added on the
+        diagonal, and drops the entries that are exactly 0: so it equals
+        ``csc_matrix(I - mat)`` bit for bit."""
+        indptr, indices, cols, diag = self.basis.csc_pattern
+        tw = 1.0 if self.tw is None else self.tw[cols]
+        data = np.asarray(-(self.basis.Mhat[indices, cols] * tw),
+                          dtype=complex)
+        data[diag] += 1.0
+        # eliminate_zeros compacts the index arrays in place, and the
+        # basis shares its pattern with every operator
+        A = csc_matrix((data, indices.copy(), indptr.copy()),
+                       shape=(self.basis.n, self.basis.n))
+        A.eliminate_zeros()
+        return A
+
     def apply(self, v: np.ndarray) -> np.ndarray:
         if self.tw is None:
             return self.basis.apply(v)
@@ -181,11 +199,11 @@ def _b_probes(basis: CylinderBasis, b: float, n_random: int,
     return np.column_stack(smooth + list(rough[:, 0] + 1j * rough[:, 1]))
 
 
-def lu_factor(A: np.ndarray):
-    """Sparse LU factors (SuperLU) of the dense square A, in complex
-    arithmetic, so that any right-hand side solves; RuntimeError if a pivot
-    is exactly zero."""
-    return splu(csc_matrix(A, dtype=complex))
+def lu_factor(A: csc_matrix):
+    """Sparse LU factors (SuperLU) of the complex CSC matrix A that
+    ``OperatorMatrix.i_minus`` builds, taken as it is: complex, so that any
+    right-hand side solves; RuntimeError if a pivot is exactly zero."""
+    return splu(A)
 
 
 def lu_solve(lu, b: np.ndarray, trans: int = 0) -> np.ndarray:
@@ -195,13 +213,13 @@ def lu_solve(lu, b: np.ndarray, trans: int = 0) -> np.ndarray:
 
 
 def _near_kernel(op: OperatorMatrix, x: np.ndarray):
-    """A = I - op, its LU factors, its smallest singular value |A x| and
-    whether A is near-singular (|A x| not finite or below RESONANCE_TOL
-    times the dimension).  x is the right singular vector, from eight steps
-    of inverse iteration on A^H A, x <- A^{-1} A^{-H} x, from the unit x.
+    """A = I - op as a sparse matrix (``OperatorMatrix.i_minus``), its LU
+    factors, its smallest singular value |A x| and whether A is
+    near-singular (|A x| not finite or below RESONANCE_TOL times the
+    dimension).  x is the right singular vector, from eight steps of
+    inverse iteration on A^H A, x <- A^{-1} A^{-H} x, from the unit x.
     An exactly singular A has no factors: None, with |A x| taken as nan."""
-    A = -op.mat
-    A[np.diag_indices_from(A)] += 1.0
+    A = op.i_minus()
     try:
         lu = lu_factor(A)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
@@ -215,7 +233,8 @@ def _near_kernel(op: OperatorMatrix, x: np.ndarray):
             break
         x /= nx
     smin = float(np.linalg.norm(A @ x))
-    return A, lu, smin, not np.isfinite(smin) or smin < RESONANCE_TOL * len(A)
+    return A, lu, smin, \
+        not np.isfinite(smin) or smin < RESONANCE_TOL * A.shape[0]
 
 
 def _unit_start(rng, n: int) -> np.ndarray:
@@ -268,7 +287,7 @@ def resolvent_scan(basis: CylinderBasis, roof, b_grid, omega_grid,
             e[int(np.argmax(np.abs(x)))] = 1.0
             chain = [x]
             for _ in range(n_adversarial - 1):
-                y = (chain[-1].conj() @ A).conj()   # A^H chain[-1]
+                y = (A.T @ chain[-1].conj()).conj()   # A^H chain[-1]
                 chain.append(y / np.linalg.norm(y))
             block = np.column_stack([_b_probes(basis, b, n_random, rng), e]
                                     + chain[:n_adversarial])

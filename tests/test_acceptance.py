@@ -17,6 +17,7 @@ from towerlab import acceptance, periodic as per, systems, \
     suspension as sp, tower as tw
 from towerlab.maps import InducedMap
 from towerlab.transfer import rates, renewal
+from towerlab.transfer.operators import OperatorMatrix
 from towerlab.transfer.towerop import TowerGrid
 
 
@@ -132,6 +133,18 @@ def test_least_cycle_residual_fails_criterion_8(monkeypatch):
     res = acceptance.check_resonance_contrast()
     assert not res.passed, res.detail
     assert float(res.detail.split("min scaled residual ")[1]) <= 1.0
+
+
+def test_untwisted_i_minus_fails_criterion_8(monkeypatch):
+    # the I - R builder drops the twist, so A = I - Mhat at every b: the
+    # resonance half flags all 40 b-points of both roofs, on the 2 pi
+    # lattice and off it, and no cosine norm is left to fit alpha on
+    i_minus = OperatorMatrix.i_minus
+    monkeypatch.setattr(OperatorMatrix, "i_minus",
+                        lambda self: i_minus(OperatorMatrix(self.basis)))
+    res = acceptance.check_resonance_contrast()
+    assert not res.passed, res.detail
+    assert res.detail.startswith("40 flags, cosine alpha nan"), res.detail
 
 
 # -- criterion 9 can fail ------------------------------------------------------

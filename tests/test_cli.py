@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.sparse import csc_matrix
 
 from towerlab import cli, periodic as per, tower as tw
 from towerlab.transfer import operators
@@ -329,7 +330,9 @@ def test_laplace_exactly_singular_is_numerical_error(pm_config, tmp_path,
     # an exactly singular I - R_-s (here I - a cyclic permutation) has no
     # sparse LU; it is a pole like a near-singular one, exit 4
     def cyclic(grid, s, z=0.0):
-        return SimpleNamespace(mat=np.roll(np.eye(grid.basis.n), 1, axis=0))
+        n = grid.basis.n
+        return SimpleNamespace(i_minus=lambda: csc_matrix(
+            np.eye(n) - np.roll(np.eye(n), 1, axis=0), dtype=complex))
 
     monkeypatch.setattr(operators, "assemble_twisted", cyclic)
     out = tmp_path / "out"

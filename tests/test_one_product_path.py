@@ -13,17 +13,19 @@ fails on:
   an operand: ``@``, ``np.dot``/``matmul``/``einsum``/... or ``.dot``,
   outside ``CylinderBasis.apply``;
 - an elementwise product ``Mhat * x``, a dense copy whose only use is a
-  matrix product, outside ``OperatorMatrix.mat``, which builds the
-  twisted matrix whose I - R ``_near_kernel`` factorises;
+  matrix product, outside ``OperatorMatrix.mat``, which builds the dense
+  twisted matrix, and ``OperatorMatrix.i_minus``, which twists the
+  entries of Mhat on the sparse pattern of I - Mhat;
 - Mhat data bound to another name, which would hide a product from this
   walk: the data itself anywhere, and a subscript or slice of it, or a
   loop over it, outside ``CylinderBasis``; a negated copy, ``-Mhat``,
   counts as the data;
 - a sparse matrix or sparse factorisation built outside
-  ``operators.lu_factor``, which makes the one sparse copy of I - R, for
-  SuperLU.  The walk cannot follow I - R from ``_near_kernel`` into that
-  helper, so a sparse constructor anywhere else counts, as a possible
-  sparse copy of Mhat data under another name, even in a function that
+  ``OperatorMatrix.i_minus``, which builds the sparse I - R that
+  ``_near_kernel`` factorises and multiplies by, and ``operators.lu_factor``,
+  which factorises it with SuperLU.  The walk cannot follow a sparse
+  matrix under another name, so a sparse constructor anywhere else
+  counts, as a possible sparse copy of Mhat data, even in a function that
   ``DENSE_ALLOWED`` names.
 
 Only the functions in ``DENSE_ALLOWED`` may use the dense matrix, each for
@@ -37,14 +39,12 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 MHAT_DATA = {"Mhat", "_mhat_dense", "_mhat_blocks", "mat"}
 MATMUL_ALLOWED = {("towerlab/transfer/basis.py", "CylinderBasis.apply")}
-SCALE_ALLOWED = {("towerlab/transfer/operators.py", "OperatorMatrix.mat")}
+SCALE_ALLOWED = {("towerlab/transfer/operators.py", "OperatorMatrix.mat"),
+                 ("towerlab/transfer/operators.py", "OperatorMatrix.i_minus")}
 VIEW_ALLOWED = ("towerlab/transfer/basis.py", "CylinderBasis")
-SPARSE_ALLOWED = {("towerlab/transfer/operators.py", "lu_factor")}
+SPARSE_ALLOWED = {("towerlab/transfer/operators.py", "OperatorMatrix.i_minus"),
+                  ("towerlab/transfer/operators.py", "lu_factor")}
 DENSE_ALLOWED = {
-    ("towerlab/transfer/operators.py", "_near_kernel"):
-        "builds I - R for the sparse LU of resolvent_scan and "
-        "laplace_transform, and takes the residual A @ x of its near-kernel "
-        "vector",
     ("towerlab/transfer/operators.py", "OperatorMatrix.duality_defect"):
         "a diagnostic: builds the mu-adjoint of the matrix and multiplies "
         "by it",
@@ -205,11 +205,10 @@ def test_guard_flags_every_other_product(tmp_path):
 
 def test_dense_matrix_uses_are_each_needed():
     # without its allowance, each allowed function is flagged; the scan and
-    # the Laplace transform reach the dense matrix only through the
-    # near-kernel helper
+    # the Laplace transform do not reach the dense matrix at all
     flagged = {f.split(" ")[1].rstrip(":") for f in mhat_products(allowed=())}
     assert flagged == {qual for _, qual in DENSE_ALLOWED}
-    assert flagged == {"_near_kernel", "OperatorMatrix.duality_defect"}
+    assert flagged == {"OperatorMatrix.duality_defect"}
 
 
 def test_guard_sees_through_operator_matrix(tmp_path):
@@ -220,30 +219,36 @@ def test_guard_sees_through_operator_matrix(tmp_path):
         "    return op.mat @ v\n"
         "def _near_kernel(op, x):\n"
         "    A = -op.mat\n"
-        "    return A @ x\n")
+        "    return A @ x\n"
+        "class OperatorMatrix:\n"
+        "    def i_minus(self):\n"
+        "        return -(self.basis.Mhat[rows, cols] * self.tw[cols])\n")
+    # the near-kernel helper has no dense allowance: its dense I - R is an
+    # alias of Mhat data, and the sparse builder may only twist entries
     assert mhat_products(tmp_path) == [
-        "towerlab/transfer/operators.py:2 elsewhere: matrix product"]
-    assert mhat_products(tmp_path, allowed=()) == [
         "towerlab/transfer/operators.py:2 elsewhere: matrix product",
         "towerlab/transfer/operators.py:4 _near_kernel: alias"]
 
 
 def test_guard_allows_one_sparse_copy(tmp_path):
-    # only the LU helper may build a sparse matrix; the dense allowance of
-    # _near_kernel does not cover one
+    # only the I - R builder and the LU helper may build a sparse matrix;
+    # the near-kernel helper that uses both may not
     pkg = tmp_path / "towerlab" / "transfer"
     pkg.mkdir(parents=True)
     (pkg / "operators.py").write_text(
+        "class OperatorMatrix:\n"
+        "    def i_minus(self):\n"
+        "        return csc_matrix((data, indices, indptr))\n"
         "def lu_factor(A):\n"
         "    return splu(csc_matrix(A))\n"
         "def _near_kernel(op, x):\n"
-        "    A = -op.mat\n"
+        "    A = op.i_minus()\n"
         "    return sparse.csc_matrix(A), splu(A)\n"
         "def elsewhere(basis):\n"
         "    return csr_matrix(basis.Mhat), csr_array(basis.Mhat.T)\n")
     assert mhat_products(tmp_path) == [
-        "towerlab/transfer/operators.py:5 _near_kernel: sparse copy",
-        "towerlab/transfer/operators.py:5 _near_kernel: sparse copy",
-        "towerlab/transfer/operators.py:7 elsewhere: sparse copy",
-        "towerlab/transfer/operators.py:7 elsewhere: sparse copy",
+        "towerlab/transfer/operators.py:8 _near_kernel: sparse copy",
+        "towerlab/transfer/operators.py:8 _near_kernel: sparse copy",
+        "towerlab/transfer/operators.py:10 elsewhere: sparse copy",
+        "towerlab/transfer/operators.py:10 elsewhere: sparse copy",
     ]

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.sparse import csc_matrix
 
 from towerlab import systems, suspension as sp
 from towerlab.transfer import operators, towerop
@@ -324,11 +325,60 @@ def test_resolvent_flags_singular_non_uniform_measure(pm_cli_basis):
     assert sc.residuals[0] < 1e-10 * pm_cli_basis.n
 
 
+@pytest.mark.parametrize("twist", ["none", "b=9", "b=2pi", "real",
+                                   "zero column"])
+@pytest.mark.parametrize("basis", ["bd", "pm_cli_basis"])
+def test_sparse_i_minus_is_the_dense_one(request, basis, twist):
+    # I - R built on the basis's CSC pattern of I - Mhat: its pattern and
+    # every bit of its data are those of the sparse copy of the dense
+    # I - mat, with no stored zeros.  The dense I - mat is -mat with 1
+    # added on its diagonal: np.eye - mat differs from it in the sign of a
+    # zero imaginary part.  The "zero column" twist, 1 + 0j but 0 on column
+    # 3, has such parts, and column 3 keeps only its diagonal.
+    basis = request.getfixturevalue(basis)
+    grid = TowerGrid(basis, sp.cosine_roof(), None)
+    op = {"none": lambda: assemble_R(basis),
+          "b=9": lambda: assemble_twisted(grid, 9j),
+          "b=2pi": lambda: assemble_twisted(grid, 2j * np.pi, 0.5j),
+          "real": lambda: assemble_twisted(grid, -0.3),
+          "zero column": lambda: operators.OperatorMatrix(
+              basis, tw=(np.arange(basis.n) != 3).astype(complex))}[twist]()
+    want = -op.mat
+    want[np.diag_indices_from(want)] += 1.0
+    want = csc_matrix(want, dtype=complex)
+    for A in (op.i_minus(), op.i_minus()):
+        assert A.dtype == complex and A.has_sorted_indices
+        assert np.array_equal(A.indptr, want.indptr)
+        assert np.array_equal(A.indices, want.indices)
+        assert np.array_equal(A.data.view(np.uint64),
+                              want.data.view(np.uint64))
+        assert np.all(A.data != 0)
+    if twist == "zero column":
+        assert A.indptr[4] - A.indptr[3] == 1 < A.nnz / basis.n
+
+
+def test_scan_and_transform_build_no_dense_matrix(monkeypatch, bd,
+                                                  small_pm_grid):
+    # the scan and the Laplace transform run on the sparse I - R alone
+    def refuse(self):
+        raise AssertionError("the dense operator matrix was built")
+
+    monkeypatch.setattr(operators.OperatorMatrix, "mat", property(refuse))
+    sc = resolvent_scan(bd, sp.cosine_roof(), [3.0, 9.0], [0.0], C6=2.0,
+                        n_random=2)
+    assert np.all(np.isfinite(sc.norm_estimate)) and not sc.resonance.any()
+    v = sp.coordinate_observable()
+    assert np.isfinite(laplace_transform(small_pm_grid, v, v, 0.3 + 2j))
+    with pytest.raises(AssertionError, match="dense"):
+        assemble_R(bd).mat
+
+
 def _resolvent_reference(basis, roof, b_grid, C6, n_random, n_adversarial,
                          seed, resonance_tol=1e-10):
     """resolvent_scan as a loop over single probes: each probe is drawn,
     scaled, solved and measured on its own, with the scan's sparse LU
-    (``operators.lu_factor``/``lu_solve``).  SuperLU solves its supernodes
+    (``operators.lu_factor``/``lu_solve``) of the sparse I - R that the
+    scan builds (``OperatorMatrix.i_minus``).  SuperLU solves its supernodes
     with BLAS, whose vector path threaded OpenBLAS may round differently
     from its matrix path; each probe is therefore solved beside a copy of
     itself, through the matrix path, like the scan's block."""
@@ -339,7 +389,7 @@ def _resolvent_reference(basis, roof, b_grid, C6, n_random, n_adversarial,
     n = basis.n
     norms, flags, resids = [], [], []
     for b in b_grid:
-        A = np.eye(n, dtype=complex) - assemble_twisted(grid, 1j * b, 0.0).mat
+        A = assemble_twisted(grid, 1j * b, 0.0).i_minus()
         lu = lu_factor(A)
         start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         start /= np.linalg.norm(start)
@@ -738,8 +788,10 @@ def test_laplace_poles_raise(small_pm_grid, bd):
 def test_lu_solves_complex_right_sides_of_a_real_system(bd):
     # I - R is real at b = omega = 0 in the scan and at real s in the
     # transform, and the near-kernel iteration starts from a complex vector
-    A = np.eye(bd.n) - 0.5 * assemble_R(bd).mat
+    A = operators.OperatorMatrix(bd, tw=np.full(bd.n, 0.5)).i_minus()
     lu = operators.lu_factor(A)
+    A = A.toarray()
+    assert np.array_equal(A, np.eye(bd.n) - 0.5 * bd.Mhat)
     rng = np.random.default_rng(3)
     b = rng.standard_normal(bd.n) + 1j * rng.standard_normal(bd.n)
     for trans, M in enumerate((A, A.T, A.conj().T)):
@@ -751,9 +803,11 @@ def test_exactly_singular_system_is_flagged(monkeypatch, bd):
     # I - (cyclic permutation) has an exactly zero pivot, which the sparse
     # LU refuses to factor: the scan flags the point, and the transform
     # reports a pole
-    P = np.roll(np.eye(bd.n), 1, axis=0).astype(complex)
+    A = csc_matrix(np.eye(bd.n) - np.roll(np.eye(bd.n), 1, axis=0),
+                   dtype=complex)
     monkeypatch.setattr(operators, "assemble_twisted",
-                        lambda grid, s, z=0.0: SimpleNamespace(mat=P))
+                        lambda grid, s, z=0.0: SimpleNamespace(
+                            i_minus=lambda: A))
     sc = resolvent_scan(bd, sp.cosine_roof(), [9.0], [0.0], C6=2.0,
                         n_random=2)
     assert sc.resonance[0] and sc.norm_estimate[0] == math.inf
