@@ -158,11 +158,14 @@ def _build_induced(run: Run) -> maps.InducedMap:
 
 def _build_roof(run: Run) -> sp.RoofFunction:
     kind = run["roof", "kind"]
-    if kind == "constant":
-        return sp.constant_roof(run["roof", "c"])
-    if kind == "cosine":
-        return sp.cosine_roof(run["roof", "mean"], run["roof", "amp"])
-    return sp.power_singularity_roof(run["roof", "beta"])
+    try:
+        if kind == "constant":
+            return sp.constant_roof(run["roof", "c"])
+        if kind == "cosine":
+            return sp.cosine_roof(run["roof", "mean"], run["roof", "amp"])
+        return sp.power_singularity_roof(run["roof", "beta"])
+    except ValueError as exc:  # [grids] has a beta too
+        raise ValueError(f"[roof] {exc}") from exc
 
 
 def _build_obs(run: Run) -> tuple[sp.Observable, sp.Observable]:
@@ -369,15 +372,13 @@ def cmd_renewal(run: Run) -> None:
 
 
 def cmd_decomp(run: Run) -> None:
-    grid = _tower_grid(run)
-    worst, rows = 0.0, []
-    for n in run["grids", "n_list"]:
-        rep = tower_operator_decomposition(grid, run["grids", "s"], n)
-        worst = max(worst, rep.residual)
-        rows.append((n, rep.residual, rep.vanish_beyond))
-    path = _csv(run, "decomp.csv", "n,residual,vanish_beyond", rows)
-    print(f"decomp: worst residual {worst:.3e} -> {path}")
-    if worst > 1e-8:
+    rep = tower_operator_decomposition(_tower_grid(run), run["grids", "s"],
+                                       run["grids", "n_list"])
+    path = _csv(run, "decomp.csv", "n,residual,vanish_beyond",
+                [(n, r, rep.vanish_beyond)
+                 for n, r in zip(rep.n, rep.residuals)])
+    print(f"decomp: worst residual {rep.residual:.3e} -> {path}")
+    if rep.residual > 1e-8:
         raise CheckFailure("decomposition residual above 1e-8")
 
 

@@ -79,6 +79,8 @@ class RoofFunction:
 
 
 def constant_roof(c: float = 1.0) -> RoofFunction:
+    if not c > 0:
+        raise ValueError(f"c = {c}: not > 0")
     return RoofFunction(name=f"const({c:g})", func=lambda x: np.full_like(x, c),
                         inf_floor=c, holder_const=0.0)
 
@@ -94,6 +96,8 @@ def cosine_roof(mean: float = 2.0, amp: float = 1.0) -> RoofFunction:
 
 def power_singularity_roof(beta: float = 1.0) -> RoofFunction:
     """Unbounded roof 1 + x^(-1/(beta+1)); mu_Leb(h > n) ~ n^-(beta+1)."""
+    if not beta > 0:
+        raise ValueError(f"beta = {beta}: not > 0")
     p = 1.0 / (beta + 1.0)
     return RoofFunction(name=f"singular(beta={beta:g})",
                         func=lambda x: 1.0 + np.maximum(x, 1e-300) ** (-p),
@@ -577,7 +581,8 @@ def _ratio_stability(rows: list[TruncationRow]) -> tuple[float, float]:
     if not sig:
         return 0.0, 1.0
     fitted = float(np.exp(np.mean(np.log(sig))))
-    return fitted, max(sig) / min(sig)
+    # all-inf ratios (bounds underflowed) would give inf / inf = nan
+    return fitted, max(sig) / min(sig) if max(sig) < math.inf else math.inf
 
 
 def truncation_error_experiment(ind: InducedMap, roof: RoofFunction,

@@ -253,6 +253,8 @@ def resolvent_scan(basis: CylinderBasis, roof, b_grid, omega_grid,
     approximate-eigenvalue candidates and skipped; the growth exponent
     alpha is fitted on the unflagged points.
     """
+    if not C6 > 0:
+        raise ValueError(f"C6 = {C6}: not > 0")
     theta = basis.ind.model.theta
     rng = np.random.default_rng(seed)
     grid = TowerGrid(basis, roof, N)

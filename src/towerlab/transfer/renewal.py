@@ -11,7 +11,6 @@ series does not converge.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,45 +153,46 @@ def renewal_build(grid: TowerGrid, s: complex, horizon: int = 96,
 # First/last base-passage decomposition of L_s^n
 # ---------------------------------------------------------------------------
 
-# The block and descent norms of a decomposition do not depend on n: per
-# grid, they are kept under everything else they read, so a scan over n
-# computes them once.  A grid is not changed after it is built.
-_NORMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 @dataclass
 class DecompositionReport:
-    n: int
-    residual: float
+    n: tuple[int, ...]       # the n checked, as given
+    residuals: np.ndarray    # one per n
     a_norms: np.ndarray      # L^inf(Y) -> L^1 norms of A_{s,i}, i = 1..2N
     b_norms: np.ndarray      # probe ||.||_b -> ||.||_b norms of the descents
     e_norms: np.ndarray      # L^1 norms of E_{s,i}, i = 1..2N
     vanish_beyond: bool      # A, E identically zero from i = N on
 
+    @property
+    def residual(self) -> float:
+        return float(np.max(self.residuals))
 
-def tower_operator_decomposition(grid: TowerGrid, s: complex, n: int,
+
+def tower_operator_decomposition(grid: TowerGrid, s: complex, n,
                                  n_probes: int = 12, seed: int = 0
                                  ) -> DecompositionReport:
-    """Verify L_s^n = sum_{i+j+k=n} A_i T_j B_k + E_n on probe vectors.
+    """Verify L_s^n = sum_{i+j+k=n} A_i T_j B_k + E_n on probe vectors, at
+    one n or at each n of a sequence.
 
     A climbs from the base without returning, T runs base to base, B
     descends to its first base hit, and E never touches the base.  The
     probes are the columns of one tower state, so every step is one
-    matrix product.  The left side is n direct steps of L_s.  The right
+    matrix product.  The left side is m direct steps of L_s.  The right
     side assembles B and E from their path tables and gets the T-part from
     U_m = L_s U_{m-1} + lift(B_m), U_{-1} = 0, whose base values are
-    sum_{k+j=m} T_j B_k; so it is sum_m A_{n-m} base(U_m) + E_n, again n
-    steps.  The block norms of A and E run to i = 2N over the levels the
-    grid has; ``vanish_beyond`` reports whether they are zero from the
-    declared cut N on.  The norms do not depend on n: the first call
-    with a given grid, s, ``n_probes`` and seed computes them (the b-norm
-    probes follow the decomposition's in one stream), and later calls
-    get copies.
+    sum_{k+j=m} T_j B_k; so it is sum_m A_{n-m} base(U_m) + E_n.  Both
+    sides step together to the largest n, each n's right side takes
+    base(U_m) at level n - m, and its residual is taken at m = n.  The
+    block norms of A and E run to i = 2N over the levels the grid has;
+    ``vanish_beyond`` reports whether they are zero from the declared cut
+    N on.  The norms do not depend on n; the b-norm probes follow the
+    decomposition's in one stream.
     """
     if grid.N is None:
         raise ValueError("the decomposition needs a truncated tower")
+    ns = np.atleast_1d(n).tolist()
+    if min(ns) < 0:
+        raise ValueError(f"n = {min(ns)}: not >= 0")
     N = int(grid.N)
-    levels = grid.max_h
     cum = _cum_roof(grid)
     rng = np.random.default_rng(seed)
     probes = [
@@ -200,48 +200,46 @@ def tower_operator_decomposition(grid: TowerGrid, s: complex, n: int,
          for m in grid.mu_at] for _ in range(n_probes)]
     V0 = [np.stack(cols, axis=1) for cols in zip(*probes)]
     B_apply = _descent(grid, cum, s)
+    climb = [np.exp(s * c) for c in cum]   # A's twist up to each level
 
-    lhs = V0
-    for _ in range(n):
-        lhs = grid.step(lhs, s)
-
-    rhs = _interior_apply(grid, cum, s, V0, n)
+    rhs = {}   # each n's right side, from E_n V0 (never reaches the base)
+    for k in set(ns):
+        rhs[k] = grid.zero_state(dtype=complex, width=n_probes)
+        for ell, off, climbed in _interior(grid, cum, k):
+            rhs[k][ell + k] = np.exp(s * climbed)[:, None] * V0[ell][off:]
+    residuals = {}
     flat0 = np.concatenate(V0)
+    lhs = V0
     U = grid.zero_state(dtype=complex, width=n_probes)
-    for m in range(n + 1):
+    for m in range(max(ns) + 1):
         if m > 0:
+            lhs = grid.step(lhs, s)
             U = grid.step(U, s)
-        if m < levels:
-            U[0] = U[0] + B_apply(flat0, m)
-        i = n - m
-        if i < levels:
-            base = U[0][grid.first[i]:]
-            rhs[i] = rhs[i] + np.exp(s * cum[i])[:, None] * base
+        U[0] = U[0] + B_apply(flat0, m)   # B_m = 0 from m = max_h on
+        for k, side in rhs.items():
+            i = k - m
+            if 0 <= i < grid.max_h:
+                side[i] = side[i] + climb[i][:, None] * U[0][grid.first[i]:]
+        if m in rhs:
+            diff, scale = np.zeros(n_probes), np.full(n_probes, 1e-30)
+            for a, b in zip(lhs, rhs.pop(m)):
+                if len(a):
+                    diff = np.maximum(diff, np.abs(a - b).max(axis=0))
+                    scale = np.maximum(scale, np.abs(a).max(axis=0))
+            residuals[m] = float(np.max(diff / scale))
 
-    diff = np.zeros(n_probes)
-    scale = np.full(n_probes, 1e-30)
-    for a, b in zip(lhs, rhs):
-        if len(a):
-            diff = np.maximum(diff, np.abs(a - b).max(axis=0))
-            scale = np.maximum(scale, np.abs(a).max(axis=0))
-    residual = float(np.max(diff / scale))
-
-    norms = _NORMS.setdefault(grid, {})
-    key = (s, np.iscomplexobj(s), N, n_probes, seed)
-    if key not in norms:
-        climb = np.zeros(2 * N + 1)
-        for i, (c, mu) in enumerate(zip(cum[:2 * N + 1], grid.mu_at)):
-            climb[i] = np.sum(np.abs(np.exp(s * c)) * mu) / grid.rbar
-        norms[key] = (climb[1:],
-                      np.array([_interior_norm(grid, cum, s, i)
-                                for i in range(1, 2 * N + 1)]),
-                      _b_norms(grid, B_apply, rng, min(N, 12)))
-    a_norms, e_norms, b_norms = (a.copy() for a in norms[key])
+    a_norms = np.zeros(2 * N)
+    for i, (tw, mu) in enumerate(zip(climb[1:2 * N + 1], grid.mu_at[1:])):
+        a_norms[i] = np.sum(np.abs(tw) * mu) / grid.rbar
+    e_norms = np.array([_interior_norm(grid, cum, s, i)
+                        for i in range(1, 2 * N + 1)])
+    b_norms = _b_norms(grid, B_apply, rng, min(N, 12))
     vanish = bool(np.all(a_norms[N - 1:] == 0.0)
                   and np.all(e_norms[N - 1:] == 0.0))
-    return DecompositionReport(n=n, residual=residual, a_norms=a_norms,
-                               b_norms=b_norms, e_norms=e_norms,
-                               vanish_beyond=vanish)
+    return DecompositionReport(
+        n=tuple(ns), residuals=np.array([residuals[k] for k in ns]),
+        a_norms=a_norms, b_norms=b_norms, e_norms=e_norms,
+        vanish_beyond=vanish)
 
 
 def _descent(grid: TowerGrid, cum, s: complex):
@@ -280,15 +278,6 @@ def _interior(grid: TowerGrid, cum, nn: int):
     for ell in range(1, grid.max_h - nn):
         off = grid.first[ell + nn] - grid.first[ell]
         yield ell, off, cum[ell + nn] - cum[ell][off:]
-
-
-def _interior_apply(grid: TowerGrid, cum, s: complex, V: list,
-                    nn: int) -> list:
-    """Interior block: start at level >= 1, never reach the base."""
-    out = grid.zero_state(dtype=complex, width=V[0].shape[1])
-    for ell, off, climbed in _interior(grid, cum, nn):
-        out[ell + nn] = np.exp(s * climbed)[:, None] * V[ell][off:]
-    return out
 
 
 def _interior_norm(grid: TowerGrid, cum, s: complex, nn: int) -> float:

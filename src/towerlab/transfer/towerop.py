@@ -68,6 +68,8 @@ class TowerGrid:
 
     def __init__(self, basis: CylinderBasis, roof: RoofFunction | None,
                  N: int | None = None) -> None:
+        if N is not None and N < 1:
+            raise ValueError(f"N = {N}: truncation level must be >= 1")
         self.basis = basis
         self.roof = roof
         self.N = N

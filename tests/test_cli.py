@@ -9,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.sparse import csc_matrix
 
-from towerlab import cli, periodic as per, tower as tw
+from towerlab import cli, periodic as per, suspension as sp, tower as tw
 from towerlab.transfer import operators
+from towerlab.transfer.towerop import TowerGrid
 
 
 @pytest.fixture()
@@ -191,6 +192,20 @@ def test_subcommands_write_artifacts(sub, artifact, pm_config, tmp_path):
     out = tmp_path / "out"
     assert run([sub, "--config", pm_config, "--out", str(out)]) == 0
     assert (out / artifact).exists()
+
+
+def test_unstable_constant_over_underflowed_bounds_fails(pm_config, tmp_path,
+                                                        monkeypatch, capsys):
+    # every ratio inf made stable_within nan, and nan > 3.0 let exit 0 by
+    rows = sp._rows(10, np.array([5.0]), [(1e-3, 1e-4)], [(0.0, 1e-4)],
+                    lambda t: 1e-320)
+    table = sp.TruncationTable(rows, *sp._ratio_stability(rows),
+                               kept_fraction=1.0, oob={}, reflowed={})
+    monkeypatch.setattr(sp, "truncation_error_experiment",
+                        lambda *args, **kwargs: table)
+    assert run(["trunc-error", "--config", pm_config,
+                "--out", str(tmp_path / "out")]) == 2
+    assert "unstable" in capsys.readouterr().err
 
 
 def test_roof_trunc_subcommand(doubling_config, tmp_path):
@@ -387,6 +402,55 @@ def test_ill_typed_value_is_config_error(sub, section, key, value, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("N", ["-2", "0"])
+@pytest.mark.parametrize("sub", ["resolvent", "renewal", "decomp", "laplace"])
+def test_tower_below_one_level_is_config_error(sub, N, pm_config, tmp_path,
+                                               capsys):
+    # N = -2: resolvent wrote inf-norm flags (exit 0), renewal raised an
+    # IndexError, decomp and laplace failed in numpy; N = 0: exit 4
+    cfg = tmp_path / "n.ini"
+    cfg.write_text(open(pm_config).read().replace("N = 12", f"N = {N}"))
+    out = tmp_path / "out"
+    assert run([sub, "--config", str(cfg), "--out", str(out)]) == 3
+    assert f"N = {N}: truncation level" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub,roof,name", [
+    ("resolvent", "kind = constant\nc = 0", "[roof] c = 0.0"),
+    ("decomp", "kind = constant\nc = 0", "[roof] c = 0.0"),
+    ("laplace", "kind = constant\nc = -1", "[roof] c = -1.0"),
+    ("resolvent", "kind = power_singularity\nbeta = -1", "[roof] beta = -1.0"),
+    ("corr-flow", "kind = power_singularity\nbeta = -0.5",
+     "[roof] beta = -0.5"),
+    ("roof-trunc", "kind = power_singularity\nbeta = 0", "[roof] beta = 0.0"),
+    ("resolvent", "kind = cosine\nmean = 1\namp = 1", "[roof] roof must"),
+])
+def test_roof_that_makes_no_roof_is_config_error(sub, roof, name, pm_config,
+                                                 tmp_path, capsys):
+    # c = 0 ran resolvent, renewal and decomp to exit 0, c = -1 gave a
+    # negative Laplace transform; beta = -1 divided by zero (exit 4), and
+    # beta in (-1, 0] is a roof of infinite mean that corr-flow sampled
+    cfg = tmp_path / "roof.ini"
+    cfg.write_text(open(pm_config).read().replace("kind = cosine", roof))
+    out = tmp_path / "out"
+    assert run([sub, "--config", str(cfg), "--out", str(out)]) == 3
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("C6", ["0", "-2"])
+def test_nonpositive_C6_is_config_error(C6, pm_config, tmp_path, capsys):
+    # C6 = 0 gave nan norms, C6 = -2 the bare sup norm, both with exit 0
+    cfg = tmp_path / "c6.ini"
+    cfg.write_text(open(pm_config).read()
+                   .replace("refine = 12", f"refine = 12\nC6 = {C6}"))
+    out = tmp_path / "out"
+    assert run(["resolvent", "--config", str(cfg), "--out", str(out)]) == 3
+    assert f"C6 = {float(C6)}: not > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text,name", [
     ("[grid]\nN_list = 7\n", "[grid]"),
     ("[map]\nalfa = 0.5\n", "[map] alfa"),
@@ -476,14 +540,15 @@ def _fail_on_second_call(monkeypatch, owner, name):
 
 @pytest.mark.parametrize("sub,owner,name,table", [
     ("truncate", tw.Tower, "identity_tall_mass", "truncate.csv"),
-    ("decomp", cli, "tower_operator_decomposition", "decomp.csv"),
+    ("decomp", TowerGrid, "step", "decomp.csv"),
     ("eigenfun", per, "diophantine_check", "diophantine.csv"),
 ], ids=["truncate", "decomp", "eigenfun"])
 def test_failure_partway_writes_no_partial_table(sub, owner, name, table,
                                                  pm_config, tmp_path,
                                                  monkeypatch, capsys):
     # these tables were written a row at a time, so a failure on the
-    # second row left the first one behind in the CSV
+    # second row left the first one behind in the CSV; decomp fails on
+    # the second step of its one pass
     _fail_on_second_call(monkeypatch, owner, name)
     out = tmp_path / "out"
     assert run([sub, "--config", pm_config, "--out", str(out)]) == 4

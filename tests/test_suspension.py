@@ -429,13 +429,16 @@ def test_roof_truncation_experiment_matches_reflow():
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.filterwarnings("error")
 def test_ratio_over_underflowed_bound_is_inf_without_warning():
     # a bound that has underflowed towards 0 (numpy's 1e-320, a subnormal)
-    # makes the row's ratio inf; numpy would warn on the scalar overflow
+    # makes the row's ratio inf; numpy would warn on the scalar overflow.
+    # With every ratio inf, the spread was inf / inf = nan
     rows = sp._rows(10, np.array([5.0]), [(1e-3, 1e-4)], [(0.0, 1e-4)],
                     lambda t: np.float64(1e-320))
     assert rows[0].ratio == math.inf
     assert type(rows[0].bound) is float and rows[0].bound == 1e-320
+    assert sp._ratio_stability(rows) == (math.inf, math.inf)
 
 
 def _coupled_matches_reflow(kind, seed, N_list, ts, q_log, n=1000):

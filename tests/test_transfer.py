@@ -1099,35 +1099,58 @@ def test_forked_child_starts_its_own_worker(small_pm_grid, monkeypatch):
 
 
 def test_decomposition_norms_once_per_probe_draw(small_pm_grid, monkeypatch):
-    # the norms do not depend on n: a scan over n computes them on its
-    # first call, and gives what a grid with no kept norms gives
+    # the norms do not depend on n: one call over several n computes them
+    # once, and equals one call per n bit for bit
     from towerlab.transfer import renewal
     calls = []
     b_norms = renewal._b_norms
     monkeypatch.setattr(renewal, "_b_norms",
                         lambda *a: calls.append(1) or b_norms(*a))
-
-    def fresh_grid():
-        return TowerGrid(small_pm_grid.basis, sp.cosine_roof(), 6)
-
-    grid, s = fresh_grid(), 0.3 + 2j
-    reps = [renewal.tower_operator_decomposition(grid, s, n, n_probes=2,
-                                                 seed=3) for n in (1, 4, 9)]
-    assert len(calls) == 1
-    other = renewal.tower_operator_decomposition(grid, s, 4, n_probes=3,
-                                                 seed=3)
-    assert len(calls) == 2
-    ref = renewal.tower_operator_decomposition(fresh_grid(), s, 4,
+    grid, s = small_pm_grid, 0.3 + 2j
+    rep = renewal.tower_operator_decomposition(grid, s, (1, 4, 9),
                                                n_probes=2, seed=3)
-    assert len(calls) == 3
-    for field in ("a_norms", "e_norms", "b_norms"):
-        for rep in reps:
-            assert np.array_equal(getattr(rep, field), getattr(ref, field))
-    assert not np.array_equal(other.b_norms, ref.b_norms)
-    assert np.array_equal(other.a_norms, ref.a_norms)
-    reps[0].b_norms[:] = 0.0
-    assert np.array_equal(renewal.tower_operator_decomposition(
-        grid, s, 2, n_probes=2, seed=3).b_norms, ref.b_norms)
+    assert len(calls) == 1
+    for n, res in zip((1, 4, 9), rep.residuals):
+        one = renewal.tower_operator_decomposition(grid, s, n, n_probes=2,
+                                                   seed=3)
+        assert one.residuals.tolist() == [res] and one.n == (n,)
+        for field in ("a_norms", "e_norms", "b_norms"):
+            assert np.array_equal(getattr(rep, field), getattr(one, field))
+    assert len(calls) == 4
+
+
+@pytest.fixture(scope="module")
+def small_doubling_grid():
+    basis = CylinderBasis(systems.doubling_induced(), depth=3,
+                          refine_symbols=8)
+    return TowerGrid(basis, sp.power_singularity_roof(1.0), 8)
+
+
+@pytest.mark.parametrize("grid", ["small_pm_grid", "small_doubling_grid"])
+def test_decomposition_scan_equals_single_calls(grid, request):
+    # one pass to the largest n gives each n what a call at that n alone
+    # gives, bit for bit, in the order given and with repeats kept
+    from towerlab.transfer.renewal import tower_operator_decomposition
+    grid = request.getfixturevalue(grid)
+    singles = {n: tower_operator_decomposition(grid, 0.1j, n, n_probes=3,
+                                               seed=5) for n in (1, 4, 9)}
+    for ns in ((1, 4, 9), (9, 1, 9, 4)):
+        rep = tower_operator_decomposition(grid, 0.1j, list(ns), n_probes=3,
+                                           seed=5)
+        assert rep.n == ns
+        assert rep.residuals.tolist() == [singles[n].residual for n in ns]
+        assert rep.residual == max(rep.residuals)
+        for one in singles.values():
+            for field in ("a_norms", "e_norms", "b_norms"):
+                assert np.array_equal(getattr(rep, field),
+                                      getattr(one, field))
+            assert rep.vanish_beyond == one.vanish_beyond
+
+
+def test_decomposition_refuses_negative_n(small_pm_grid):
+    from towerlab.transfer.renewal import tower_operator_decomposition
+    with pytest.raises(ValueError, match="n = -2"):
+        tower_operator_decomposition(small_pm_grid, 0.1j, (3, -2))
 
 
 def test_vanish_beyond_fails_past_the_cut(small_pm_grid):
