@@ -178,6 +178,23 @@ def _build_basis(run: Run) -> CylinderBasis:
                          refine_symbols=run["basis", "refine"])
 
 
+def _at_least(key: str, vals: tuple[int, ...], least: int
+              ) -> tuple[int, ...]:
+    """The values of the [grids] list ``key``, refused if one is below
+    ``least``: a truncation level N (N_list) below 1, an iterate n
+    (n_list) below 0."""
+    if min(vals) < least:
+        raise ValueError(f"[grids] {key} = {','.join(map(str, vals))}: "
+                         f"{min(vals)} is below {least}")
+    return vals
+
+
+def _stability_gate(fitted: float, spread: float) -> None:
+    if spread > 3.0:
+        raise CheckFailure("no row is noise-significant" if fitted == 0.0
+                           else "fitted constant unstable beyond factor 3")
+
+
 def _out(run: Run, name: str) -> str:
     os.makedirs(run.out, exist_ok=True)
     return os.path.join(run.out, name)
@@ -270,7 +287,7 @@ def cmd_tower(run: Run) -> None:
 def cmd_truncate(run: Run) -> None:
     ind = _build_induced(run)
     worst, rows = 0.0, []
-    for N in run["grids", "N_list"]:
+    for N in _at_least("N_list", run["grids", "N_list"], 1):
         tt = tw.Tower(ind, N)
         l1, r1 = tt.identity_mean_defect()
         l2, r2 = tt.identity_tall_mass()
@@ -313,8 +330,8 @@ def cmd_corr_flow(run: Run) -> None:
 def cmd_trunc_error(run: Run) -> None:
     tab = sp.truncation_error_experiment(
         _build_induced(run), _build_roof(run), *_build_obs(run),
-        run["grids", "N_list"], run["grids", "t_grid"], run["run", "samples"],
-        run["run", "seed"])
+        _at_least("N_list", run["grids", "N_list"], 1),
+        run["grids", "t_grid"], run["run", "samples"], run["run", "seed"])
     path = _csv(run, "trunc_error.csv", "N,t,measured,stderr,bound,ratio",
                 [(r.N, r.t, r.measured, r.stderr, r.bound, r.ratio)
                  for r in tab.rows])
@@ -322,15 +339,15 @@ def cmd_trunc_error(run: Run) -> None:
                  logy=True)
     print(f"trunc-error: fitted C {tab.fitted_C:.4f}, "
           f"stable within {tab.stable_within:.2f} -> {path}")
-    if tab.stable_within > 3.0:
-        raise CheckFailure("fitted constant unstable beyond factor 3")
+    _stability_gate(tab.fitted_C, tab.stable_within)
 
 
 def cmd_roof_trunc(run: Run) -> None:
     out = sp.roof_truncation_experiment(
         _build_induced(run), _build_roof(run), *_build_obs(run),
-        run["grids", "N_list"], run["grids", "t_grid"], run["run", "samples"],
-        run["run", "seed"], q_log_trunc=run["grids", "q_log"])
+        _at_least("N_list", run["grids", "N_list"], 1),
+        run["grids", "t_grid"], run["run", "samples"], run["run", "seed"],
+        q_log_trunc=run["grids", "q_log"])
     path = _csv(run, "roof_trunc.csv",
                 "N,t,measured,stderr,bound,second_measured,second_bound",
                 [(r.N, r.t, r.measured, r.stderr, r.bound, r2.measured,
@@ -339,8 +356,7 @@ def cmd_roof_trunc(run: Run) -> None:
           f"stable {out['stable_within']:.2f}; second-cut C "
           f"{out['second_fitted_C']:.4f} stable "
           f"{out['second_stable_within']:.2f} -> {path}")
-    if out["stable_within"] > 3.0:
-        raise CheckFailure("fitted constant unstable beyond factor 3")
+    _stability_gate(out["fitted_C"], out["stable_within"])
 
 
 def cmd_resolvent(run: Run) -> None:
@@ -372,8 +388,8 @@ def cmd_renewal(run: Run) -> None:
 
 
 def cmd_decomp(run: Run) -> None:
-    rep = tower_operator_decomposition(_tower_grid(run), run["grids", "s"],
-                                       run["grids", "n_list"])
+    ns = _at_least("n_list", run["grids", "n_list"], 0)
+    rep = tower_operator_decomposition(_tower_grid(run), run["grids", "s"], ns)
     path = _csv(run, "decomp.csv", "n,residual,vanish_beyond",
                 [(n, r, rep.vanish_beyond)
                  for n, r in zip(rep.n, rep.residuals)])

@@ -576,10 +576,11 @@ class TruncationTable:
 
 
 def _ratio_stability(rows: list[TruncationRow]) -> tuple[float, float]:
-    """Fitted constant and spread over noise-significant grid points."""
+    """Fitted constant and spread over noise-significant grid points;
+    (0.0, inf) if no point is significant, so no stability gate passes."""
     sig = [r.ratio for r in rows if r.measured > 2.0 * r.stderr and r.bound > 0]
     if not sig:
-        return 0.0, 1.0
+        return 0.0, math.inf
     fitted = float(np.exp(np.mean(np.log(sig))))
     # all-inf ratios (bounds underflowed) would give inf / inf = nan
     return fitted, max(sig) / min(sig) if max(sig) < math.inf else math.inf

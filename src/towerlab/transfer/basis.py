@@ -6,6 +6,8 @@ are refined to word depth ``depth`` (deep continuations aggregated into one
 sibling per node), the remaining represented cells stay whole.  Collocation
 is at cylinder midpoints.  The transfer matrix is normalised through its
 Perron pair so that R1 = 1 and the discrete measure is exactly stationary.
+It is kept as its n x J cylinder table: row i of Mhat has one entry per
+inverse branch j, at the leaf ``_colmap[i, j]`` that holds F_j^{-1}(mid_i).
 """
 
 from __future__ import annotations
@@ -102,10 +104,10 @@ class CylinderBasis:
         self._assemble()
         # Mhat by its cylinder structure, for apply: every row hits the
         # leaves of the J - refine unrefined cells, the last ones in tree
-        # order (kept as a column view); each run of rows that hit the same
-        # refined leaves is one (rows x refine) block, and the blocks of
-        # one height are stacked for one batched matmul
-        self._mhat_dense = self.Mhat[:, self.n - (ind.J - self.refine):]
+        # order, so their columns are the table's columns past refine; each
+        # run of rows that hit the same refined leaves is one
+        # (rows x refine) block, and the blocks of one height are stacked
+        # for one batched matmul
         hit = self._colmap[:, :self.refine]
         starts = np.flatnonzero(
             np.r_[True, np.any(hit[1:] != hit[:-1], axis=1)])
@@ -114,9 +116,8 @@ class CylinderBasis:
         for h in np.unique(sizes):
             first = starts[sizes == h]
             rows = first[:, None] + np.arange(h)
-            cols = hit[first]
             self._mhat_blocks.append(
-                (rows, cols, self.Mhat[rows[:, :, None], cols[:, None, :]]))
+                (rows, hit[first], self._mhat_table[rows, :self.refine]))
 
     # -- geometry ------------------------------------------------------------
 
@@ -167,18 +168,29 @@ class CylinderBasis:
     # -- transfer matrix -------------------------------------------------------
 
     def _assemble(self) -> None:
-        ind = self.ind
-        n = self.n
-        M = np.zeros((n, n))
-        rows = np.arange(n)
+        ind, n, a = self.ind, self.n, self.refine
+        # the table of the unnormalised M: M[i, _colmap[i, j]] = T[i, j]
+        T = np.empty((n, ind.J))
         for j, _, deriv in ind.inverse_chain(self.mid):
-            np.add.at(M, (rows, self._colmap[:, j]), 1.0 / deriv)
+            T[:, j] = 1.0 / deriv
+        # M v and m M split as in apply: BLAS on the unrefined columns, a
+        # gather (M v) or a bincount (m M) on the refined leaves, which
+        # come first in tree order
+        tail, hit = n - (ind.J - a), self._colmap[:, :a]
+
+        def right(v):
+            return T[:, a:] @ v[tail:] + np.sum(T[:, :a] * v[hit], axis=1)
+
+        def left(m):
+            w = np.bincount(hit.ravel(), np.ravel(m[:, None] * T[:, :a]), tail)
+            return np.r_[w, m @ T[:, a:]]
+
         rho = np.full(n, 1.0)
         m = self.width / self.width.sum()
         lam = 1.0
         for it in range(1, 1501):
-            nr = M @ rho
-            nm = m @ M
+            nr = right(rho)
+            nm = left(m)
             lam = float(nr @ rho / (rho @ rho))
             nr /= nr.max()
             nm /= nm.sum()
@@ -188,14 +200,13 @@ class CylinderBasis:
                 break
         self.lam = lam
         self.rho = rho
-        resid = np.max(np.abs(M @ rho - lam * rho)) / np.max(rho)
-        resid = max(resid, np.max(np.abs(m @ M - lam * m)) / np.max(m))
+        resid = np.max(np.abs(right(rho) - lam * rho)) / np.max(rho)
+        resid = max(resid, np.max(np.abs(left(m) - lam * m)) / np.max(m))
         if resid > 1e-12:
             raise ArithmeticError(f"Perron pair not converged: {resid:.2e}")
         self.perron_residual = float(resid)
         self.perron_iterations = it
-        self.Mhat = M * rho[None, :] / (lam * rho[:, None])
-        self.Mhat.flags.writeable = False  # shared by every operator view
+        self._mhat_table = T * rho[self._colmap] / (lam * rho[:, None])
         mu = m * rho
         self.mu = mu / mu.sum()
 
@@ -204,30 +215,34 @@ class CylinderBasis:
         """The CSC pattern of I - Mhat, built on first use: row i of Mhat
         hits only the leaves ``_colmap[i]``, and I adds the diagonal.
 
-        (indptr, indices, cols, diag): the column pointers and the row of
-        each slot, as for a ``csc_matrix``, the column of each slot, and
-        the slots on the diagonal.  Rows ascend within each column.
+        (indptr, indices, cols, entry, diag): the column pointers and the
+        row of each slot, as for a ``csc_matrix``, the column of each slot,
+        the index of each slot's Mhat value in the flattened table followed
+        by n zeros (for the diagonal slots that no symbol hits), and the
+        slots on the diagonal.  Rows ascend within each column.
         """
         n, J = self._colmap.shape
         rows = np.r_[np.repeat(np.arange(n), J), np.arange(n)]
         cols = np.r_[self._colmap.ravel(), np.arange(n)]
-        key = np.sort(cols.astype(np.int64) * n + rows)
-        # a leaf that two symbols of one row hit, or the diagonal, is one slot
-        cols, rows = np.divmod(key[np.r_[True, key[1:] != key[:-1]]], n)
+        key = cols.astype(np.int64) * n + rows
+        order = np.argsort(key, kind="stable")
+        # a diagonal that a symbol hits is one slot, valued from the table
+        entry = order[np.r_[True, np.diff(key[order]) != 0]]
+        cols, rows = cols[entry], rows[entry]
         indptr = np.r_[0, np.cumsum(np.bincount(cols, minlength=n))]
-        return (indptr.astype(np.intc), rows.astype(np.intc), cols,
+        return (indptr.astype(np.intc), rows.astype(np.intc), cols, entry,
                 np.flatnonzero(rows == cols))
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Mhat @ u for a real or complex u of shape (n,) or (n, w).
 
-        One product with the dense column view plus one batched matmul
-        per block height.  The sums run in another order than in
-        ``Mhat @ u``, so the result is deterministic but not bit-equal to
-        it; both are within rounding of the exact product.  Mhat is real,
-        so a complex u is multiplied as its interleaved (re, im) pairs:
-        the (n, 2w) float view of a C-contiguous u, viewed back as
-        complex.  Mhat is never cast to complex.
+        One product with the table's unrefined columns plus one batched
+        matmul per block height.  The sums run in another order than in a
+        dense ``Mhat @ u``, so the result is deterministic but not
+        bit-equal to it; both are within rounding of the exact product.
+        Mhat is real, so a complex u is multiplied as its interleaved
+        (re, im) pairs: the (n, 2w) float view of a C-contiguous u, viewed
+        back as complex.  Mhat is never cast to complex.
         """
         cplx = np.iscomplexobj(u)
         if cplx:
@@ -235,7 +250,8 @@ class CylinderBasis:
         x = u.reshape(self.n, -1)
         if cplx:
             x = x.view(np.float64)
-        out = self._mhat_dense @ x[self.n - self._mhat_dense.shape[1]:]
+        out = self._mhat_table[:, self.refine:] @ \
+            x[self.n - self.ind.J + self.refine:]
         for rows, cols, vals in self._mhat_blocks:
             out[rows] += vals @ x[cols]
         return (out.view(complex) if cplx else out).reshape(u.shape)

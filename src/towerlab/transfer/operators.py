@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csc_matrix
@@ -45,23 +44,16 @@ class OperatorMatrix:
     z: complex = 0.0
     tw: np.ndarray | None = None
 
-    @cached_property
-    def mat(self) -> np.ndarray:
-        """The dense matrix Mhat diag(tw), built on first use."""
-        if self.tw is None:
-            return self.basis.Mhat
-        return self.basis.Mhat * self.tw[None, :]
-
     def i_minus(self) -> csc_matrix:
-        """I - mat as a complex CSC matrix, on the basis's pattern of
-        I - Mhat, with no dense matrix.  Entry by entry it makes the
-        operations of the dense path, -(Mhat tw) and then 1 added on the
+        """I - Mhat diag(tw) as a complex CSC matrix, on the basis's
+        pattern of I - Mhat, with no dense matrix.  Entry by entry it makes
+        the operations of a dense path, -(Mhat tw) and then 1 added on the
         diagonal, and drops the entries that are exactly 0: so it equals
-        ``csc_matrix(I - mat)`` bit for bit."""
-        indptr, indices, cols, diag = self.basis.csc_pattern
+        the sparse copy of the dense I - Mhat diag(tw) bit for bit."""
+        indptr, indices, cols, entry, diag = self.basis.csc_pattern
         tw = 1.0 if self.tw is None else self.tw[cols]
-        data = np.asarray(-(self.basis.Mhat[indices, cols] * tw),
-                          dtype=complex)
+        vals = np.r_[self.basis._mhat_table.ravel(), np.zeros(self.basis.n)]
+        data = np.asarray(-(vals[entry] * tw), dtype=complex)
         data[diag] += 1.0
         # eliminate_zeros compacts the index arrays in place, and the
         # basis shares its pattern with every operator
@@ -82,13 +74,15 @@ class OperatorMatrix:
         rng = np.random.default_rng(seed)
         n = self.basis.n
         mu = self.basis.mu
-        adj = (self.mat.conj().T * mu[None, :]) / mu[:, None]
+        # <v, adj w>_mu = sum v P^H (mu w) for P = Mhat diag(tw), and
+        # P^H = I - A^H for the sparse A = I - P
+        AH = self.i_minus().conj().T
         worst = 0.0
         for _ in range(n_pairs):
             v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             lhs = np.sum(mu * self.apply(v) * w)
-            rhs = np.sum(mu * v * (adj @ w))
+            rhs = np.sum(v * (mu * w - AH @ (mu * w)))
             worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-30))
         return worst
 

@@ -208,6 +208,41 @@ def test_unstable_constant_over_underflowed_bounds_fails(pm_config, tmp_path,
     assert "unstable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sub,config", [("trunc-error", "pm_config"),
+                                        ("roof-trunc", "doubling_config")])
+def test_truncation_gate_with_no_significant_row_fails(sub, config, request,
+                                                       tmp_path, capsys):
+    # at 100 samples no row has measured > 2 stderr: the stability gate
+    # tested nothing, and passed it with "stable within 1.00" (exit 0)
+    cfg = tmp_path / "few.ini"
+    cfg.write_text(open(request.getfixturevalue(config)).read()
+                   .replace("samples = 20000", "samples = 100"))
+    assert run([sub, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "no row is noise-significant" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub,config,key,value", [
+    ("truncate", "pm_config", "N_list", "0,5"),      # no key named
+    ("truncate", "pm_config", "N_list", "-3,5"),
+    ("trunc-error", "pm_config", "N_list", "0,5"),   # no key named
+    ("trunc-error", "pm_config", "N_list", "-3,5"),
+    ("roof-trunc", "doubling_config", "N_list", "0,5"),   # exit 4
+    ("roof-trunc", "doubling_config", "N_list", "-3,5"),  # math domain
+    ("decomp", "pm_config", "n_list", "-1,4"),       # no section named
+])
+def test_grid_list_below_its_least_names_its_key(sub, config, key, value,
+                                                  request, tmp_path, capsys):
+    cfg = tmp_path / "low.ini"
+    text = open(request.getfixturevalue(config)).read()
+    old = {"N_list": "N_list = 5,10", "n_list": "n_list = 1,4"}[key]
+    cfg.write_text(text.replace(old, f"{key} = {value}"))
+    out = tmp_path / "out"
+    assert run([sub, "--config", str(cfg), "--out", str(out)]) == 3
+    assert f"config error: [grids] {key} = {value}: " in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_roof_trunc_subcommand(doubling_config, tmp_path):
     out = tmp_path / "out"
     assert run(["roof-trunc", "--config", doubling_config,

@@ -1,54 +1,55 @@
 """Static guard: one product path for the real transfer matrix ``Mhat``.
 
+``CylinderBasis`` keeps Mhat as its n x J cylinder table ``_mhat_table``
+(row i holds the entry of each inverse branch j, at the leaf
+``_colmap[i, j]``) and the blocks ``_mhat_blocks`` gathered from it; no
+code under src/ holds Mhat as a dense n x n array.
 ``CylinderBasis.apply`` is the only code under src/ that multiplies by
-Mhat.  It multiplies through the data that ``CylinderBasis`` keeps of
-Mhat (the dense column view ``_mhat_dense`` and the blocks
-``_mhat_blocks``), and it multiplies a complex operand as its real
-(re, im) pairs, where ``Mhat @ u`` would cast all of Mhat to a fresh
-complex copy.  ``OperatorMatrix.mat`` counts as Mhat data too: it is Mhat
-itself for the untwisted operator and Mhat diag(tw) otherwise.  The walk
-fails on:
+Mhat.  It multiplies through the table's unrefined columns and the
+blocks, and it multiplies a complex operand as its real (re, im) pairs,
+where a complex product would cast the table to a fresh complex copy.
+The walk fails on:
 
-- a matrix product with Mhat data (or a view of it, e.g. ``Mhat.T``) as
-  an operand: ``@``, ``np.dot``/``matmul``/``einsum``/... or ``.dot``,
+- a matrix product with table data (or a view of it, e.g. ``_mhat_table.T``)
+  as an operand: ``@``, ``np.dot``/``matmul``/``einsum``/... or ``.dot``,
   outside ``CylinderBasis.apply``;
-- an elementwise product ``Mhat * x``, a dense copy whose only use is a
-  matrix product, outside ``OperatorMatrix.mat``, which builds the dense
-  twisted matrix, and ``OperatorMatrix.i_minus``, which twists the
-  entries of Mhat on the sparse pattern of I - Mhat;
-- Mhat data bound to another name, which would hide a product from this
+- an elementwise product ``_mhat_table * x``, a copy whose only use is a
+  matrix product, outside ``OperatorMatrix.i_minus``, which twists the
+  table's entries on the sparse pattern of I - Mhat;
+- table data bound to another name, which would hide a product from this
   walk: the data itself anywhere, and a subscript or slice of it, or a
-  loop over it, outside ``CylinderBasis``; a negated copy, ``-Mhat``,
+  loop over it, outside ``CylinderBasis``; a negated copy, ``-_mhat_table``,
   counts as the data;
 - a sparse matrix or sparse factorisation built outside
   ``OperatorMatrix.i_minus``, which builds the sparse I - R that
   ``_near_kernel`` factorises and multiplies by, and ``operators.lu_factor``,
   which factorises it with SuperLU.  The walk cannot follow a sparse
   matrix under another name, so a sparse constructor anywhere else
-  counts, as a possible sparse copy of Mhat data, even in a function that
+  counts, as a possible sparse copy of table data, even in a function that
   ``DENSE_ALLOWED`` names.
 
-Only the functions in ``DENSE_ALLOWED`` may use the dense matrix, each for
-the reason given there.
+``DENSE_ALLOWED`` would name the functions that may use table data freely,
+each with its reason; it is empty.  A runtime test checks that building a
+basis of n = 4096 peaks below one dense n x n array.
 """
 
 import ast
 import pathlib
+import tracemalloc
+
+from towerlab import systems
+from towerlab.transfer.basis import CylinderBasis
+from towerlab.transfer.operators import assemble_R
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
-MHAT_DATA = {"Mhat", "_mhat_dense", "_mhat_blocks", "mat"}
+MHAT_DATA = {"_mhat_table", "_mhat_blocks"}
 MATMUL_ALLOWED = {("towerlab/transfer/basis.py", "CylinderBasis.apply")}
-SCALE_ALLOWED = {("towerlab/transfer/operators.py", "OperatorMatrix.mat"),
-                 ("towerlab/transfer/operators.py", "OperatorMatrix.i_minus")}
+SCALE_ALLOWED = {("towerlab/transfer/operators.py", "OperatorMatrix.i_minus")}
 VIEW_ALLOWED = ("towerlab/transfer/basis.py", "CylinderBasis")
 SPARSE_ALLOWED = {("towerlab/transfer/operators.py", "OperatorMatrix.i_minus"),
                   ("towerlab/transfer/operators.py", "lu_factor")}
-DENSE_ALLOWED = {
-    ("towerlab/transfer/operators.py", "OperatorMatrix.duality_defect"):
-        "a diagnostic: builds the mu-adjoint of the matrix and multiplies "
-        "by it",
-}
+DENSE_ALLOWED: dict = {}
 PRODUCT_CALLS = {"dot", "matmul", "einsum", "tensordot", "inner", "vdot",
                  "multi_dot"}
 SPARSE_CALLS = {f"{kind}_{form}" for kind in ("bsr", "coo", "csc", "csr",
@@ -63,7 +64,7 @@ def _call_name(node: ast.Call):
 
 
 def _is_mhat(node) -> bool:
-    """Mhat data itself, or an attribute, item, method result or negation
+    """Table data itself, or an attribute, item, method result or negation
     of it."""
     while isinstance(node, (ast.Attribute, ast.Subscript, ast.Call,
                             ast.UnaryOp)):
@@ -168,25 +169,26 @@ def test_guard_flags_every_other_product(tmp_path):
     (pkg / "basis.py").write_text(
         "class CylinderBasis:\n"
         "    def __init__(self):\n"
-        "        self._mhat_dense = self.Mhat[:, 3:]\n"
+        "        self._mhat_blocks = [(r, c, self._mhat_table[r, :3])]\n"
         "    def apply(self, u):\n"
-        "        out = self._mhat_dense @ u[3:]\n"
+        "        out = self._mhat_table[:, 3:] @ u[3:]\n"
         "        for rows, cols, vals in self._mhat_blocks:\n"
         "            out[rows] += vals @ u[cols]\n"
         "        return out\n"
         "    def other(self, u):\n"
-        "        return u @ self.Mhat.T\n")
+        "        return u @ self._mhat_table.T\n")
     (pkg / "operators.py").write_text(
         "class OperatorMatrix:\n"
-        "    def mat(self):\n"
-        "        return self.basis.Mhat * self.tw\n"
+        "    def i_minus(self):\n"
+        "        return self.basis._mhat_table * self.tw\n"
         "def elsewhere(basis, tw, u):\n"
-        "    M = basis.Mhat\n"
-        "    A = basis.Mhat * tw\n"
-        "    return np.dot(basis.Mhat, u) + basis.Mhat.dot(u) + A @ M\n"
+        "    M = basis._mhat_table\n"
+        "    A = basis._mhat_table * tw\n"
+        "    return np.dot(basis._mhat_table, u) + basis._mhat_table.dot(u)"
+        " + A @ M\n"
         "def blocked(basis, u):\n"
-        "    D = basis.Mhat[:, 3:]\n"
-        "    out = basis._mhat_dense @ u[3:]\n"
+        "    D = basis._mhat_table[:, 3:]\n"
+        "    out = basis._mhat_table[:, 3:] @ u[3:]\n"
         "    for rows, cols, vals in basis._mhat_blocks:\n"
         "        out[rows] += vals @ u[cols]\n"
         "    return [v for _, _, v in basis._mhat_blocks], D\n")
@@ -204,11 +206,12 @@ def test_guard_flags_every_other_product(tmp_path):
 
 
 def test_dense_matrix_uses_are_each_needed():
-    # without its allowance, each allowed function is flagged; the scan and
-    # the Laplace transform do not reach the dense matrix at all
+    # without its allowance, each allowed function is flagged; none is
+    # allowed, as nothing needs the dense matrix: the scan, the Laplace
+    # transform and the duality diagnostic all run on the sparse I - R
     flagged = {f.split(" ")[1].rstrip(":") for f in mhat_products(allowed=())}
     assert flagged == {qual for _, qual in DENSE_ALLOWED}
-    assert flagged == {"OperatorMatrix.duality_defect"}
+    assert flagged == set()
 
 
 def test_guard_sees_through_operator_matrix(tmp_path):
@@ -216,15 +219,16 @@ def test_guard_sees_through_operator_matrix(tmp_path):
     pkg.mkdir(parents=True)
     (pkg / "operators.py").write_text(
         "def elsewhere(op, v):\n"
-        "    return op.mat @ v\n"
+        "    return op.basis._mhat_table @ v\n"
         "def _near_kernel(op, x):\n"
-        "    A = -op.mat\n"
+        "    A = -op.basis._mhat_table\n"
         "    return A @ x\n"
         "class OperatorMatrix:\n"
         "    def i_minus(self):\n"
-        "        return -(self.basis.Mhat[rows, cols] * self.tw[cols])\n")
-    # the near-kernel helper has no dense allowance: its dense I - R is an
-    # alias of Mhat data, and the sparse builder may only twist entries
+        "        return -(self.basis._mhat_table[rows, cols] * self.tw[cols])"
+        "\n")
+    # the near-kernel helper has no dense allowance: its -table is an
+    # alias of table data, and the sparse builder may only twist entries
     assert mhat_products(tmp_path) == [
         "towerlab/transfer/operators.py:2 elsewhere: matrix product",
         "towerlab/transfer/operators.py:4 _near_kernel: alias"]
@@ -245,10 +249,27 @@ def test_guard_allows_one_sparse_copy(tmp_path):
         "    A = op.i_minus()\n"
         "    return sparse.csc_matrix(A), splu(A)\n"
         "def elsewhere(basis):\n"
-        "    return csr_matrix(basis.Mhat), csr_array(basis.Mhat.T)\n")
+        "    return csr_matrix(basis._mhat_table), "
+        "csr_array(basis._mhat_table.T)\n")
     assert mhat_products(tmp_path) == [
         "towerlab/transfer/operators.py:8 _near_kernel: sparse copy",
         "towerlab/transfer/operators.py:8 _near_kernel: sparse copy",
         "towerlab/transfer/operators.py:10 elsewhere: sparse copy",
         "towerlab/transfer/operators.py:10 elsewhere: sparse copy",
     ]
+
+
+def test_basis_build_holds_no_dense_matrix():
+    # the doubling basis at depth 12 (n = 4096) builds, normalises and
+    # blocks its table, and gives the sparse I - R, with a peak below one
+    # dense float64 n x n array (134 MB): a dense Mhat alone would reach it
+    ind = systems.doubling_full()
+    tracemalloc.start()
+    try:
+        basis = CylinderBasis(ind, depth=12, refine_symbols=2)
+        assemble_R(basis).i_minus()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.n == 4096
+    assert peak < 8 * basis.n ** 2

@@ -52,7 +52,7 @@ ALLOWED = {
     "OperatorMatrix.duality_defect":
         "diagnostic: R is the dual of composition with F",
     # independent references that tests compare driven results against
-    "assemble_R": "dense reference for the untwisted operator",
+    "assemble_R": "reference: the untwisted R on the basis's table",
     "OperatorMatrix.pointwise_apply": "pointwise reference for R",
     "MapModel.apply_deriv": "reference derivative for the cell checks",
     "verify_triple": "reference for the periodic-orbit triples",

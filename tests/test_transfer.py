@@ -32,6 +32,15 @@ def bp():
     return CylinderBasis(systems.pm_induced(0.5), depth=2, refine_symbols=24)
 
 
+def _mhat(basis, tw=None):
+    """The dense n x n matrix Mhat diag(tw) (tw None: Mhat), built from the
+    basis's cylinder table: row i holds table entry (i, j) at the leaf
+    ``_colmap[i, j]``, and 0 elsewhere."""
+    M = np.zeros((basis.n, basis.n))
+    M[np.arange(basis.n)[:, None], basis._colmap] = basis._mhat_table
+    return M if tw is None else M * tw[None, :]
+
+
 # -- basis ---------------------------------------------------------------------
 
 def test_nesting(bd, bp):
@@ -111,12 +120,12 @@ def test_R_fixes_constants(bd, bp):
 
 
 def test_R_nonnegative(bp):
-    assert np.min(assemble_R(bp).mat) >= 0.0
+    assert np.min(_mhat(bp)) >= 0.0
 
 
 def test_measure_stationary(bd, bp):
     for b in (bd, bp):
-        assert np.max(np.abs(b.mu @ b.Mhat - b.mu)) <= 1e-12
+        assert np.max(np.abs(b.mu @ _mhat(b) - b.mu)) <= 1e-12
 
 
 @pytest.mark.parametrize("width", [None, 1, 6, 16])
@@ -135,11 +144,12 @@ def test_basis_apply_matches_matmul(bp, width):
     else:
         cplx = [wide[:, :w].copy(), wide[:, 1:1 + w], wide[:, ::3], tall.T]
     eps = np.finfo(float).eps
+    Mhat = _mhat(bp)
     for u in cplx:
         for x in (u.real, u):
-            got, want = bp.apply(x), bp.Mhat @ x
+            got, want = bp.apply(x), Mhat @ x
             assert got.shape == want.shape and got.dtype == want.dtype
-            bound = 8 * eps * (np.abs(bp.Mhat) @ np.abs(x))
+            bound = 8 * eps * (np.abs(Mhat) @ np.abs(x))
             assert np.all(np.abs(got - want) <= bound)
 
 
@@ -147,18 +157,19 @@ def test_basis_apply_matches_matmul(bp, width):
     ("pm50", 1, 24), ("pm50", 2, 24), ("pm50", 3, 5), ("pm50-J30", 2, 40),
     ("pm60", 2, 50), ("doubling", 8, 2)])
 def test_blocks_rebuild_Mhat(ind, depth, refine):
-    # the dense column view and the blocks hold Mhat bit for bit: every
-    # stored entry is the Mhat entry at its place, every non-zero of Mhat
-    # is stored exactly once, and the dense columns are a view of Mhat;
-    # the product through them is within rounding of the exactly summed
-    # rows (math.fsum)
+    # the table's unrefined columns and the blocks hold Mhat bit for bit:
+    # every stored entry is the Mhat entry at its place, every non-zero of
+    # Mhat is stored exactly once, and the unrefined columns are the last
+    # leaves, in cell order, in every row; the product through them is
+    # within rounding of the exactly summed rows (math.fsum)
     ind = {"pm50": lambda: systems.pm_induced(0.5),
            "pm50-J30": lambda: systems.pm_induced(0.5, 30, 3000),
            "pm60": lambda: systems.pm_induced(0.6),
            "doubling": systems.doubling_full}[ind]()
     basis = CylinderBasis(ind, depth=depth, refine_symbols=refine)
-    Mhat, dense = basis.Mhat, basis._mhat_dense
-    assert dense.base is Mhat
+    Mhat, dense = _mhat(basis), basis._mhat_table[:, basis.refine:]
+    assert np.all(basis._colmap[:, basis.refine:]
+                  == np.arange(basis.n - dense.shape[1], basis.n))
     got = np.zeros_like(Mhat)
     hits = np.zeros(Mhat.shape, dtype=np.int8)
     got[:, basis.n - dense.shape[1]:] = dense
@@ -177,10 +188,10 @@ def test_blocks_rebuild_Mhat(ind, depth, refine):
 
 
 def test_untwisted_operator_is_the_shared_Mhat(bp):
+    # the untwisted operator carries no twist: it reads the basis's table
     grid = TowerGrid(bp, sp.cosine_roof(), 30)
     for op in (assemble_R(bp), assemble_twisted(grid, 0.0, 0.0)):
-        assert op.mat is bp.Mhat
-    assert not bp.Mhat.flags.writeable
+        assert op.basis is bp and op.tw is None
     v = np.exp(2j * np.pi * bp.mid)
     assert np.array_equal(assemble_R(bp).apply(v), bp.apply(v))
 
@@ -209,7 +220,7 @@ def test_duality_adjoint_pairing(bd, bp):
 def test_spectral_gap_pm():
     basis = CylinderBasis(systems.pm_induced(0.5, branch_cutoff=200),
                           depth=2, refine_symbols=16)
-    eigs = np.sort(np.abs(np.linalg.eigvals(basis.Mhat)))[::-1]
+    eigs = np.sort(np.abs(np.linalg.eigvals(_mhat(basis))))[::-1]
     assert eigs[0] == pytest.approx(1.0, abs=1e-10)
     assert eigs[1] < 1.0 - 1e-3
 
@@ -217,7 +228,7 @@ def test_spectral_gap_pm():
 def test_twisted_reduces_to_R(bp):
     grid = TowerGrid(bp, sp.cosine_roof(), 30)
     op = assemble_twisted(grid, 0.0, 0.0)
-    assert np.array_equal(op.mat, bp.Mhat)
+    assert np.array_equal(_mhat(bp, op.tw), _mhat(bp))
 
 
 def test_constant_twist_factors_out(bd):
@@ -225,23 +236,24 @@ def test_constant_twist_factors_out(bd):
     grid = TowerGrid(bd, sp.constant_roof(1.0), 1)
     s, z = 0.3 + 1.1j, -0.2 + 0.4j
     op = assemble_twisted(grid, s, z)
-    want = np.exp(s + z) * bd.Mhat
-    assert np.max(np.abs(op.mat - want)) <= 1e-13
+    want = np.exp(s + z) * _mhat(bd)
+    assert np.max(np.abs(_mhat(bd, op.tw) - want)) <= 1e-13
 
 
 def test_twisted_apply_matches_its_matrix(bp):
     # a twisted operator applies as basis.apply(tw * v), within rounding of
-    # its dense matrix Mhat diag(tw), which is built only when asked for
+    # its dense matrix Mhat diag(tw), which the operator never builds
     op = assemble_twisted(TowerGrid(bp, sp.cosine_roof(), 30), 2j, 0.5j)
     rng = np.random.default_rng(4)
     vs = [rng.standard_normal(bp.n) + 1j * rng.standard_normal(bp.n),
           rng.standard_normal((bp.n, 3)) + 1j * rng.standard_normal((bp.n, 3))]
     got = [op.apply(v) for v in vs]
-    assert "mat" not in vars(op)
+    assert all(np.ndim(x) < 2 for x in vars(op).values())
     eps = np.finfo(float).eps
+    mat = _mhat(bp, op.tw)
     for v, g in zip(vs, got):
-        bound = 8 * eps * (np.abs(op.mat) @ np.abs(v))
-        assert np.all(np.abs(g - op.mat @ v) <= bound)
+        bound = 8 * eps * (np.abs(mat) @ np.abs(v))
+        assert np.all(np.abs(g - mat @ v) <= bound)
 
 
 def test_induced_roof_seminorm_sum(bp):
@@ -309,8 +321,8 @@ def test_resolvent_residual_is_smallest_singular_value(request, basis, roof):
     # singular value of I - R_{ib} off resonance (b = 9)
     basis = request.getfixturevalue(basis)
     sc = resolvent_scan(basis, roof, [9.0], [0.0], C6=2.0, n_random=2)
-    A = np.eye(basis.n) - assemble_twisted(TowerGrid(basis, roof, None),
-                                           9.0j).mat
+    A = np.eye(basis.n) - _mhat(basis, assemble_twisted(
+        TowerGrid(basis, roof, None), 9.0j).tw)
     smin = np.linalg.svd(A, compute_uv=False)[-1]
     assert not sc.resonance[0]
     assert smin <= sc.residuals[0] <= (1 + 1e-3) * smin
@@ -331,10 +343,11 @@ def test_resolvent_flags_singular_non_uniform_measure(pm_cli_basis):
 def test_sparse_i_minus_is_the_dense_one(request, basis, twist):
     # I - R built on the basis's CSC pattern of I - Mhat: its pattern and
     # every bit of its data are those of the sparse copy of the dense
-    # I - mat, with no stored zeros.  The dense I - mat is -mat with 1
-    # added on its diagonal: np.eye - mat differs from it in the sign of a
-    # zero imaginary part.  The "zero column" twist, 1 + 0j but 0 on column
-    # 3, has such parts, and column 3 keeps only its diagonal.
+    # I - mat, with mat = Mhat diag(tw) built from the table, and no stored
+    # zeros.  The dense I - mat is -mat with 1 added on its diagonal:
+    # np.eye - mat differs from it in the sign of a zero imaginary part.
+    # The "zero column" twist, 1 + 0j but 0 on column 3, has such parts,
+    # and column 3 keeps only its diagonal.
     basis = request.getfixturevalue(basis)
     grid = TowerGrid(basis, sp.cosine_roof(), None)
     op = {"none": lambda: assemble_R(basis),
@@ -343,7 +356,7 @@ def test_sparse_i_minus_is_the_dense_one(request, basis, twist):
           "real": lambda: assemble_twisted(grid, -0.3),
           "zero column": lambda: operators.OperatorMatrix(
               basis, tw=(np.arange(basis.n) != 3).astype(complex))}[twist]()
-    want = -op.mat
+    want = -_mhat(basis, op.tw)
     want[np.diag_indices_from(want)] += 1.0
     want = csc_matrix(want, dtype=complex)
     for A in (op.i_minus(), op.i_minus()):
@@ -359,18 +372,27 @@ def test_sparse_i_minus_is_the_dense_one(request, basis, twist):
 
 def test_scan_and_transform_build_no_dense_matrix(monkeypatch, bd,
                                                   small_pm_grid):
-    # the scan and the Laplace transform run on the sparse I - R alone
-    def refuse(self):
-        raise AssertionError("the dense operator matrix was built")
+    # the scan and the Laplace transform run on the sparse I - R alone:
+    # no operator they build, and no basis, holds an n x n array
+    built, twisted = [], operators.assemble_twisted
 
-    monkeypatch.setattr(operators.OperatorMatrix, "mat", property(refuse))
+    def record(*args):
+        built.append(twisted(*args))
+        return built[-1]
+
+    monkeypatch.setattr(operators, "assemble_twisted", record)
     sc = resolvent_scan(bd, sp.cosine_roof(), [3.0, 9.0], [0.0], C6=2.0,
                         n_random=2)
     assert np.all(np.isfinite(sc.norm_estimate)) and not sc.resonance.any()
     v = sp.coordinate_observable()
     assert np.isfinite(laplace_transform(small_pm_grid, v, v, 0.3 + 2j))
-    with pytest.raises(AssertionError, match="dense"):
-        assemble_R(bd).mat
+    assert len(built) == 3
+    for op in built:
+        n = op.basis.n
+        for obj in (op, op.basis):
+            assert not any(isinstance(x, np.ndarray) and x.shape == (n, n)
+                           for x in vars(obj).values())
+    assert not hasattr(op, "mat") and not hasattr(op.basis, "Mhat")
 
 
 def _resolvent_reference(basis, roof, b_grid, C6, n_random, n_adversarial,
@@ -791,7 +813,7 @@ def test_lu_solves_complex_right_sides_of_a_real_system(bd):
     A = operators.OperatorMatrix(bd, tw=np.full(bd.n, 0.5)).i_minus()
     lu = operators.lu_factor(A)
     A = A.toarray()
-    assert np.array_equal(A, np.eye(bd.n) - 0.5 * bd.Mhat)
+    assert np.array_equal(A, np.eye(bd.n) - 0.5 * _mhat(bd))
     rng = np.random.default_rng(3)
     b = rng.standard_normal(bd.n) + 1j * rng.standard_normal(bd.n)
     for trans, M in enumerate((A, A.T, A.conj().T)):
