@@ -152,8 +152,10 @@ class Run:
 def _build_induced(run: Run) -> maps.InducedMap:
     model = maps.doubling_map() if run["map", "kind"] == "doubling" else \
         maps.pomeau_manneville(run["map", "alpha"], dist_const=run["map", "C"])
-    return maps.induce(model, run["map", "Y"], branch_cutoff=run["map", "J"],
-                       tail_horizon=run["map", "tail_horizon"])
+    J = _at_least("[map] J", run["map", "J"], 1)
+    H = _at_least("[map] tail_horizon", run["map", "tail_horizon"], 1)
+    return maps.induce(model, run["map", "Y"], branch_cutoff=J,
+                       tail_horizon=H)
 
 
 def _build_roof(run: Run) -> sp.RoofFunction:
@@ -174,19 +176,22 @@ def _build_obs(run: Run) -> tuple[sp.Observable, sp.Observable]:
 
 
 def _build_basis(run: Run) -> CylinderBasis:
-    return CylinderBasis(_build_induced(run), depth=run["basis", "depth"],
-                         refine_symbols=run["basis", "refine"])
+    depth = _at_least("[basis] depth", run["basis", "depth"], 1)
+    refine = _at_least("[basis] refine", run["basis", "refine"], 0)
+    return CylinderBasis(_build_induced(run), depth=depth,
+                         refine_symbols=refine)
 
 
-def _at_least(key: str, vals: tuple[int, ...], least: int
-              ) -> tuple[int, ...]:
-    """The values of the [grids] list ``key``, refused if one is below
-    ``least``: a truncation level N (N_list) below 1, an iterate n
+def _at_least(key: str, val, least: int):
+    """The value ``val`` of the config key ``key`` ("[map] J"), an int or
+    a list of ints, refused if a value is below ``least``: e.g. a cell
+    cutoff J below 1, a truncation level N (N_list) below 1, an iterate n
     (n_list) below 0."""
+    vals = val if isinstance(val, tuple) else (val,)
     if min(vals) < least:
-        raise ValueError(f"[grids] {key} = {','.join(map(str, vals))}: "
+        raise ValueError(f"{key} = {','.join(map(str, vals))}: "
                          f"{min(vals)} is below {least}")
-    return vals
+    return val
 
 
 def _stability_gate(fitted: float, spread: float) -> None:
@@ -287,7 +292,7 @@ def cmd_tower(run: Run) -> None:
 def cmd_truncate(run: Run) -> None:
     ind = _build_induced(run)
     worst, rows = 0.0, []
-    for N in _at_least("N_list", run["grids", "N_list"], 1):
+    for N in _at_least("[grids] N_list", run["grids", "N_list"], 1):
         tt = tw.Tower(ind, N)
         l1, r1 = tt.identity_mean_defect()
         l2, r2 = tt.identity_tall_mass()
@@ -330,7 +335,7 @@ def cmd_corr_flow(run: Run) -> None:
 def cmd_trunc_error(run: Run) -> None:
     tab = sp.truncation_error_experiment(
         _build_induced(run), _build_roof(run), *_build_obs(run),
-        _at_least("N_list", run["grids", "N_list"], 1),
+        _at_least("[grids] N_list", run["grids", "N_list"], 1),
         run["grids", "t_grid"], run["run", "samples"], run["run", "seed"])
     path = _csv(run, "trunc_error.csv", "N,t,measured,stderr,bound,ratio",
                 [(r.N, r.t, r.measured, r.stderr, r.bound, r.ratio)
@@ -345,7 +350,7 @@ def cmd_trunc_error(run: Run) -> None:
 def cmd_roof_trunc(run: Run) -> None:
     out = sp.roof_truncation_experiment(
         _build_induced(run), _build_roof(run), *_build_obs(run),
-        _at_least("N_list", run["grids", "N_list"], 1),
+        _at_least("[grids] N_list", run["grids", "N_list"], 1),
         run["grids", "t_grid"], run["run", "samples"], run["run", "seed"],
         q_log_trunc=run["grids", "q_log"])
     path = _csv(run, "roof_trunc.csv",
@@ -388,7 +393,7 @@ def cmd_renewal(run: Run) -> None:
 
 
 def cmd_decomp(run: Run) -> None:
-    ns = _at_least("n_list", run["grids", "n_list"], 0)
+    ns = _at_least("[grids] n_list", run["grids", "n_list"], 0)
     rep = tower_operator_decomposition(_tower_grid(run), run["grids", "s"], ns)
     path = _csv(run, "decomp.csv", "n,residual,vanish_beyond",
                 [(n, r, rep.vanish_beyond)

@@ -295,16 +295,6 @@ def doubling_map() -> MapModel:
 # First-return induction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InducedCell:
-    """One first-return cell Y_j with its symbolic word under the base map."""
-
-    word: tuple[int, ...]
-    r: int
-    lo: float
-    hi: float
-
-
 class InducedMap:
     """First-return map F = T^r on a base interval Y.
 
@@ -316,24 +306,28 @@ class InducedMap:
     exact Lebesgue widths of {r = n}, which the orbit gives out to
     ``tail_horizon`` (``ladder_tail``, ``tail_columns``).  The invariant
     density of F is represented by one value per cell.
-    Cells come in order of return time r, which ``inverse_chain`` and the
-    tower levels rely on; cells whose r falls are a ValueError.
+    Cell j is kept as four array entries: its entry branch ``entry[j]``,
+    return time ``r[j]`` and ends ``lo[j]``, ``hi[j]``; its word under the
+    base map is (entry[j], e, ..., e), of length r[j].  Cells come in
+    order of return time r, which ``inverse_chain`` and the tower levels
+    rely on; cells whose r falls are a ValueError.
     """
 
     def __init__(self, model: MapModel, Y: tuple[float, float],
-                 cells: list[InducedCell], mu0_r_width: np.ndarray,
-                 orbit: np.ndarray, escape: Branch | None) -> None:
+                 entry: np.ndarray, r: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray, mu0_r_width: np.ndarray, orbit: np.ndarray,
+                 escape: Branch | None) -> None:
         self.model = model
         self.Y = (float(Y[0]), float(Y[1]))
-        self.cells = cells
         self.orbit = orbit
         self.escape = escape
-        self.J = len(cells)
-        self.r = np.array([c.r for c in cells], dtype=int)
+        self.entry = np.asarray(entry, dtype=int)
+        self.r = np.asarray(r, dtype=int)
+        self.J = len(self.r)
         if np.any(np.diff(self.r) < 0):
             raise ValueError("cells must come in order of return time r")
-        self.lo = np.array([c.lo for c in cells])
-        self.hi = np.array([c.hi for c in cells])
+        self.lo = np.asarray(lo, dtype=float)
+        self.hi = np.asarray(hi, dtype=float)
         self.widths = self.hi - self.lo
         self._mu0_r_width = mu0_r_width  # Lebesgue width of {r = n}, index n-1
         # mass conservation pins the width not swept out by the horizon
@@ -417,7 +411,7 @@ class InducedMap:
         escape branch (Y = [0, 1]) this is ``model.advance``."""
         if self.escape is None:
             return self.model.advance(pos, steps)
-        entry = self.model.branches[self.cells[0].word[0]].fwd
+        entry = self.model.branches[self.entry[0]].fwd
         x = np.array(pos, dtype=float)
         if np.ndim(steps) == 0:
             if steps < 1:
@@ -453,9 +447,9 @@ class InducedMap:
     def F_inverse(self, j: int, x) -> np.ndarray:
         """Inverse branch of F on cell j, applied to base points x."""
         x = np.asarray(x, dtype=float)
-        for sym in reversed(self.cells[j].word):
-            x = self.model.branches[sym].inv(x)
-        return x
+        for _ in range(self.r[j] - 1):
+            x = self.escape.inv(x)
+        return self.model.branches[self.entry[j]].inv(x)
 
     def inverse_chain(self, x):
         """Yield (j, F_j^{-1}(x), F'(F_j^{-1}x)) for every cell, in order of r.
@@ -466,12 +460,12 @@ class InducedMap:
         """
         z = np.asarray(x, dtype=float)
         p, depth = np.ones_like(z), 1
-        for j, cell in enumerate(self.cells):
-            for _ in range(cell.r - depth):
+        for j, (e, r) in enumerate(zip(self.entry.tolist(), self.r.tolist())):
+            for _ in range(r - depth):
                 z = self.escape.inv(z)
                 p = p * self.escape.deriv(z)
-            depth = cell.r
-            b0 = self.model.branches[cell.word[0]]
+            depth = r
+            b0 = self.model.branches[e]
             y = b0.inv(z)
             yield j, y, p * b0.deriv(y)
 
@@ -534,7 +528,7 @@ class InducedMap:
         ladder_mid = np.empty(horizon)
         ladder_mid[0] = np.nan  # depth 0 is the base itself
         ladder_mid[1:] = 0.5 * (o[2:] + o[1:-1])
-        br = self.model.branches[self.cells[0].word[0]]  # the entry branch
+        br = self.model.branches[self.entry[0]]
         base_mid = br.inv(ladder_mid[rs - 1])
         return rs, muY, np.asarray(base_mid), ladder_mid
 
@@ -629,6 +623,8 @@ def induce(model: MapModel, Y: tuple[float, float], branch_cutoff: int = 400,
     a, b = float(Y[0]), float(Y[1])
     if not (0.0 <= a < b <= 1.0):
         raise ValueError("base interval must be a nondegenerate subinterval")
+    if branch_cutoff < 1:
+        raise ValueError(f"branch cutoff {branch_cutoff}: below 1")
     if tail_horizon < 1:
         raise ValueError(f"tail horizon {tail_horizon}: below 1")
     edges = model.branch_edges
@@ -637,13 +633,13 @@ def induce(model: MapModel, Y: tuple[float, float], branch_cutoff: int = 400,
         raise ValueError("base must be a union of branch-domain closures")
     mid = 0.5 * (edges[:-1] + edges[1:])
     entry = np.flatnonzero((a < mid) & (mid < b))
-    esc = tuple(int(k) for k in np.flatnonzero((mid < a) | (b < mid)))
-    if esc and (len(esc) > 1 or entry.size > 1):
+    esc = np.flatnonzero((mid < a) | (b < mid))
+    if esc.size and (esc.size > 1 or entry.size > 1):
         raise ValueError("induction needs Y to be one branch and the region "
                          "outside it another, or Y = [0, 1]")
 
     orbit, escape = np.array([a, b]), None
-    if esc:
+    if esc.size:
         escape = model.branches[esc[0]]
         o0, x = (b, a) if escape.lo < a else (a, b)
         if _invert_warm(escape, o0, o0) != x:
@@ -656,7 +652,8 @@ def induce(model: MapModel, Y: tuple[float, float], branch_cutoff: int = 400,
 
     # cell ends by depth: inv_j(min(o[d-1], o[d])), inv_j(max(o[d-1], o[d]))
     rise = orbit[:-1] <= orbit[1:]
-    cells: list[InducedCell] = []
+    # per entry branch, (entry, r, lo, hi) of the resolvable depths
+    parts = []
     width = np.zeros(tail_horizon)
     for j in entry:
         pre = model.branches[j].inv(orbit)
@@ -665,13 +662,12 @@ def induce(model: MapModel, Y: tuple[float, float], branch_cutoff: int = 400,
         w = chi - clo
         width[:w.size] += w
         resolvable = w > np.maximum(4e-16 * np.abs(chi), 1e-300)
-        cells += [InducedCell(word=(int(j),) + esc * d, r=d + 1,
-                              lo=float(clo[d]), hi=float(chi[d]))
-                  for d in np.flatnonzero(resolvable[:branch_cutoff])]
-    if not cells:
+        d = np.flatnonzero(resolvable[:branch_cutoff])
+        parts.append((np.full(d.size, j), d + 1, clo[d], chi[d]))
+    parts = [np.concatenate(p)[:branch_cutoff] for p in zip(*parts)]
+    if not parts[1].size:
         raise ValueError("no first-return cells found below the cutoff")
-    return InducedMap(model, (a, b), cells[:branch_cutoff], width, orbit,
-                      escape)
+    return InducedMap(model, (a, b), *parts, width, orbit, escape)
 
 
 # ---------------------------------------------------------------------------

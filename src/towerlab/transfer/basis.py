@@ -3,9 +3,12 @@
 Functions on the base are represented by their values on a finite partition
 of Y into cylinders of the return map: the first ``refine_symbols`` cells
 are refined to word depth ``depth`` (deep continuations aggregated into one
-sibling per node), the remaining represented cells stay whole.  Collocation
-is at cylinder midpoints.  The transfer matrix is normalised through its
-Perron pair so that R1 = 1 and the discrete measure is exactly stationary.
+sibling per node), the remaining represented cells stay whole.  The leaf
+words are kept as one integer array, in the order of their mixed-radix
+codes, and every table over the leaves is built from it by array
+operations.  Collocation is at cylinder midpoints.  The transfer matrix
+is normalised through its Perron pair so that R1 = 1 and the discrete
+measure is exactly stationary.
 It is kept as its n x J cylinder table: row i of Mhat has one entry per
 inverse branch j, at the leaf ``_colmap[i, j]`` that holds F_j^{-1}(mid_i).
 """
@@ -19,88 +22,76 @@ import numpy as np
 from towerlab.maps import InducedMap
 from towerlab.transfer.diameters import GroupDiameters
 
-BIG = -2  # aggregated deep-continuation symbol (cells >= refine_symbols)
-
-__all__ = ["CylinderBasis", "BIG"]
+__all__ = ["CylinderBasis"]
 
 
 class CylinderBasis:
-    """Finite cylinder partition of the base with collocation structure."""
+    """Finite cylinder partition of the base with collocation structure.
+
+    Leaf i is the cylinder of the word ``words[i]``, one row of an
+    (n, depth) int array.  Symbol ``refine`` is the aggregate of the cells
+    past the refined range, and also pads a word after its last symbol.
+    Leaves come in tree order: ascending mixed-radix code of the padded
+    word (radix J for the first symbol, refine + 1 for the others).
+    """
 
     def __init__(self, ind: InducedMap, depth: int = 2,
                  refine_symbols: int = 50) -> None:
         if depth < 1:
-            raise ValueError("depth must be >= 1")
+            raise ValueError(f"depth = {depth}: not >= 1")
+        if refine_symbols < 0:
+            raise ValueError(f"refine = {refine_symbols}: not >= 0")
         self.ind = ind
-        self.depth = int(depth)
-        self.refine = int(min(refine_symbols, ind.J))
+        self.depth = d = int(depth)
+        self.refine = a = int(min(refine_symbols, ind.J))
         big_lo, big_hi = self._aggregate_range()
-        pulled = self._pullbacks(big_lo, big_hi)
-        words: list[tuple[int, ...]] = []
-        lo: list[float] = []
-        hi: list[float] = []
-        # the cylinder tree, nodes in depth-first order: child_of[node] is
-        # the child of each refined symbol, then of the aggregate; a leaf is
-        # its own child, so a walk stops there.  node_leaf: leaf index.
-        child_of: list[list[int]] = []
-        node_leaf: list[int] = []
-
-        def leaf(word: tuple[int, ...], a: float, b: float) -> int:
-            node_leaf.append(len(words))
-            words.append(word)
-            lo.append(a)
-            hi.append(b)
-            child_of.append([len(child_of)] * (self.refine + 1))
-            return len(child_of) - 1
-
-        def expand(word: tuple[int, ...], a: float, b: float) -> int:
-            if len(word) == self.depth:
-                return leaf(word, a, b)
-            node = len(child_of)
-            child_of.append([])
-            node_leaf.append(-1)
-            ends = pulled[len(word) - 1][word]
-            kids = [expand(word + (i,), float(ends[2 * i]),
-                           float(ends[2 * i + 1])) for i in range(self.refine)]
-            kids.append(leaf(word + (BIG,), float(ends[-2]), float(ends[-1]))
-                        if big_hi > big_lo else node)
-            child_of[node] = kids
-            return node
-
-        roots = [expand((j,), ind.lo[j], ind.hi[j]) if j < self.refine
-                 else leaf((j,), ind.lo[j], ind.hi[j]) for j in range(ind.J)]
-        self.n = len(words)
-        self.words = words
-        self.lo = np.array(lo)
-        self.hi = np.array(hi)
+        agg = int(big_hi > big_lo)
+        if ind.J * (a + 1) ** (d - 1) >= 2 ** 63:
+            raise ValueError(f"depth = {d}: words overflow 64-bit codes")
+        radix = (a + 1) ** np.arange(d - 1, -1, -1)
+        # the leaves of each word length L: the unrefined cells (every cell
+        # at depth 1); below each refined node of length L - 1 the
+        # aggregate, and at full depth each refined symbol too, with the
+        # ends that the node's pullbacks hold for that child symbol
+        first = a if d > 1 else 0
+        words = [np.c_[np.arange(first, ind.J),
+                       np.full((ind.J - first, d - 1), a)]]
+        ends = [np.array([ind.lo[first:], ind.hi[first:]])]
+        for L, pulled in enumerate(self._pullbacks(big_lo, big_hi), 2):
+            last = np.arange(0 if L == d else a, a + agg)
+            w = np.full((a ** (L - 1) * last.size, d), a)
+            w[:, :L] = np.indices((a,) * (L - 1) + last.shape).reshape(L, -1).T
+            w[:, L - 1] = last[w[:, L - 1]]
+            words.append(w)
+            ends.append(pulled.reshape(-1, a + 1, 2)[:, last].reshape(-1, 2).T)
+        words = np.concatenate(words)
+        code = words @ radix
+        order = np.argsort(code)
+        code = code[order]
+        self.words = words[order]
+        self.lo, self.hi = np.concatenate(ends, axis=1)[:, order]
+        self.n = len(code)
         self.width = self.hi - self.lo
         self.mid = 0.5 * (self.lo + self.hi)
-        self.col = np.array([w[0] for w in words], dtype=int)
+        self.col = self.words[:, 0]
         self.r_col = ind.r[self.col]
         order = np.argsort(self.lo, kind="stable")
         self._sorted_lo = self.lo[order]
         self._sorted_idx = order
-        # prefix groups for the symbolic seminorm, contiguous by construction
-        self._groups = []
-        for d in range(self.depth):
-            seen: dict = {}
-            gid = np.empty(self.n, dtype=int)
-            for i, w in enumerate(self.words):
-                key = w[:d]
-                gid[i] = seen.setdefault(key, len(seen))
-            self._groups.append(gid)
+        # prefix groups for the symbolic seminorm: the rows are sorted, so
+        # a depth-k group is a run of rows with one length-k prefix
+        self._groups = [np.r_[0, np.cumsum(np.any(
+            self.words[1:, :k] != self.words[:-1, :k], axis=1))]
+            for k in range(d)]
         self._diameters = GroupDiameters(dict(enumerate(self._groups)))
         # colmap[i, j]: leaf of the word (j,) + words[i][:depth-1], which
-        # holds F_j^{-1}(mid_i); symbols past the refined range, and the
-        # padding of short words, take the aggregate child
-        syms = np.array([(w + (BIG,) * self.depth)[:self.depth - 1]
-                         for w in words]).reshape(self.n, self.depth - 1)
-        syms = np.where((syms >= 0) & (syms < self.refine), syms, self.refine)
-        child_of = np.array(child_of)
-        node = np.broadcast_to(np.array(roots), (self.n, ind.J))
-        for t in range(self.depth - 1):
-            node = child_of[node, syms[:, t, None]]
-        self._colmap = np.array(node_leaf, dtype=np.int32)[node]
+        # holds F_j^{-1}(mid_i); symbols past the refined range take the
+        # aggregate.  A padded leaf word's code is the largest in its
+        # cylinder, so the leaf is the first whose code is not below
+        # the word's.
+        pulled_code = np.arange(ind.J) * radix[0] + \
+            (np.minimum(self.words[:, :-1], a) @ radix[1:])[:, None]
+        self._colmap = np.searchsorted(code, pulled_code).astype(np.int32)
         self._assemble()
         # Mhat by its cylinder structure, for apply: every row hits the
         # leaves of the J - refine unrefined cells, the last ones in tree

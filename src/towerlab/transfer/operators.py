@@ -256,6 +256,7 @@ def resolvent_scan(basis: CylinderBasis, roof, b_grid, omega_grid,
     for b in np.atleast_1d(b_grid):
         for om in np.atleast_1d(omega_grid):
             x = _unit_start(rng, basis.n)
+            A = lu = None  # free the last point's factors before this one's
             A, lu, smin, singular = _near_kernel(
                 assemble_twisted(grid, 1j * b, 1j * om), x)
             bs.append(b)

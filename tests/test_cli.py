@@ -243,6 +243,25 @@ def test_grid_list_below_its_least_names_its_key(sub, config, key, value,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sub,old,key,value", [
+    ("induce", "J = 120", "[map] J", "-5"),         # 2990 cells, exit 0
+    ("induce", "J = 120", "[map] J", "0"),          # no key named
+    ("induce", "tail_horizon = 3000", "[map] tail_horizon", "0"),
+    ("resolvent", "depth = 2", "[basis] depth", "0"),
+    ("resolvent", "refine = 12", "[basis] refine", "-1"),  # numpy message
+])
+def test_cutoff_or_refinement_below_its_least_names_its_key(
+        sub, old, key, value, pm_config, tmp_path, capsys):
+    cfg = tmp_path / "low.ini"
+    text = open(pm_config).read()
+    assert old in text
+    cfg.write_text(text.replace(old, f"{old.split(' = ')[0]} = {value}"))
+    out = tmp_path / "out"
+    assert run([sub, "--config", str(cfg), "--out", str(out)]) == 3
+    assert f"config error: {key} = {value}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_roof_trunc_subcommand(doubling_config, tmp_path):
     out = tmp_path / "out"
     assert run(["roof-trunc", "--config", doubling_config,

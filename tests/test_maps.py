@@ -53,9 +53,8 @@ def test_pm_cells_follow_preimage_recursion(pm05):
     # maps under 2x-1 to xi_n, and T_left(xi_{n+1}) = xi_n
     xi = _preimage_recursion_oracle(0.5, 12)
     for n in range(1, 10):
-        cell = pm05.cells[n]          # r = n + 1
-        assert cell.r == n + 1
-        img = 2 * cell.lo - 1
+        assert pm05.r[n] == n + 1
+        img = 2 * pm05.lo[n] - 1
         assert img == pytest.approx(xi[n], abs=1e-12)
     pm = pm05.model
     for n in range(10):
@@ -444,7 +443,13 @@ def _sweep_id(sweep):
 def test_induce_matches_reference_sweep(kind, alpha, Y, J, H):
     ind = _induced(kind, alpha, Y, J, H)
     cells, width, ladder = _reference_sweep(ind.model, Y, J, H)
-    assert [(c.word, c.r, c.lo, c.hi) for c in ind.cells] == cells
+    # the word of cell j: its entry branch, then the escape branch e
+    esc = () if ind.escape is None else \
+        (ind.model.branches.index(ind.escape),)
+    words = [(e,) + esc * (r - 1)
+             for e, r in zip(ind.entry.tolist(), ind.r.tolist())]
+    assert list(zip(words, ind.r.tolist(), ind.lo.tolist(),
+                    ind.hi.tolist())) == cells
     assert ind._mu0_r_width.tobytes() == width.tobytes()
     # the reference ladder holds the lower end of each depth's interval:
     # min(o[d], o[d+1]) along the escape orbit o
@@ -510,8 +515,9 @@ def test_induced_map_refuses_cells_out_of_order_of_r(pm05):
     # inverse_chain pulls back along the orbit and the tower levels are
     # suffixes of the cell order: both need r to never fall
     with pytest.raises(ValueError, match="order of return time"):
-        maps.InducedMap(pm05.model, pm05.Y, pm05.cells[::-1],
-                        pm05._mu0_r_width, pm05.orbit, pm05.escape)
+        maps.InducedMap(pm05.model, pm05.Y, pm05.entry[::-1], pm05.r[::-1],
+                        pm05.lo[::-1], pm05.hi[::-1], pm05._mu0_r_width,
+                        pm05.orbit, pm05.escape)
 
 
 def test_induce_solves_once_per_depth(monkeypatch):
@@ -578,6 +584,13 @@ def test_induce_rejects_bad_base():
         maps.induce(maps.doubling_map(), (0.3, 0.9))
     with pytest.raises(ValueError, match="tail horizon 0"):
         maps.induce(maps.doubling_map(), (0.5, 1.0), 30, 0)
+
+
+@pytest.mark.parametrize("J", [0, -5])
+def test_induce_refuses_a_cutoff_below_one(J):
+    # a negative cutoff once sliced the cells from the end instead
+    with pytest.raises(ValueError, match=f"branch cutoff {J}: below 1"):
+        maps.induce(maps.pomeau_manneville(0.5), (0.5, 1.0), J, 3000)
 
 
 def test_induced_csv_roundtrip(tmp_path, pm05):

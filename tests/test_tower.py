@@ -308,9 +308,8 @@ def test_word_climb_is_the_lookup_climb(kind, alpha, seed):
 def test_swapped_branches_fail_the_word_climb_property(monkeypatch):
     ind = _small_induced("pm-right", 0.5)
     assert _word_climb_mismatches(ind, 3) == 0
-    entry = ind.cells[0].word[0]
+    entry = int(ind.entry[0])
     esc = ind.model.branches.index(ind.escape)
     monkeypatch.setattr(ind, "escape", ind.model.branches[entry])
-    monkeypatch.setattr(ind, "cells", [
-        dataclasses.replace(c, word=(esc,) + c.word[1:]) for c in ind.cells])
+    monkeypatch.setattr(ind, "entry", np.full_like(ind.entry, esc))
     assert _word_climb_mismatches(ind, 3) > 0

@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 import warnings
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,9 +12,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.sparse import csc_matrix
 
-from towerlab import systems, suspension as sp
+from towerlab import maps, systems, suspension as sp
 from towerlab.transfer import operators, towerop
-from towerlab.transfer.basis import BIG, CylinderBasis
+from towerlab.transfer.basis import CylinderBasis
 from towerlab.transfer.towerop import _QN, _QW, TowerGrid, \
     map_correlation_operator
 from towerlab.transfer.operators import (FLIGHT_PHASE_MAX, assemble_R,
@@ -79,36 +80,123 @@ def test_perron_diagnostics_kept(bd, bp):
         assert 1 <= b.perron_iterations <= 1500
 
 
-def _leaf_by_walk(basis, word):
+AGG = -1  # the aggregate symbol of the tuple words below
+
+
+def _tree_leaves(J, refine, depth, agg):
+    """The leaf words of the cylinder tree in depth-first order, as
+    tuples: a cell past the refined range is a leaf; a refined node short
+    of the depth has one child per refined symbol and, when the aggregate
+    is not empty (agg), the aggregate leaf, whose last symbol is AGG."""
+    def expand(word):
+        if len(word) == depth or word[0] >= refine:
+            return [word]
+        kids = [w for i in range(refine) for w in expand(word + (i,))]
+        return kids + [word + (AGG,)] * agg
+    return [w for j in range(J) for w in expand((j,))]
+
+
+def _leaf_by_walk(leaves, refine, depth, word):
     """Leaf holding a cylinder word, by walking the leaf words: symbols
     past the refined range, and missing ones, follow the aggregate."""
-    leaf_of = {w: i for i, w in enumerate(basis.words)}
+    leaf_of = {w: i for i, w in enumerate(leaves)}
     key = word[:1]
-    for sym in list(word[1:]) + [BIG] * basis.depth:
+    for sym in list(word[1:]) + [AGG] * depth:
         if key in leaf_of:
             return leaf_of[key]
-        key += (sym if sym in range(basis.refine) else BIG,)
+        key += (sym if sym in range(refine) else AGG,)
     raise AssertionError(f"no leaf for {word}")
 
 
-@pytest.mark.parametrize("ind,depth,refine", [
-    ("pm60", 1, 8), ("pm60", 2, 8), ("pm60", 3, 5), ("doubling", 3, 2)])
-def test_colmap_and_ends_match_tree_walk(ind, depth, refine):
-    ind = {"pm60": lambda: systems.pm_induced(0.5, 60, 3000),
-           "doubling": systems.doubling_full}[ind]()
+def _check_tree_walk(ind, depth, refine):
+    """The basis's words, leaf ends, prefix groups and ``_colmap`` against
+    the tuple tree of ``_tree_leaves``."""
     basis = CylinderBasis(ind, depth=depth, refine_symbols=refine)
-    want = np.array([[_leaf_by_walk(basis, (j,) + w[:depth - 1])
-                      for j in range(ind.J)] for w in basis.words])
+    a = min(refine, ind.J)
+    leaves = _tree_leaves(ind.J, a, depth, a < ind.J)
+    # the words array: symbol a is the aggregate and pads short words
+    assert basis.words.tolist() == [
+        [a if s == AGG else s for s in w] + [a] * (depth - len(w))
+        for w in leaves]
+    want = np.array([[_leaf_by_walk(leaves, a, depth, (j,) + w[:depth - 1])
+                      for j in range(ind.J)] for w in leaves])
     assert np.array_equal(basis._colmap, want)
+    # prefix groups, labelled in order of first appearance
+    for d in range(depth):
+        seen = {}
+        assert basis._groups[d].tolist() == \
+            [seen.setdefault(w[:d], len(seen)) for w in leaves]
     # leaf ends: the child cell's ends pulled back through each symbol of
     # the parent word, one F_inverse at a time
-    agg = (ind.Y[0], float(ind.hi[basis.refine:].max(initial=ind.Y[0])))
-    for w, lo, hi in zip(basis.words, basis.lo, basis.hi):
-        ends = agg if w[-1] == BIG else (ind.lo[w[-1]], ind.hi[w[-1]])
+    agg = (ind.Y[0], float(ind.hi[a:].max(initial=ind.Y[0])))
+    for w, lo, hi in zip(leaves, basis.lo, basis.hi):
+        ends = agg if w[-1] == AGG else (ind.lo[w[-1]], ind.hi[w[-1]])
         pts = np.array(ends)
         for sym in reversed(w[:-1]):
             pts = ind.F_inverse(sym, pts)
         assert (lo, hi) == tuple(pts)
+
+
+@pytest.mark.parametrize("ind,depth,refine", [
+    ("pm60", 1, 8), ("pm60", 2, 8), ("pm60", 3, 5), ("doubling", 3, 2),
+    ("pm60", 2, 0), ("pm60", 3, 0),                 # refine 0
+    ("pm10", 2, 12), ("doubling", 2, 5),            # refine >= J
+    ("doubling-half", 3, 4), ("doubling-half", 1, 3),
+    ("pm-full", 3, 2), ("pm-full", 2, 7)])          # two entry branches
+def test_colmap_and_ends_match_tree_walk(ind, depth, refine):
+    ind = {"pm60": lambda: systems.pm_induced(0.5, 60, 3000),
+           "pm10": lambda: systems.pm_induced(0.5, 10, 200),
+           "doubling": systems.doubling_full,
+           "doubling-half": lambda: systems.doubling_induced(30, 600),
+           "pm-full": lambda: maps.induce(maps.pomeau_manneville(0.5),
+                                          (0.0, 1.0), 120, 3000)}[ind]()
+    _check_tree_walk(ind, depth, refine)
+
+
+@st.composite
+def _tree_cases(draw):
+    """(J, depth, refine): refine up to past J at depth 1 and fewer
+    deeper, so the tuple walk stays small."""
+    J, depth = draw(st.integers(2, 60)), draw(st.integers(1, 3))
+    return J, depth, draw(st.integers(0, (J + 3, 12, 5)[depth - 1]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["pm", "doubling"]), case=_tree_cases())
+@example(kind="pm", case=(60, 3, 5))
+@example(kind="doubling", case=(2, 3, 0))
+def test_array_build_is_the_tree_walk(kind, case):
+    J, depth, refine = case
+    model = maps.doubling_map() if kind == "doubling" \
+        else maps.pomeau_manneville(0.5)
+    _check_tree_walk(maps.induce(model, (0.5, 1.0), J, 4 * J), depth, refine)
+
+
+def test_basis_refuses_a_negative_refinement():
+    with pytest.raises(ValueError, match="refine = -3: not >= 0"):
+        CylinderBasis(systems.pm_induced(0.5, 60, 3000), 2, -3)
+
+
+def test_basis_refuses_words_past_64_bit_codes():
+    # refine 1 keeps n small at any depth, but the codes grow as 2^depth:
+    # J 2^(depth - 1) must stay below 2^63
+    _check_tree_walk(systems.doubling_full(), 62, 1)
+    with pytest.raises(ValueError, match="64-bit codes"):
+        CylinderBasis(systems.doubling_full(), depth=63, refine_symbols=1)
+
+
+def test_words_stay_arrays():
+    # no attribute of an induced map or a basis holds one Python object
+    # per cell or per leaf: cells and words are integer arrays
+    for ind, depth, refine in [(systems.pm_induced(0.5, 60, 3000), 3, 5),
+                               (systems.doubling_induced(30, 600), 2, 8)]:
+        basis = CylinderBasis(ind, depth=depth, refine_symbols=refine)
+        basis.csc_pattern
+        for obj in (ind, basis):
+            assert [k for k, v in vars(obj).items()
+                    if isinstance(v, (list, tuple))
+                    and len(v) in (ind.J, basis.n)] == []
+        assert basis.words.shape == (basis.n, depth)
 
 
 # -- base operator ----------------------------------------------------------------
@@ -368,6 +456,30 @@ def test_sparse_i_minus_is_the_dense_one(request, basis, twist):
         assert np.all(A.data != 0)
     if twist == "zero column":
         assert A.indptr[4] - A.indptr[3] == 1 < A.nnz / basis.n
+
+
+def test_scan_holds_one_factor_set_at_a_time(monkeypatch, bd):
+    # a point's LU factors are released before the next point factorises:
+    # count the factor sets alive when each one is made
+    factor, live, most = operators.lu_factor, [0], [0]
+
+    def gone():
+        live[0] -= 1
+
+    class Factors:
+        """The factors of A, counted while they are alive."""
+
+        def __init__(self, A):
+            self.solve = factor(A).solve
+            live[0] += 1
+            most[0] = max(most[0], live[0])
+            weakref.finalize(self, gone)
+
+    monkeypatch.setattr(operators, "lu_factor", Factors)
+    sc = resolvent_scan(bd, sp.cosine_roof(), [3.0, 9.0, 5.0], [0.0], C6=2.0,
+                        n_random=2)
+    assert np.all(np.isfinite(sc.norm_estimate))
+    assert most == [1]
 
 
 def test_scan_and_transform_build_no_dense_matrix(monkeypatch, bd,
